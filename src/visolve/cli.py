@@ -78,24 +78,29 @@ def _instance_name(args, errors):
 
 
 def _load_config_defaults(argv, parser):
+    """Make the keys of the --config file the parser's defaults; a key that
+    names no flag is a configuration error."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    defaults = {}
+    actions = {action.dest: action for action in parser._actions}
+    unknown = []
     with open(known.config) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._actions:
-        if action.dest in defaults:
-            raw = defaults[action.dest]
+            key, _, raw = line.partition("=")
+            action = actions.get(key.strip().replace("-", "_"))
+            if action is None:
+                unknown.append(f"unknown key {key.strip()!r} in config file {known.config}")
+                continue
+            raw = raw.strip()
             action.default = action.type(raw) if action.type else raw
-    parser.set_defaults()
+    if unknown:
+        raise harness.ConfigError(unknown)
 
 
 def _build_config(args):
@@ -177,20 +182,21 @@ def main(argv=None):
                        help="alias for --alpha-exp on gen")
     p_gen.add_argument("--out", default="instance.vif", help="output file")
 
+    run_parsers = {}
     for cmd in ("run", "compare"):
-        p_cmd = sub.add_parser(cmd, help=f"{cmd} algorithms on an instance")
-        _add_instance_flags(p_cmd)
-        _add_run_flags(p_cmd)
-        if cmd in argv:
-            _load_config_defaults(argv, p_cmd)
-
-    args = parser.parse_args(argv)
-    if getattr(args, "generator_pos", None) and not args.instance and not args.generator:
-        args.generator = args.generator_pos
-    if getattr(args, "alpha_exp_alias", None) is not None and args.alpha_exp is None:
-        args.alpha_exp = args.alpha_exp_alias
+        run_parsers[cmd] = sub.add_parser(cmd, help=f"{cmd} algorithms on an instance")
+        _add_instance_flags(run_parsers[cmd])
+        _add_run_flags(run_parsers[cmd])
 
     try:
+        for cmd, p_cmd in run_parsers.items():
+            if cmd in argv:
+                _load_config_defaults(argv, p_cmd)
+        args = parser.parse_args(argv)
+        if getattr(args, "generator_pos", None) and not args.instance and not args.generator:
+            args.generator = args.generator_pos
+        if getattr(args, "alpha_exp_alias", None) is not None and args.alpha_exp is None:
+            args.alpha_exp = args.alpha_exp_alias
         if args.command == "gen":
             return cmd_gen(args)
         if args.command == "run":

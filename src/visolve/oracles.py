@@ -1,12 +1,12 @@
-"""Stochastic operator oracles for bilinear games, variance reduction, and
-cost accounting.
+"""Stochastic operator oracles for bilinear games and variance reduction.
 
 The sampled oracle picks a row i and a column j with probabilities
 proportional to their squared norms and returns inverse-probability-weighted
 rank-one slices, so its expectation is exactly the full operator and its
 mean-square Lipschitz constant equals the Frobenius norm of the payoff
 matrix. Costs are counted in units of one sampled evaluation; a full
-operator evaluation costs N units.
+operator evaluation costs N units (``default_components``), and each
+solver's step charges itself.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class SamplingDistribution:
         return (np.minimum(i, self.p_row.size - 1), np.minimum(j, self.p_col.size - 1))
 
 
-def build_sampling(A):
-    return SamplingDistribution(A)
-
-
 def stochastic_operator(problem, sampling, sample, z):
     """Sampled estimate of F at z for a bilinear problem.
 
@@ -86,15 +82,6 @@ class SnapshotCache:
     def at(cls, problem, w):
         w = np.array(w, dtype=np.float64)
         return cls(w=w, Fw=problem.operator(w))
-
-
-def variance_reduced_estimate(oracle, cache, sample, z_half):
-    """F_sampled(z_half) - F_sampled(w) + F(w), both slices on one sample.
-
-    Delegates to the oracle's fused form, which cancels the shared terms
-    analytically: at z_half = w it returns F(w) exactly, for every sample.
-    """
-    return oracle.vr_estimate(cache, sample, z_half)
 
 
 def pair_second_moment(problem, z1, z2):
@@ -132,10 +119,12 @@ class MatrixGameOracle:
     def draw(self, rng):
         return self.sampling.draw(rng)
 
-    def evaluate(self, sample, z):
-        return stochastic_operator(self.problem, self.sampling, sample, z)
-
     def vr_estimate(self, cache, sample, z_half):
+        """F_sampled(z_half) - F_sampled(w) + F(w), both slices on one sample.
+
+        The shared terms cancel analytically: at z_half = w it returns F(w)
+        exactly, for every sample.
+        """
         i, j = sample
         s = self.problem.structure
         n = s.primal_dim
@@ -155,9 +144,6 @@ class ExactOracle:
     def draw(self, rng):
         return None
 
-    def evaluate(self, sample, z):
-        return self.problem.operator(z)
-
     def vr_estimate(self, cache, sample, z_half):
         return self.problem.operator(z_half)
 
@@ -166,35 +152,6 @@ def oracle_for(problem):
     if problem.structure is not None:
         return MatrixGameOracle(problem)
     return ExactOracle(problem)
-
-
-_PER_FULL_PASS = ("pda", "oomd-l2", "oomd-entropy", "rm+")
-
-
-@dataclass
-class CostModel:
-    """Per-step charges in sampled-evaluation units; N is the price of one
-    full operator evaluation."""
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-
-    def charge(self, algorithm, snapshot_updated=False, K=None):
-        """Charge of one iteration (or one epoch for the double-loop solver)."""
-        if algorithm == "eg":
-            return 2 * self.N
-        if algorithm == "svrg-eg":
-            return 2 + (self.N if snapshot_updated else 0)
-        if algorithm == "dl-svrg-eg":
-            if K is None:
-                raise ValueError("double-loop charge needs the inner length K")
-            return self.N + 2 * K
-        if algorithm in _PER_FULL_PASS:
-            return self.N
-        raise ValueError(f"unknown algorithm tag {algorithm!r}")
 
 
 def default_components(problem):

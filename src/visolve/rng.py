@@ -56,7 +56,3 @@ class StableRng:
         if n is None:
             return int(lo) + int(self.uniform() * span)
         return (int(lo) + np.floor(self.uniform(n) * span)).astype(np.int64)
-
-    def bernoulli(self, p):
-        """Single {True, False} draw with success probability p."""
-        return self.uniform() < p

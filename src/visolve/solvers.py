@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import sets
 from .averaging import AveragingAccumulator
 from .metrics import GapTrace, duality_gap_at, natural_residual, dist_theta
-from .oracles import (CostModel, SnapshotCache, default_components, oracle_for,
-                      variance_reduced_estimate)
+from .oracles import SnapshotCache, default_components, oracle_for
 from .rng import StableRng
 
 StepResult = namedtuple("StepResult", ["iterates", "epoch"])
@@ -79,11 +79,24 @@ class SvrgParams:
 
 
 class _SolverBase:
-    name = "?"
+    """State and checks every solver shares.
 
-    def __init__(self, problem, cost, seed=0, z0=None):
+    ``N`` is the price of one full operator evaluation in sampled-evaluation
+    units; each ``step`` adds its own closed-form charge to ``evals``.
+    ``requires`` names what the instance must offer, or None. Every tagged
+    class defines its own ``step``, so a step of each algorithm can be told
+    apart where the method is looked up (perfbench traces it there).
+    """
+
+    name = "?"
+    requires = None
+
+    def __init__(self, problem, N, seed=0, z0=None):
+        reason = unmet_requirement(problem, self.name)
+        if reason is not None:
+            raise ValueError(reason)
         self.problem = problem
-        self.cost = cost
+        self.N = int(N)
         self.rng = StableRng(seed)
         start = problem.set.center() if z0 is None else np.asarray(z0, dtype=np.float64)
         self.z = problem.set.project(start)
@@ -98,38 +111,34 @@ class _SolverBase:
     def w_point(self):
         return self.z
 
-    def _proj(self, v):
+    def _finite(self, v):
         if not np.all(np.isfinite(v)):
             raise NumericalDivergence(self.name, self.iteration)
-        return self.problem.set.project(v)
+        return v
+
+    def _proj(self, v):
+        return self.problem.set.project(self._finite(v))
 
     def step(self):
         raise NotImplementedError
 
 
-class LooplessSvrgEG(_SolverBase):
-    """Variance-reduced extragradient with Bernoulli snapshot refreshes.
+class _AnchoredExtragradient(_SolverBase):
+    """The core both variance-reduced solvers share: the sampled oracle, the
+    snapshot w with its cached full operator, and one anchored step.
 
-    One iteration: anchor zbar = alpha z + (1 - alpha) w, take the half step
-    with the cached full operator at w (already paid for), form the
-    variance-reduced estimate at the half point on one fresh sample, take the
-    full step, then refresh the snapshot with probability p. The snapshot
-    coin is drawn after the sample index so runs are reproducible.
+    The step anchors zbar = alpha z + (1 - alpha) w, takes the half step
+    with the cached F(w) (already paid for), forms the variance-reduced
+    estimate at the half point on one fresh sample and takes the full step
+    from zbar (Alacaoglu & Malitsky 2022).
     """
 
-    name = "svrg-eg"
-
-    def __init__(self, problem, params, cost, seed=0, z0=None, oracle=None):
-        super().__init__(problem, cost, seed, z0)
+    def __init__(self, problem, params, N, seed=0, z0=None, oracle=None):
+        super().__init__(problem, N, seed, z0)
         self.params = params
         self.oracle = oracle_for(problem) if oracle is None else oracle
         self.cache = SnapshotCache.at(problem, self.z)
-        self.evals += cost.N  # full operator at the initial snapshot
-
-    @property
-    def theta(self):
-        a, p = self.params.alpha, self.params.p
-        return a / (a + (1.0 - a) / p)
+        self.evals += self.N  # full operator at the initial snapshot
 
     @property
     def w_point(self):
@@ -139,36 +148,52 @@ class LooplessSvrgEG(_SolverBase):
     def tau(self):
         return self.params.tau
 
-    def step(self):
+    def _anchored_step(self):
+        """One anchored extragradient step; returns the half-step iterate."""
         prm = self.params
         zbar = prm.alpha * self.z + (1.0 - prm.alpha) * self.cache.w
         z_half = self._proj(zbar - prm.tau * self.cache.Fw)
         sample = self.oracle.draw(self.rng)
-        fhat = variance_reduced_estimate(self.oracle, self.cache, sample, z_half)
+        fhat = self.oracle.vr_estimate(self.cache, sample, z_half)
         self.z = self._proj(zbar - prm.tau * fhat)
-        updated = bool(self.rng.uniform() < prm.p)
+        self.iteration += 1
+        return z_half
+
+
+class LooplessSvrgEG(_AnchoredExtragradient):
+    """Variance-reduced extragradient with Bernoulli snapshot refreshes: one
+    anchored step, then the snapshot moves to the new iterate with
+    probability p. The snapshot coin is drawn after the sample index so runs
+    are reproducible. A step costs 2, plus N when the snapshot refreshes."""
+
+    name = "svrg-eg"
+
+    @property
+    def theta(self):
+        a, p = self.params.alpha, self.params.p
+        return a / (a + (1.0 - a) / p)
+
+    def step(self):
+        z_half = self._anchored_step()
+        updated = bool(self.rng.uniform() < self.params.p)
         if updated:
             self.cache = SnapshotCache.at(self.problem, self.z)
-        self.evals += self.cost.charge(self.name, snapshot_updated=updated)
-        self.iteration += 1
+        self.evals += 2 + (self.N if updated else 0)
         return StepResult([z_half], None)
 
 
-class DoubleLoopSvrgEG(_SolverBase):
-    """Epoch-structured variance reduction: K inner extragradient steps
-    against a fixed snapshot, then the snapshot moves to the average of the
-    K inner iterates and the full operator is recomputed there."""
+class DoubleLoopSvrgEG(_AnchoredExtragradient):
+    """Epoch-structured variance reduction: K inner anchored steps against a
+    fixed snapshot, then the snapshot moves to the average of the K inner
+    iterates and the full operator is recomputed there. An epoch costs
+    N + 2K."""
 
     name = "dl-svrg-eg"
 
-    def __init__(self, problem, params, cost, seed=0, z0=None, oracle=None):
-        super().__init__(problem, cost, seed, z0)
+    def __init__(self, problem, params, N, seed=0, z0=None, oracle=None):
         if params.K is None:
             raise ValueError("double-loop solver needs the inner length K")
-        self.params = params
-        self.oracle = oracle_for(problem) if oracle is None else oracle
-        self.cache = SnapshotCache.at(problem, self.z)
-        self.evals += cost.N
+        super().__init__(problem, params, N, seed, z0, oracle)
         self.epoch = 0
 
     @property
@@ -176,106 +201,35 @@ class DoubleLoopSvrgEG(_SolverBase):
         a, K = self.params.alpha, self.params.K
         return a / (a + K * (1.0 - a))
 
-    @property
-    def w_point(self):
-        return self.cache.w
-
-    @property
-    def tau(self):
-        return self.params.tau
-
     def step(self):
-        prm = self.params
+        K = self.params.K
         halves = []
         inner_sum = np.zeros_like(self.z)
-        for _ in range(prm.K):
-            zbar = prm.alpha * self.z + (1.0 - prm.alpha) * self.cache.w
-            z_half = self._proj(zbar - prm.tau * self.cache.Fw)
-            sample = self.oracle.draw(self.rng)
-            fhat = variance_reduced_estimate(self.oracle, self.cache, sample, z_half)
-            self.z = self._proj(zbar - prm.tau * fhat)
-            halves.append(z_half)
+        for _ in range(K):
+            halves.append(self._anchored_step())
             inner_sum += self.z
-            self.iteration += 1
-        self.cache = SnapshotCache.at(self.problem, inner_sum / prm.K)
-        self.evals += self.cost.charge(self.name, K=prm.K)
-        this_epoch = self.epoch
+        self.cache = SnapshotCache.at(self.problem, inner_sum / K)
+        self.evals += self.N + 2 * K
         self.epoch += 1
-        return StepResult(halves, this_epoch)
+        return StepResult(halves, self.epoch - 1)
 
 
 class Extragradient(_SolverBase):
-    """Two projected steps per iteration with the fresh full operator."""
+    """Two projected steps per iteration with the fresh full operator; an
+    iteration costs 2N."""
 
     name = "eg"
 
-    def __init__(self, problem, tau, cost, seed=0, z0=None):
-        super().__init__(problem, cost, seed, z0)
+    def __init__(self, problem, tau, N, seed=0, z0=None):
+        super().__init__(problem, N, seed, z0)
         self.tau = float(tau)
 
     def step(self):
         z_half = self._proj(self.z - self.tau * self.problem.operator(self.z))
         self.z = self._proj(self.z - self.tau * self.problem.operator(z_half))
-        self.evals += self.cost.charge(self.name)
+        self.evals += 2 * self.N
         self.iteration += 1
         return StepResult([z_half], None)
-
-
-class PrimalDual(_SolverBase):
-    """Primal-dual splitting with primal extrapolation parameter 1 and equal
-    step sizes on both sides."""
-
-    name = "pda"
-
-    def __init__(self, problem, tau, cost, seed=0, z0=None):
-        if problem.structure is None:
-            raise ValueError("the primal-dual solver needs a bilinear problem")
-        super().__init__(problem, cost, seed, z0)
-        self.tau = float(tau)
-        self.primal_set, self.dual_set = problem.set.parts
-        self.x, self.y = (b.copy() for b in problem.split(self.z))
-        self.x_bar = self.x.copy()
-
-    def _guard(self, v):
-        if not np.all(np.isfinite(v)):
-            raise NumericalDivergence(self.name, self.iteration)
-        return v
-
-    def step(self):
-        s = self.problem.structure
-        self.y = self.dual_set.project(self._guard(self.y + self.tau * (s.A.T @ self.x_bar + s.by)))
-        x_new = self.primal_set.project(self._guard(self.x - self.tau * (s.A @ self.y + s.bx)))
-        self.x_bar = 2.0 * x_new - self.x
-        self.x = x_new
-        self.z = np.concatenate([self.x, self.y])
-        self.evals += self.cost.charge(self.name)
-        self.iteration += 1
-        return StepResult([self.z.copy()], None)
-
-
-class OptimisticMDL2(_SolverBase):
-    """Optimistic mirror descent in the Euclidean geometry, one operator
-    evaluation per iteration: the played point uses the previous operator
-    value as prediction, the ledger point uses the fresh one."""
-
-    name = "oomd-l2"
-
-    def __init__(self, problem, eta, cost, seed=0, z0=None):
-        super().__init__(problem, cost, seed, z0)
-        self.eta = float(eta)
-        self.tau = self.eta
-        self.ledger = self.z.copy()
-        self.g_prev = problem.operator(self.z)
-        self.evals += cost.N  # prediction for the first step
-
-    def step(self):
-        self.z = self._proj(self.ledger - self.eta * self.g_prev)
-        g = self.problem.operator(self.z)
-        self.ledger = self._proj(self.ledger - self.eta * g)
-        self.g_prev = g
-        self.evals += self.cost.charge(self.name)
-        self.iteration += 1
-        return StepResult([self.z.copy()], None)
 
 
 def _simplex_slices(feasible):
@@ -298,23 +252,89 @@ def _simplex_slices(feasible):
     return None
 
 
-class OptimisticMDEntropy(_SolverBase):
+_Requirement = namedtuple("_Requirement", ["text", "holds"])
+
+_BILINEAR = _Requirement("a bilinear saddle-point structure",
+                         lambda problem: problem.structure is not None)
+_SIMPLEX_STRATEGIES = _Requirement(
+    "simplex strategy sets",
+    lambda problem: problem.structure is not None and _simplex_slices(problem.set) is not None)
+
+
+class PrimalDual(_SolverBase):
+    """Primal-dual splitting with primal extrapolation parameter 1 and equal
+    step sizes on both sides; an iteration costs N."""
+
+    name = "pda"
+    requires = _BILINEAR
+
+    def __init__(self, problem, tau, N, seed=0, z0=None):
+        super().__init__(problem, N, seed, z0)
+        self.tau = float(tau)
+        self.primal_set, self.dual_set = problem.set.parts
+        self.x, self.y = (b.copy() for b in problem.split(self.z))
+        self.x_bar = self.x.copy()
+
+    def step(self):
+        s = self.problem.structure
+        self.y = self.dual_set.project(self._finite(self.y + self.tau * (s.A.T @ self.x_bar + s.by)))
+        x_new = self.primal_set.project(self._finite(self.x - self.tau * (s.A @ self.y + s.bx)))
+        self.x_bar = 2.0 * x_new - self.x
+        self.x = x_new
+        self.z = np.concatenate([self.x, self.y])
+        self.evals += self.N
+        self.iteration += 1
+        return StepResult([self.z.copy()], None)
+
+
+class _OptimisticMirrorDescent(_SolverBase):
+    """Optimistic mirror descent with one operator evaluation per iteration:
+    the played point uses the previous operator value as prediction, the
+    ledger point uses the fresh one. Subclasses supply the mirror step
+    ``_mirror(base, g)``. The first prediction costs N, and so does each
+    iteration."""
+
+    def __init__(self, problem, eta, N, seed=0, z0=None):
+        super().__init__(problem, N, seed, z0)
+        self.eta = float(eta)
+        self.tau = self.eta
+        self.ledger = self.z.copy()
+        self.g_prev = problem.operator(self.z)
+        self.evals += self.N  # prediction for the first step
+
+    def _optimistic_step(self):
+        self.z = self._mirror(self.ledger, self.g_prev)
+        g = self.problem.operator(self.z)
+        self.ledger = self._mirror(self.ledger, g)
+        self.g_prev = g
+        self.evals += self.N
+        self.iteration += 1
+        return StepResult([self.z.copy()], None)
+
+
+class OptimisticMDL2(_OptimisticMirrorDescent):
+    """Optimistic mirror descent in the Euclidean geometry."""
+
+    name = "oomd-l2"
+
+    def _mirror(self, base, g):
+        return self._proj(base - self.eta * g)
+
+    def step(self):
+        return self._optimistic_step()
+
+
+class OptimisticMDEntropy(_OptimisticMirrorDescent):
     """Optimistic mirror descent with the entropy mirror map on every
     simplex block (multiplicative updates). Strategies are floored at
     1e-300 before logarithms so boundary points never produce -inf."""
 
     name = "oomd-entropy"
+    requires = _SIMPLEX_STRATEGIES
 
-    def __init__(self, problem, eta, cost, seed=0, z0=None):
-        super().__init__(problem, cost, seed, z0)
-        self.blocks = _simplex_slices(problem.set)
-        if self.blocks is None:
-            raise ValueError("entropy mirror descent needs simplex strategy sets")
-        self.eta = float(eta)
-        self.tau = self.eta
-        self.ledger = self.z.copy()
-        self.g_prev = problem.operator(self.z)
-        self.evals += cost.N
+    @cached_property
+    def blocks(self):
+        return _simplex_slices(self.problem.set)
 
     def _mirror(self, base, g):
         out = np.empty_like(base)
@@ -323,37 +343,27 @@ class OptimisticMDEntropy(_SolverBase):
             u -= u.max()
             e = np.exp(u)
             out[sl] = e / e.sum()
-        if not np.all(np.isfinite(out)):
-            raise NumericalDivergence(self.name, self.iteration)
-        return out
+        return self._finite(out)
 
     def step(self):
-        self.z = self._mirror(self.ledger, self.g_prev)
-        g = self.problem.operator(self.z)
-        self.ledger = self._mirror(self.ledger, g)
-        self.g_prev = g
-        self.evals += self.cost.charge(self.name)
-        self.iteration += 1
-        return StepResult([self.z.copy()], None)
+        return self._optimistic_step()
 
 
 class RegretMatchingPlus(_SolverBase):
     """Regret matching with nonnegative clipped regrets and alternation:
     the maximizer responds to the already-updated minimizer strategy. A
-    block with zero accumulated regret keeps its current strategy."""
+    block with zero accumulated regret keeps its current strategy. An
+    iteration costs N."""
 
     name = "rm+"
+    requires = _SIMPLEX_STRATEGIES
 
-    def __init__(self, problem, cost, seed=0, z0=None):
-        if problem.structure is None:
-            raise ValueError("regret matching needs a bilinear problem")
-        super().__init__(problem, cost, seed, z0)
+    def __init__(self, problem, N, seed=0, z0=None):
+        super().__init__(problem, N, seed, z0)
         n = problem.structure.primal_dim
         self.primal_blocks = _simplex_slices(problem.set.parts[0])
-        dual_blocks = _simplex_slices(problem.set.parts[1])
-        if self.primal_blocks is None or dual_blocks is None:
-            raise ValueError("regret matching needs simplex strategy sets")
-        self.dual_blocks = [slice(s.start + n, s.stop + n) for s in dual_blocks]
+        self.dual_blocks = [slice(s.start + n, s.stop + n)
+                            for s in _simplex_slices(problem.set.parts[1])]
         self.regrets = {}
         for sl in self.primal_blocks + self.dual_blocks:
             self.regrets[(sl.start, sl.stop)] = np.zeros(sl.stop - sl.start)
@@ -368,38 +378,48 @@ class RegretMatchingPlus(_SolverBase):
     def step(self):
         s = self.problem.structure
         n = s.primal_dim
-        x, y = self.z[:n], self.z[n:]
-        loss_x = s.A @ y + s.bx
-        if not np.all(np.isfinite(loss_x)):
-            raise NumericalDivergence(self.name, self.iteration)
+        loss_x = self._finite(s.A @ self.z[n:] + s.bx)
         for sl in self.primal_blocks:
             self._update_block(sl, float(self.z[sl] @ loss_x[sl]) - loss_x[sl])
-        x = self.z[:n]
-        gain_y = s.A.T @ x + s.by
+        gain_y = s.A.T @ self.z[:n] + s.by
         for sl in self.dual_blocks:
             local = gain_y[sl.start - n:sl.stop - n]
             self._update_block(sl, local - float(self.z[sl] @ local))
-        self.evals += self.cost.charge(self.name)
+        self.evals += self.N
         self.iteration += 1
         return StepResult([self.z.copy()], None)
 
 
-ALGORITHMS = ("svrg-eg", "dl-svrg-eg", "eg", "pda", "oomd-l2", "oomd-entropy", "rm+")
+_SOLVERS = {cls.name: cls for cls in (LooplessSvrgEG, DoubleLoopSvrgEG, Extragradient,
+                                      PrimalDual, OptimisticMDL2, OptimisticMDEntropy,
+                                      RegretMatchingPlus)}
+ALGORITHMS = tuple(_SOLVERS)
 
-_SIMPLEX_ONLY = ("oomd-entropy", "rm+")
+# Baseline step sizes over the spectral norm of the payoff.
+_STEP_OVER_NORM = {"eg": 0.99, "pda": 0.99, "oomd-l2": 0.5}
 
 
-def requires_simplex_strategies(algorithm):
-    return algorithm in _SIMPLEX_ONLY
+def unmet_requirement(problem, algorithm):
+    """Why the algorithm cannot run on the instance, or None when it can."""
+    need = _SOLVERS[algorithm].requires
+    if need is None or need.holds(problem):
+        return None
+    return (f"{algorithm} is not applicable: it requires {need.text}, "
+            f"but the instance domain is {problem.set.descriptor()}")
 
 
 def applicable(problem, algorithm):
     """Whether the algorithm can run on the instance's feasible sets."""
-    if algorithm in ("pda", "rm+") and problem.structure is None:
-        return False
-    if algorithm in _SIMPLEX_ONLY:
-        return problem.structure is not None and _simplex_slices(problem.set) is not None
-    return True
+    return unmet_requirement(problem, algorithm) is None
+
+
+def _components(problem, cost_N):
+    """The price N of one full operator evaluation: the default finite-sum
+    size of the instance unless given."""
+    N = default_components(problem) if cost_N is None else int(cost_N)
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    return N
 
 
 def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
@@ -410,34 +430,21 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     solvers, 0.5/||A||_2 for Euclidean optimistic mirror descent, 1 for the
     entropy variant; tau_scale multiplies whichever baseline applies.
     """
-    N = default_components(problem) if cost_N is None else int(cost_N)
-    cost = CostModel(N)
-    if not applicable(problem, algorithm):
-        constraint = ("simplex strategy sets" if algorithm in _SIMPLEX_ONLY
-                      else "a bilinear saddle-point structure")
-        raise ValueError(f"{algorithm} requires {constraint}; "
-                         f"instance has {problem.set.descriptor()}")
-    if algorithm in ("svrg-eg", "dl-svrg-eg"):
+    if algorithm not in _SOLVERS:
+        raise ValueError(f"unknown algorithm tag {algorithm!r}")
+    N = _components(problem, cost_N)
+    cls = _SOLVERS[algorithm]
+    if issubclass(cls, _AnchoredExtragradient):
         if params is None:
             params = SvrgParams.suggested(N, problem.lipschitz_bound(), tau_scale=tau_scale)
-        if algorithm == "svrg-eg":
-            return LooplessSvrgEG(problem, params, cost, seed, z0, oracle)
-        return DoubleLoopSvrgEG(problem, params, cost, seed, z0, oracle)
-    if algorithm == "eg":
-        tau = (0.99 / problem.spectral_norm()) * tau_scale if stepsize is None else stepsize
-        return Extragradient(problem, tau, cost, seed, z0)
-    if algorithm == "pda":
-        tau = (0.99 / problem.spectral_norm()) * tau_scale if stepsize is None else stepsize
-        return PrimalDual(problem, tau, cost, seed, z0)
-    if algorithm == "oomd-l2":
-        eta = (0.5 / problem.spectral_norm()) * tau_scale if stepsize is None else stepsize
-        return OptimisticMDL2(problem, eta, cost, seed, z0)
-    if algorithm == "oomd-entropy":
-        eta = 1.0 * tau_scale if stepsize is None else stepsize
-        return OptimisticMDEntropy(problem, eta, cost, seed, z0)
-    if algorithm == "rm+":
-        return RegretMatchingPlus(problem, cost, seed, z0)
-    raise ValueError(f"unknown algorithm tag {algorithm!r}")
+        return cls(problem, params, N, seed, z0, oracle)
+    if cls is RegretMatchingPlus:
+        return cls(problem, N, seed, z0)
+    if stepsize is None:
+        base = (_STEP_OVER_NORM[algorithm] / problem.spectral_norm()
+                if algorithm in _STEP_OVER_NORM else 1.0)
+        stepsize = base * tau_scale
+    return cls(problem, stepsize, N, seed, z0)
 
 
 def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
@@ -457,7 +464,7 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
     """
     budget_evals = int(budget_evals)
     eval_every = int(eval_every)
-    N = default_components(problem) if cost_N is None else int(cost_N)
+    N = _components(problem, cost_N)
     if budget_evals < N:
         raise ValueError(f"budget {budget_evals} is below one full evaluation ({N})")
     if eval_every < 1:

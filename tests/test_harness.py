@@ -176,3 +176,22 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert code == 0
     trace = GapTrace.from_csv(next(out / f for f in os.listdir(out) if "seed" in f))
     assert trace.evals[-1] == 320  # the flag overrode the file's budget
+
+
+def test_cli_rejects_averaging_exponent_outside_0_1_2(tmp_path, capsys):
+    code = cli.main(["compare", "--gen", "pb", "--n", "6", "--algo", "eg", "--budget", "60",
+                     "--q", "0,3", "--out", str(tmp_path / "cmp.csv")])
+    assert code == 2
+    assert "0, 1 or 2" in capsys.readouterr().err
+    assert not (tmp_path / "cmp.csv").exists()
+
+
+def test_cli_config_file_unknown_key(tmp_path, capsys):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text("algo=eg\nbudgett=999\n")
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg_file), "--instance", "matching-pennies",
+                     "--budget", "40", "--out", str(out)])
+    assert code == 2
+    assert "budgett" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import visolve as vs
-from visolve.oracles import (CostModel, MatrixGameOracle, SamplingDistribution, SnapshotCache,
-                             build_sampling, default_components, pair_second_moment,
-                             stochastic_operator, variance_reduced_estimate,
+from visolve.oracles import (MatrixGameOracle, SamplingDistribution, SnapshotCache,
+                             default_components, pair_second_moment, stochastic_operator,
                              vr_conditional_variance)
 from visolve.rng import StableRng
 
@@ -25,21 +24,21 @@ def exact_expectation(problem, z):
 
 
 def test_sampling_distribution_examples():
-    s = build_sampling(np.eye(2))
+    s = SamplingDistribution(np.eye(2))
     assert np.allclose(s.p_row, [0.5, 0.5]) and np.allclose(s.p_col, [0.5, 0.5])
-    s2 = build_sampling(np.array([[3.0, 0.0], [0.0, 4.0]]))
+    s2 = SamplingDistribution(np.array([[3.0, 0.0], [0.0, 4.0]]))
     assert np.allclose(s2.p_row, [9 / 25, 16 / 25])
     assert np.allclose(s2.p_col, [9 / 25, 16 / 25])
     for seed in range(5):
         A = StableRng(seed).uniform(12).reshape(3, 4)
-        s3 = build_sampling(A)
+        s3 = SamplingDistribution(A)
         assert abs(s3.p_row.sum() - 1.0) <= 1e-12
         assert abs(s3.p_col.sum() - 1.0) <= 1e-12
 
 
 def test_zero_rows_never_sampled():
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
-    s = build_sampling(A)
+    s = SamplingDistribution(A)
     assert np.allclose(s.p_row, [1.0, 0.0])
     assert np.allclose(s.p_col, [1.0, 0.0])
     i, j = s.draw_many(StableRng(0), 10_000)
@@ -51,12 +50,12 @@ def test_zero_rows_never_sampled():
 
 def test_all_zero_matrix_rejected():
     with pytest.raises(ValueError, match="zero"):
-        build_sampling(np.zeros((3, 3)))
+        SamplingDistribution(np.zeros((3, 3)))
 
 
 def test_stochastic_operator_identity_example():
     problem = vs.AffineVI.bilinear(np.eye(2))
-    s = build_sampling(np.eye(2))
+    s = SamplingDistribution(np.eye(2))
     z = np.array([1.0, 0.0, 0.0, 1.0])
     out = stochastic_operator(problem, s, (0, 1), z)
     assert np.allclose(out, [0.0, 2.0, -2.0, 0.0])
@@ -74,7 +73,7 @@ def test_exact_expectation_is_unbiased():
 def test_linear_terms_pass_through_every_sample():
     problem = random_game(3, 4, seed=2, with_linear=True)
     st = problem.structure
-    s = build_sampling(st.A)
+    s = SamplingDistribution(st.A)
     z = problem.set.sample(StableRng(0), 1)[0]
     x, y = problem.split(z)
     for i in range(3):
@@ -93,7 +92,7 @@ def test_vr_estimate_collapses_at_snapshot():
     cache = SnapshotCache.at(problem, w)
     for i in range(4):
         for j in range(4):
-            out = variance_reduced_estimate(oracle, cache, (i, j), w)
+            out = oracle.vr_estimate(cache, (i, j), w)
             assert np.array_equal(out, cache.Fw)
 
 
@@ -108,7 +107,7 @@ def test_vr_estimate_exact_conditional_expectation():
     mean = np.zeros(problem.dim)
     for i in range(4):
         for j in range(4):
-            mean += s.p_row[i] * s.p_col[j] * variance_reduced_estimate(oracle, cache, (i, j), z_half)
+            mean += s.p_row[i] * s.p_col[j] * oracle.vr_estimate(cache, (i, j), z_half)
     assert np.allclose(mean, problem.operator(z_half), atol=1e-12)
 
 
@@ -122,7 +121,7 @@ def bruteforce_vr_variance(problem, z_half, w):
         for j in range(s.p_col.size):
             weight = s.p_row[i] * s.p_col[j]
             if weight > 0:
-                diff = variance_reduced_estimate(oracle, cache, (i, j), z_half) - F
+                diff = oracle.vr_estimate(cache, (i, j), z_half) - F
                 total += weight * float(diff @ diff)
     return total
 
@@ -177,30 +176,66 @@ def test_sampling_frequencies_match_probabilities():
         assert np.all(np.abs(freq - probs) <= 3.0 * se + 1e-12)
 
 
-def test_charge_closed_forms():
-    cost = CostModel(100)
-    assert cost.charge("eg") == 200
-    assert cost.charge("dl-svrg-eg", K=50) == 200
-    assert cost.charge("svrg-eg", snapshot_updated=False) == 2
-    assert cost.charge("svrg-eg", snapshot_updated=True) == 102
-    for tag in ("pda", "oomd-l2", "oomd-entropy", "rm+"):
-        assert cost.charge(tag) == 100
-    with pytest.raises(ValueError, match="unknown"):
-        cost.charge("sgd")
-    with pytest.raises(ValueError, match="K"):
-        cost.charge("dl-svrg-eg")
+@pytest.mark.parametrize("algo", vs.ALGORITHMS)
+def test_step_charges_closed_forms(pb8, algo):
+    N = 8
+    solver = vs.make_solver(pb8, algo, seed=0)
+    paid_upfront = algo in ("svrg-eg", "dl-svrg-eg", "oomd-l2", "oomd-entropy")
+    assert solver.evals == (N if paid_upfront else 0)
+    total, seen = solver.evals, set()
+    for _ in range(40):
+        before, cache = solver.evals, getattr(solver, "cache", None)
+        solver.step()
+        if algo == "eg":
+            charge = 2 * N
+        elif algo == "svrg-eg":
+            charge = N + 2 if solver.cache is not cache else 2
+        elif algo == "dl-svrg-eg":
+            charge = N + 2 * solver.params.K
+        else:
+            charge = N
+        assert solver.evals - before == charge
+        total += charge
+        seen.add(charge)
+    assert solver.evals == total
+    if algo == "svrg-eg":
+        assert seen == {2, N + 2}
     with pytest.raises(ValueError):
-        CostModel(0)
+        vs.run(pb8, algo, budget_evals=100, seed=0, eval_every=10, cost_N=0)
 
 
-def test_cumulative_charge_monotone_and_deterministic():
-    cost = CostModel(10)
-    total = 0
-    cumulative = []
-    for _ in range(25):
-        total += cost.charge("eg")
-        cumulative.append(total)
-    assert np.array_equal(cumulative, 20 * np.arange(1, 26))
+def test_charge_closed_forms(pb8):
+    def charges(algo, steps=1):
+        solver = vs.make_solver(pb8, algo, seed=0, cost_N=100)
+        out = []
+        for _ in range(steps):
+            before = solver.evals
+            solver.step()
+            out.append(solver.evals - before)
+        return out
+
+    assert charges("eg") == [200]
+    assert charges("dl-svrg-eg") == [200]
+    assert set(charges("svrg-eg", steps=2000)) == {2, 102}
+    for tag in ("pda", "oomd-l2", "oomd-entropy", "rm+"):
+        assert charges(tag) == [100]
+    with pytest.raises(ValueError, match="unknown"):
+        vs.make_solver(pb8, "sgd", seed=0)
+    with pytest.raises(ValueError):
+        vs.make_solver(pb8, "eg", seed=0, cost_N=0)
+
+
+def test_cumulative_charge_monotone_and_deterministic(pb8):
+    runs = []
+    for _ in range(2):
+        solver = vs.make_solver(pb8, "eg", seed=0, cost_N=10)
+        cumulative = []
+        for _ in range(25):
+            solver.step()
+            cumulative.append(solver.evals)
+        runs.append(cumulative)
+    assert np.array_equal(runs[0], 20 * np.arange(1, 26))
+    assert runs[0] == runs[1]
 
 
 def test_default_components():

@@ -231,3 +231,12 @@ def test_run_gap_columns_consistent(pb8):
         assert np.all(trace.column(name) >= 0.0)
     assert trace.meta["algorithm"] == "svrg-eg"
     assert trace.meta["N"] == 8
+
+
+@pytest.mark.parametrize("algo", vs.ALGORITHMS)
+def test_each_algorithm_has_its_own_step(pb8, algo):
+    """perfbench's traced run wraps ``step`` on the class whose own ``name``
+    is the tag, so every algorithm's steps are counted apart."""
+    cls = type(make_solver(pb8, algo, seed=0))
+    assert "step" in vars(cls)
+    assert vars(cls).get("name") == algo
