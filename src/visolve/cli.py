@@ -78,29 +78,35 @@ def _instance_name(args, errors):
 
 
 def _load_config_defaults(argv, parser):
-    """Make the keys of the --config file the parser's defaults; a key that
-    names no flag is a configuration error."""
+    """Make the keys of the --config file the parser's defaults; an unreadable
+    file, a key that names no flag or a badly typed value is a config error."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
+    try:
+        with open(known.config) as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeError) as err:
+        raise harness.ConfigError([f"cannot read config file {known.config}: {err}"]) from None
     actions = {action.dest: action for action in parser._actions}
-    unknown = []
-    with open(known.config) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            action = actions.get(key.strip().replace("-", "_"))
-            if action is None:
-                unknown.append(f"unknown key {key.strip()!r} in config file {known.config}")
-                continue
-            raw = raw.strip()
+    errors = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, raw = (t.strip() for t in line.partition("="))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            errors.append(f"unknown key {key!r} in config file {known.config}")
+            continue
+        try:
             action.default = action.type(raw) if action.type else raw
-    if unknown:
-        raise harness.ConfigError(unknown)
+        except ValueError:
+            errors.append(f"bad value {raw!r} for key {key!r} in config file {known.config}")
+    if errors:
+        raise harness.ConfigError(errors)
 
 
 def _build_config(args):

@@ -3,9 +3,15 @@
 Variants: probability simplex, box, product of simplexes, a 2-D
 box-with-halfspace polytope, and concatenated products of the above. All sets
 are immutable after construction and safe to share across threads.
+
+`Simplex` is the one-block `SimplexProduct`. `simplex_blocks` holds a set's
+simplex block sizes when it is a product of simplexes, and None otherwise: it
+is the one description of simplex blocks that solvers read.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -50,10 +56,31 @@ def batch_simplex_project(rows):
     return np.maximum(rows - theta[:, None], 0.0)
 
 
+def _project_equal_blocks(v, shape):
+    return batch_simplex_project(v.reshape(shape)).ravel()
+
+
+def _project_each_block(v, cuts):
+    return np.concatenate([simplex_project(b) for b in np.split(v, cuts)])
+
+
+def _block_projection(blocks):
+    """Projection onto the product of simplexes with these block sizes. The
+    sizes pick the kernel once: the 1-D kernel for one block, the batch kernel
+    for several blocks of equal size, else the 1-D kernel block by block (the
+    only kernel that handles unequal sizes)."""
+    if len(blocks) == 1:
+        return simplex_project
+    if len(set(blocks)) == 1:
+        return functools.partial(_project_equal_blocks, shape=(len(blocks), blocks[0]))
+    return functools.partial(_project_each_block, cuts=np.cumsum(blocks[:-1]))
+
+
 class FeasibleSet:
     """Base class; concrete sets implement projection, sampling, support."""
 
     dim: int
+    simplex_blocks = None  # block sizes when the set is a product of simplexes
 
     def project(self, v):
         v = _check_vector(self.dim, v)
@@ -87,30 +114,52 @@ class FeasibleSet:
         return f"{type(self).__name__}({self.descriptor()})"
 
 
-class Simplex(FeasibleSet):
-    """Probability simplex {x >= 0, sum x = 1} in the given dimension."""
+class SimplexProduct(FeasibleSet):
+    """Concatenation of probability simplexes with the given block sizes."""
 
-    def __init__(self, dim):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("simplex dimension must be positive")
-        self.dim = dim
+    def __init__(self, block_dims):
+        dims = tuple(int(d) for d in block_dims)
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError("simplex dimensions must be positive")
+        self.simplex_blocks = dims
+        self.dim = sum(dims)
+        self._offsets = np.concatenate([[0], np.cumsum(dims)])
+        self._project_blocks = _block_projection(dims)
 
     def _project(self, v):
-        return simplex_project(v)
+        return self._project_blocks(v)
 
     def _contains(self, v, tol):
-        return bool(np.all(v >= -tol) and abs(v.sum() - 1.0) <= tol)
+        if np.any(v < -tol):
+            return False
+        sums = np.add.reduceat(v, self._offsets[:-1])
+        return bool(np.all(np.abs(sums - 1.0) <= tol))
 
     def sample(self, rng, n):
         e = -np.log1p(-rng.uniform(n * self.dim)).reshape(n, self.dim)
-        return e / e.sum(axis=1, keepdims=True)
+        for block in np.split(e, self._offsets[1:-1], axis=1):
+            block /= block.sum(axis=1, keepdims=True)
+        return e
 
     def center(self):
-        return np.full(self.dim, 1.0 / self.dim)
+        return np.concatenate([np.full(d, 1.0 / d) for d in self.simplex_blocks])
 
     def support_max(self, c):
-        return float(np.max(c))
+        block_max = np.maximum.reduceat(np.asarray(c), self._offsets[:-1])
+        return float(sum(block_max.tolist()))
+
+    def descriptor(self):
+        dims = self.simplex_blocks
+        if len(set(dims)) == 1:
+            return f"simplexprod:{dims[0]}x{len(dims)}"
+        return "simplexprod:" + ",".join(str(d) for d in dims)
+
+
+class Simplex(SimplexProduct):
+    """Probability simplex {x >= 0, sum x = 1}: the one-block SimplexProduct."""
+
+    def __init__(self, dim):
+        super().__init__([dim])
 
     def descriptor(self):
         return f"simplex:{self.dim}"
@@ -156,51 +205,6 @@ class Box(FeasibleSet):
         los = ",".join(f"{x:.17g}" for x in self.lo)
         his = ",".join(f"{x:.17g}" for x in self.hi)
         return f"boxv:{los}:{his}"
-
-
-class SimplexProduct(FeasibleSet):
-    """Concatenation of probability simplexes with the given block sizes."""
-
-    def __init__(self, block_dims):
-        dims = [int(d) for d in block_dims]
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("block dimensions must be positive")
-        self.block_dims = tuple(dims)
-        self.dim = sum(dims)
-        self._offsets = np.concatenate([[0], np.cumsum(dims)])
-        self._uniform = len(set(dims)) == 1
-
-    def _blocks(self, v):
-        return [v[self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.block_dims))]
-
-    def _project(self, v):
-        if self._uniform:
-            return batch_simplex_project(v.reshape(-1, self.block_dims[0])).ravel()
-        return np.concatenate([simplex_project(b) for b in self._blocks(v)])
-
-    def _contains(self, v, tol):
-        if np.any(v < -tol):
-            return False
-        sums = np.add.reduceat(v, self._offsets[:-1])
-        return bool(np.all(np.abs(sums - 1.0) <= tol))
-
-    def sample(self, rng, n):
-        e = -np.log1p(-rng.uniform(n * self.dim)).reshape(n, self.dim)
-        for i in range(len(self.block_dims)):
-            sl = slice(self._offsets[i], self._offsets[i + 1])
-            e[:, sl] /= e[:, sl].sum(axis=1, keepdims=True)
-        return e
-
-    def center(self):
-        return np.concatenate([np.full(d, 1.0 / d) for d in self.block_dims])
-
-    def support_max(self, c):
-        return float(sum(np.max(b) for b in self._blocks(np.asarray(c))))
-
-    def descriptor(self):
-        if self._uniform:
-            return f"simplexprod:{self.block_dims[0]}x{len(self.block_dims)}"
-        return "simplexprod:" + ",".join(str(d) for d in self.block_dims)
 
 
 class HalfspaceBox(FeasibleSet):
@@ -309,16 +313,19 @@ class Product(FeasibleSet):
         self.parts = parts
         self.dim = sum(p.dim for p in parts)
         self._offsets = np.concatenate([[0], np.cumsum([p.dim for p in parts])])
-        self._equal_simplexes = (all(isinstance(p, Simplex) for p in parts)
-                                 and len({p.dim for p in parts}) == 1)
+        blocks = [p.simplex_blocks for p in parts]
+        if None not in blocks:
+            self.simplex_blocks = sum(blocks, ())
+            self._project_blocks = _block_projection(self.simplex_blocks)
 
     def split(self, v):
         return [v[self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.parts))]
 
     def _project(self, v):
-        if self._equal_simplexes:
-            return batch_simplex_project(v.reshape(len(self.parts), -1)).ravel()
-        return np.concatenate([p.project(b) for p, b in zip(self.parts, self.split(v))])
+        if self.simplex_blocks is not None:
+            return self._project_blocks(v)
+        # the outer project has checked shape and finiteness for every part
+        return np.concatenate([p._project(b) for p, b in zip(self.parts, self.split(v))])
 
     def _contains(self, v, tol):
         return all(p._contains(b, tol) for p, b in zip(self.parts, self.split(v)))

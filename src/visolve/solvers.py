@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import sets
 from .averaging import AveragingAccumulator
 from .metrics import GapTrace, duality_gap_at, natural_residual, dist_theta
 from .oracles import SnapshotCache, default_components, oracle_for
@@ -232,24 +231,10 @@ class Extragradient(_SolverBase):
         return StepResult([z_half], None)
 
 
-def _simplex_slices(feasible):
-    """Slices of the independent simplex blocks, or None when the set has
-    any non-simplex part."""
-    if isinstance(feasible, sets.Simplex):
-        return [slice(0, feasible.dim)]
-    if isinstance(feasible, sets.SimplexProduct):
-        offs = feasible._offsets
-        return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(feasible.block_dims))]
-    if isinstance(feasible, sets.Product):
-        out, base = [], 0
-        for part in feasible.parts:
-            inner = _simplex_slices(part)
-            if inner is None:
-                return None
-            out.extend(slice(base + s.start, base + s.stop) for s in inner)
-            base += part.dim
-        return out
-    return None
+def _block_slices(feasible):
+    """Slices of the simplex blocks of a product of simplexes."""
+    stops = np.cumsum(feasible.simplex_blocks).tolist()
+    return [slice(stop - d, stop) for d, stop in zip(feasible.simplex_blocks, stops)]
 
 
 _Requirement = namedtuple("_Requirement", ["text", "holds"])
@@ -258,7 +243,7 @@ _BILINEAR = _Requirement("a bilinear saddle-point structure",
                          lambda problem: problem.structure is not None)
 _SIMPLEX_STRATEGIES = _Requirement(
     "simplex strategy sets",
-    lambda problem: problem.structure is not None and _simplex_slices(problem.set) is not None)
+    lambda problem: problem.structure is not None and problem.set.simplex_blocks is not None)
 
 
 class PrimalDual(_SolverBase):
@@ -334,7 +319,7 @@ class OptimisticMDEntropy(_OptimisticMirrorDescent):
 
     @cached_property
     def blocks(self):
-        return _simplex_slices(self.problem.set)
+        return _block_slices(self.problem.set)
 
     def _mirror(self, base, g):
         out = np.empty_like(base)
@@ -361,12 +346,10 @@ class RegretMatchingPlus(_SolverBase):
     def __init__(self, problem, N, seed=0, z0=None):
         super().__init__(problem, N, seed, z0)
         n = problem.structure.primal_dim
-        self.primal_blocks = _simplex_slices(problem.set.parts[0])
-        self.dual_blocks = [slice(s.start + n, s.stop + n)
-                            for s in _simplex_slices(problem.set.parts[1])]
-        self.regrets = {}
-        for sl in self.primal_blocks + self.dual_blocks:
-            self.regrets[(sl.start, sl.stop)] = np.zeros(sl.stop - sl.start)
+        blocks = _block_slices(problem.set)
+        self.primal_blocks = [sl for sl in blocks if sl.stop <= n]
+        self.dual_blocks = [sl for sl in blocks if sl.stop > n]
+        self.regrets = {(sl.start, sl.stop): np.zeros(sl.stop - sl.start) for sl in blocks}
 
     def _update_block(self, sl, instant):
         R = self.regrets[(sl.start, sl.stop)]

@@ -195,3 +195,24 @@ def test_cli_config_file_unknown_key(tmp_path, capsys):
     assert code == 2
     assert "budgett" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_config_file_bad_values(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("algo=eg\nbudget=abc\neval-every=1.5\n")
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg_file), "--instance", "matching-pennies",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'abc' for key 'budget'" in err
+    assert "'1.5' for key 'eval-every'" in err  # every bad key in one message
+    assert not out.exists()
+
+
+def test_cli_config_file_missing(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code = cli.main(["run", "--config", str(missing), "--instance", "matching-pennies",
+                     "--algo", "eg", "--budget", "40", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"cannot read config file {missing}" in capsys.readouterr().err

@@ -34,6 +34,10 @@ def variants():
         SimplexProduct([3, 2, 4]),
         HalfspaceBox(0.0, 1.0, np.array([1.0, 1.0]), 1.5),
         Product([Simplex(3), Box(-0.5, 0.5, dim=2)]),
+        # blocks of equal size take the batch kernel, unequal ones the 1-D kernel
+        pytest.param(SimplexProduct([3, 3, 3]), id="SimplexProduct-equal-blocks"),
+        pytest.param(Product([Simplex(4), Simplex(4)]), id="Product-equal-simplexes"),
+        pytest.param(Product([Simplex(3), Simplex(5)]), id="Product-unequal-simplexes"),
     ]
 
 
@@ -144,6 +148,32 @@ def test_support_max_simplex_and_box():
     prod = SimplexProduct([2, 3])
     c = rng.uniform(5) - 0.5
     assert np.isclose(prod.support_max(c), np.max(c[:2]) + np.max(c[2:]))
+
+
+@pytest.mark.parametrize("dims", [[4, 4, 4], [3, 2, 4], [7]], ids=str)
+def test_simplex_blocks_exact(dims):
+    """Whichever kernel the block sizes pick, projection and support function
+    give the bits of the 1-D kernel and of np.max applied block by block."""
+    feasible = SimplexProduct(dims)
+    assert feasible.simplex_blocks == tuple(dims)
+    cuts = np.cumsum(dims)[:-1]
+    rng = StableRng(17)
+    for _ in range(200):
+        v = 6.0 * rng.uniform(feasible.dim) - 3.0
+        per_block = np.concatenate([simplex_project(b) for b in np.split(v, cuts)])
+        assert np.array_equal(feasible.project(v), per_block)
+        in_order = 0
+        for b in np.split(v, cuts):
+            in_order += np.max(b)
+        assert feasible.support_max(v) == in_order
+
+
+def test_simplex_blocks_description():
+    assert isinstance(Simplex(3), SimplexProduct)
+    assert Simplex(3).simplex_blocks == (3,)
+    assert Product([SimplexProduct([2, 2]), Simplex(3)]).simplex_blocks == (2, 2, 3)
+    assert Product([Simplex(3), Box(-0.5, 0.5, dim=2)]).simplex_blocks is None
+    assert Box(0.0, 1.0, dim=2).simplex_blocks is None
 
 
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)

@@ -240,3 +240,47 @@ def test_each_algorithm_has_its_own_step(pb8, algo):
     cls = type(make_solver(pb8, algo, seed=0))
     assert "step" in vars(cls)
     assert vars(cls).get("name") == algo
+
+
+def _block_game():
+    """A game whose strategy sets are SimplexProduct([2, 2]) and Simplex(3)."""
+    A = 2.0 * vs.StableRng(4).uniform(12).reshape(4, 3) - 1.0
+    return vs.AffineVI.bilinear(A, primal_set=vs.SimplexProduct([2, 2]),
+                                dual_set=vs.Simplex(3))
+
+
+_SIMPLEX_GAMES = {
+    "pb8": lambda: vs.policeman_burglar(8, 1),
+    "blocks": _block_game,
+    "segmentation": lambda: vs.synthetic_segmentation(2, 2, 0),
+}
+
+
+@pytest.mark.parametrize("algo", ["rm+", "oomd-entropy"])
+@pytest.mark.parametrize("instance, primal, dual", [
+    ("pb8", [(0, 8)], [(8, 16)]),
+    ("blocks", [(0, 2), (2, 4)], [(4, 7)]),
+    ("segmentation", None, None),
+])
+def test_simplex_strategy_applicability(algo, instance, primal, dual):
+    """The simplex-only solvers run on any product of simplex blocks, with
+    one slice per block, and refuse a domain with a box part."""
+    problem = _SIMPLEX_GAMES[instance]()
+    if primal is None:
+        assert not vs.applicable(problem, algo)
+        message = (f"{algo} is not applicable: it requires simplex strategy sets, but the "
+                   f"instance domain is simplexprod:2x4*box:16:-0.5:0.5")
+        with pytest.raises(ValueError) as err:
+            make_solver(problem, algo, seed=0)
+        assert str(err.value) == message
+        return
+    assert vs.applicable(problem, algo)
+    solver = make_solver(problem, algo, seed=0)
+    if algo == "rm+":
+        blocks = (solver.primal_blocks, solver.dual_blocks)
+        assert [[(sl.start, sl.stop) for sl in side] for side in blocks] == [primal, dual]
+    else:
+        assert [(sl.start, sl.stop) for sl in solver.blocks] == primal + dual
+    for _ in range(5):
+        solver.step()
+    assert problem.set.contains(solver.z, tol=1e-9)

@@ -1,0 +1,72 @@
+"""Digest the CSVs of a fixed matrix of `visolve` runs.
+
+The matrix runs every applicable algorithm, seeds 0-2, on three instances
+(the 30 x 30 pursuit game with instance seed 1 at budget 3000 and cadence
+60, the 2-D known-segment instance at budget 200 and cadence 10, the 4 x 4
+labeling game at budget 4000 and cadence 100), plus a `compare` of all
+seven algorithms on the pursuit game with `--q 0,1,2`. Every run goes
+through `cli.main` into a temporary directory; the output is one
+`sha256  relative/path` line per CSV, sorted by path.
+
+    python3 tools/fixed_matrix.py [SRC_DIR] > digests.txt
+
+SRC_DIR is the `src` directory of the checkout to run (default: the one
+beside this script), so two checkouts can be compared with `diff`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+# (output subdirectory, generator, generator flags, budget, cadence)
+RUNS = (
+    ("pb", "pb", {"n": 30, "seed": 1}, 3000, 60),
+    ("ws", "ws-example", {}, 200, 10),
+    ("seg", "segmentation", {"grid": 4}, 4000, 100),
+)
+
+
+def main(argv):
+    src = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.join(HERE, os.pardir, "src")
+    sys.path.insert(0, src)
+    from visolve import cli, harness, solvers
+
+    with tempfile.TemporaryDirectory() as out:
+        commands = []
+        for sub, gen, params, budget, cadence in RUNS:
+            problem, _, _ = harness.build_instance(gen, **params)
+            algos = [a for a in solvers.ALGORITHMS if solvers.applicable(problem, a)]
+            flags = ["--gen", gen, *(f for k, v in params.items() for f in (f"--{k}", str(v))),
+                     "--seeds", "0-2", "--budget", str(budget), "--eval-every", str(cadence)]
+            commands.append(["run", *flags, "--algo", ",".join(algos),
+                             "--out", os.path.join(out, sub)])
+            if sub == "pb":
+                commands.append(["compare", *flags, "--algo", ",".join(solvers.ALGORITHMS),
+                                 "--q", "0,1,2",
+                                 "--out", os.path.join(out, "cmp", "pb30_compare.csv")])
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(command)
+            if code != 0:
+                sys.exit(f"exit {code}: visolve {' '.join(command)}")
+        lines = []
+        for root, _, files in os.walk(out):
+            for name in files:
+                if name.endswith(".csv"):
+                    path = os.path.join(root, name)
+                    with open(path, "rb") as f:
+                        digest = hashlib.sha256(f.read()).hexdigest()
+                    lines.append((os.path.relpath(path, out), digest))
+    for rel, digest in sorted(lines):
+        print(f"{digest}  {rel}")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
