@@ -29,6 +29,15 @@ def _parse_q(text):
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
+def _parsed(parse, flag, text, errors):
+    """parse(text), or None with a message in errors when the text does not parse."""
+    try:
+        return parse(text)
+    except ValueError:
+        errors.append(f"bad value {text!r} for {flag}")
+        return None
+
+
 def _add_instance_flags(p):
     p.add_argument("--instance", help="instance file path, or a generator name")
     p.add_argument("--gen", dest="generator", choices=harness.GENERATORS,
@@ -116,19 +125,21 @@ def _build_config(args):
         errors.append("no algorithms: pass --algo tag[,tag...]")
     if args.budget is None:
         errors.append("no budget: pass --budget EVALS")
+    seeds = _parsed(_parse_seeds, "--seeds", args.seeds, errors)
+    q_exponents = _parsed(_parse_q, "--q", args.q, errors)
     if errors:
         raise harness.ConfigError(errors)
     return harness.RunConfig(
         instance=name,
         algorithms=[a.strip() for a in args.algo.split(",") if a.strip()],
-        seeds=_parse_seeds(args.seeds),
+        seeds=seeds,
         budget=args.budget,
         eval_every=args.eval_every,
         tau_scale=args.tau_scale,
         p=args.p,
         alpha=args.alpha,
         gamma=args.gamma,
-        q_exponents=_parse_q(args.q),
+        q_exponents=q_exponents,
         out=args.out,
         instance_params=_instance_params(args),
     )

@@ -66,9 +66,12 @@ def stochastic_operator(problem, sampling, sample, z):
     if pi <= 0.0 or pj <= 0.0:
         raise ValueError("drew a zero-probability row or column")
     x, y = problem.split(z)
-    primal = (y[j] / pj) * s.col(j) + s.bx
-    dual = (-x[i] / pi) * s.row(i) + s.by
-    return np.concatenate([primal, dual])
+    out = np.concatenate([s.bx, s.by])
+    idx, vals = s.col(j)
+    out[:s.primal_dim][idx] += (y[j] / pj) * vals
+    idx, vals = s.row(i)
+    out[s.primal_dim:][idx] += (-x[i] / pi) * vals
+    return out
 
 
 @dataclass
@@ -129,8 +132,10 @@ class MatrixGameOracle:
         s = self.problem.structure
         n = s.primal_dim
         out = cache.Fw.copy()
-        out[:n] += ((z_half[n + j] - cache.w[n + j]) / self.sampling.p_col[j]) * s.col(j)
-        out[n:] -= ((z_half[i] - cache.w[i]) / self.sampling.p_row[i]) * s.row(i)
+        idx, vals = s.col(j)
+        out[:n][idx] += ((z_half[n + j] - cache.w[n + j]) / self.sampling.p_col[j]) * vals
+        idx, vals = s.row(i)
+        out[n:][idx] -= ((z_half[i] - cache.w[i]) / self.sampling.p_row[i]) * vals
         return out
 
 

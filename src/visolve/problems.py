@@ -27,8 +27,10 @@ class BilinearStructure:
 
     def __init__(self, A, bx=None, by=None):
         if sp.issparse(A):
-            self.A = A.tocsr()
-            self._A_csc = A.tocsc()
+            # canonical (no duplicate entries), so a scatter of a slice is exact
+            self.A = A.tocsr(copy=True)
+            self.A.sum_duplicates()
+            self._A_csc = self.A.tocsc()
         else:
             self.A = np.asarray(A, dtype=np.float64)
             self._A_csc = None
@@ -41,14 +43,18 @@ class BilinearStructure:
             raise ValueError("linear terms must match the payoff dimensions")
 
     def row(self, i):
-        if self._A_csc is not None:
-            return self.A[i].toarray().ravel()
-        return self.A[i]
+        """Row i as (index, values), so that ``v[index] += c * values`` adds
+        c A_i to v: the whole dense row, or the stored entries of the CSR row,
+        read in place."""
+        if self._A_csc is None:
+            return slice(None), self.A[i]
+        return _stored(self.A, i)
 
     def col(self, j):
-        if self._A_csc is not None:
-            return self._A_csc[:, j].toarray().ravel()
-        return self.A[:, j]
+        """Column j as (index, values), like :meth:`row`."""
+        if self._A_csc is None:
+            return slice(None), self.A[:, j]
+        return _stored(self._A_csc, j)
 
     def frobenius_norm(self):
         if sp.issparse(self.A):
@@ -57,6 +63,13 @@ class BilinearStructure:
 
     def dense_A(self):
         return self.A.toarray() if sp.issparse(self.A) else self.A
+
+
+def _stored(M, k):
+    """Indices and values of the stored entries of row k of a CSR matrix (or
+    column k of a CSC one), as views."""
+    lo, hi = M.indptr[k], M.indptr[k + 1]
+    return M.indices[lo:hi], M.data[lo:hi]
 
 
 class AffineVI:
@@ -73,6 +86,7 @@ class AffineVI:
         self.structure = structure
         self.q = np.asarray(q, dtype=np.float64)
         self._M = M if M is None else np.asarray(M, dtype=np.float64)
+        self._spectral_norm = None
         d = feasible_set.dim
         if self.q.shape != (d,):
             raise ValueError("q must match the feasible-set dimension")
@@ -149,12 +163,15 @@ class AffineVI:
         games, spectral norm of M otherwise."""
         if self.structure is not None:
             return self.structure.frobenius_norm()
-        return spectral_norm(self._M)
+        return self.spectral_norm()
 
     def spectral_norm(self):
-        if self.structure is not None:
-            return spectral_norm(self.structure.A)
-        return spectral_norm(self._M)
+        """Spectral norm of the payoff matrix for games, of M otherwise;
+        computed on the first call and stored."""
+        if self._spectral_norm is None:
+            A = self._M if self.structure is None else self.structure.A
+            self._spectral_norm = spectral_norm(A)
+        return self._spectral_norm
 
 
 def spectral_norm(A, rel_tol=1e-8, max_iters=10_000):

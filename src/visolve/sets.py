@@ -18,6 +18,8 @@ import numpy as np
 from .rng import StableRng
 
 _FEAS_TOL = 1e-12
+# Longest block the column kernel takes; longer blocks go to the batch kernel.
+_COLUMN_KERNEL_MAX_BLOCK = 3
 
 
 def _check_vector(set_dim, v):
@@ -60,19 +62,49 @@ def _project_equal_blocks(v, shape):
     return batch_simplex_project(v.reshape(shape)).ravel()
 
 
+def _project_small_blocks(v, shape):
+    """batch_simplex_project of the (k, h) blocks of v, computed on h columns
+    of length k, which is cheaper when h is small and k is large.
+
+    A compare-exchange network sorts every block in descending order; the
+    running sums, the threshold test and the fallback to rho = h - 1 then
+    repeat batch_simplex_project's operations in its order, so the bits are
+    the same.
+    """
+    h = shape[1]
+    blocks = v.reshape(shape)
+    u = list(blocks.T)
+    for i in range(1, h):
+        for j in range(i, 0, -1):
+            u[j - 1], u[j] = np.maximum(u[j - 1], u[j]), np.minimum(u[j - 1], u[j])
+    total = u[0]
+    q = [total - 1.0]                       # q_j = css_j / (j + 1)
+    for j in range(1, h):
+        total = total + u[j]
+        q.append((total - 1.0) / (j + 1))
+    theta = q[-1]
+    for j in range(h):                      # the last j that passes wins
+        theta = np.where(u[j] - q[j] > 0, q[j], theta)
+    return np.maximum(blocks - theta[:, None], 0.0).ravel()
+
+
 def _project_each_block(v, cuts):
     return np.concatenate([simplex_project(b) for b in np.split(v, cuts)])
 
 
 def _block_projection(blocks):
     """Projection onto the product of simplexes with these block sizes. The
-    sizes pick the kernel once: the 1-D kernel for one block, the batch kernel
-    for several blocks of equal size, else the 1-D kernel block by block (the
-    only kernel that handles unequal sizes)."""
+    sizes pick the kernel once: the 1-D kernel for one block; for several
+    blocks of equal size, the column kernel when they are short, else the
+    batch kernel; else the 1-D kernel block by block (the only kernel that
+    handles unequal sizes)."""
     if len(blocks) == 1:
         return simplex_project
     if len(set(blocks)) == 1:
-        return functools.partial(_project_equal_blocks, shape=(len(blocks), blocks[0]))
+        shape = (len(blocks), blocks[0])
+        if blocks[0] <= _COLUMN_KERNEL_MAX_BLOCK:
+            return functools.partial(_project_small_blocks, shape=shape)
+        return functools.partial(_project_equal_blocks, shape=shape)
     return functools.partial(_project_each_block, cuts=np.cumsum(blocks[:-1]))
 
 

@@ -136,6 +136,17 @@ def test_cli_config_error_exit_code(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--seeds", "abc"], ["--seeds", "1-x"], ["--q", "x"]],
+                         ids=" ".join)
+def test_cli_bad_seeds_or_q(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--instance", "matching-pennies", "--algo", "eg",
+                     "--budget", "40", *flags, "--out", str(out)])
+    assert code == 2
+    assert f"bad value {flags[1]!r} for {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_numerical_abort_exit_code(tmp_path, capsys):
     with np.errstate(over="ignore"):
         code = cli.main(["run", "--gen", "uniform", "--n", "4", "--seed", "0",

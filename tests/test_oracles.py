@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import visolve as vs
 from visolve.oracles import (MatrixGameOracle, SamplingDistribution, SnapshotCache,
@@ -109,6 +110,49 @@ def test_vr_estimate_exact_conditional_expectation():
         for j in range(4):
             mean += s.p_row[i] * s.p_col[j] * oracle.vr_estimate(cache, (i, j), z_half)
     assert np.allclose(mean, problem.operator(z_half), atol=1e-12)
+
+
+def duplicate_entry_payoffs():
+    """A 3 x 4 payoff with two stored entries at (0, 1) and at (2, 3), as COO
+    data and as a CSR matrix that keeps both entries."""
+    rows, cols = [0, 0, 1, 1, 2, 2], [1, 1, 0, 2, 3, 3]
+    vals = [0.5, -1.25, 2.0, -3.0, 0.75, 0.25]
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(3, 4))
+    csr = sp.csr_matrix((vals, cols, [0, 2, 4, 6]), shape=(3, 4))
+    assert not csr.has_canonical_format
+    return coo, csr
+
+
+@pytest.mark.parametrize("payoff", [
+    pytest.param(lambda: vs.synthetic_segmentation(4, 2, 0).structure.A, id="seg4-h2"),
+    pytest.param(lambda: vs.synthetic_segmentation(4, 3, 0).structure.A, id="seg4-h3"),
+    pytest.param(lambda: duplicate_entry_payoffs()[0], id="coo-duplicates"),
+    pytest.param(lambda: duplicate_entry_payoffs()[1], id="csr-duplicates"),
+])
+def test_sparse_slices_exact(payoff):
+    """On sparse payoffs both sampled estimates scatter the stored entries of
+    one row and one column; they must give the bits of the same formulas
+    applied to whole columns and rows of the dense matrix."""
+    A = payoff()
+    dense = A.toarray()
+    n, m = dense.shape
+    rng = StableRng(31)
+    bx, by = rng.uniform(n) - 0.5, rng.uniform(m) - 0.5
+    problem = vs.AffineVI.bilinear(A, bx, by, primal_set=vs.Box(-1.0, 1.0, dim=n),
+                                   dual_set=vs.Box(-1.0, 1.0, dim=m))
+    oracle = MatrixGameOracle(problem)
+    s = oracle.sampling
+    w, z_half = problem.set.sample(rng, 2)
+    cache = SnapshotCache.at(problem, w)
+    for _ in range(200):
+        i, j = oracle.draw(rng)
+        expected = cache.Fw.copy()
+        expected[:n] += ((z_half[n + j] - w[n + j]) / s.p_col[j]) * dense[:, j]
+        expected[n:] -= ((z_half[i] - w[i]) / s.p_row[i]) * dense[i]
+        assert np.array_equal(oracle.vr_estimate(cache, (i, j), z_half), expected)
+        sampled = np.concatenate([(z_half[n + j] / s.p_col[j]) * dense[:, j] + bx,
+                                  (-z_half[i] / s.p_row[i]) * dense[i] + by])
+        assert np.array_equal(stochastic_operator(problem, s, (i, j), z_half), sampled)
 
 
 def bruteforce_vr_variance(problem, z_half, w):

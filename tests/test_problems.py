@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import visolve as vs
+from visolve import problems
 from visolve.rng import StableRng
+from visolve.solvers import make_solver
 
 
 def test_operator_pennies_equilibrium(pennies):
@@ -201,6 +203,23 @@ def test_spectral_norm_matches_svd():
     rng = StableRng(5)
     A = rng.uniform(70).reshape(10, 7) - 0.5
     assert np.isclose(vs.spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-6)
+
+
+def test_spectral_norm_computed_once_per_problem(monkeypatch):
+    problem = vs.policeman_burglar(20, 0)
+    expected = vs.spectral_norm(problem.structure.A)
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return expected
+
+    monkeypatch.setattr(problems, "spectral_norm", counted)
+    built = [make_solver(problem, "pda", seed) for seed in range(3)]
+    built.append(make_solver(problem, "eg", 0))
+    assert len(calls) == 1
+    assert problem.spectral_norm() == expected
+    assert [b.tau for b in built] == [0.99 / expected] * 4
 
 
 @pytest.mark.parametrize("problem", [vs.policeman_burglar(5, 3), vs.uniform_random(3, 4, 2),

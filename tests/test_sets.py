@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visolve.rng import StableRng
-from visolve.sets import (Box, HalfspaceBox, Product, Simplex, SimplexProduct,
-                          from_descriptor, simplex_project)
+from visolve.sets import (_COLUMN_KERNEL_MAX_BLOCK, Box, HalfspaceBox, Product, Simplex,
+                          SimplexProduct, batch_simplex_project, from_descriptor,
+                          simplex_project)
 
 
 def simplex_projection_oracle(v):
@@ -34,7 +35,9 @@ def variants():
         SimplexProduct([3, 2, 4]),
         HalfspaceBox(0.0, 1.0, np.array([1.0, 1.0]), 1.5),
         Product([Simplex(3), Box(-0.5, 0.5, dim=2)]),
-        # blocks of equal size take the batch kernel, unequal ones the 1-D kernel
+        # short equal blocks take the column kernel, longer ones the batch
+        # kernel, unequal ones the 1-D kernel
+        pytest.param(SimplexProduct([2] * 8), id="SimplexProduct-short-blocks"),
         pytest.param(SimplexProduct([3, 3, 3]), id="SimplexProduct-equal-blocks"),
         pytest.param(Product([Simplex(4), Simplex(4)]), id="Product-equal-simplexes"),
         pytest.param(Product([Simplex(3), Simplex(5)]), id="Product-unequal-simplexes"),
@@ -166,6 +169,26 @@ def test_simplex_blocks_exact(dims):
         for b in np.split(v, cuts):
             in_order += np.max(b)
         assert feasible.support_max(v) == in_order
+
+
+@pytest.mark.parametrize("h", range(2, _COLUMN_KERNEL_MAX_BLOCK + 2))
+def test_equal_blocks_exact(h):
+    """Blocks up to the column kernel's limit and one entry beyond it project
+    to the bits of batch_simplex_project, with ties, signed zeros, tiny and
+    huge magnitudes."""
+    rng = StableRng(23)
+    for k in (1, 2, 17, 1024):
+        feasible = SimplexProduct([h] * k)
+        for scale in (1.0, 1e-300, 1e15):
+            for _ in range(20):
+                v = scale * (6.0 * rng.uniform(k * h) - 3.0)
+                v[rng.uniform(k * h) < 0.3] = scale     # ties
+                v[rng.uniform(k * h) < 0.2] = 0.0
+                v[rng.uniform(k * h) < 0.2] = -0.0
+                expected = batch_simplex_project(v.reshape(k, h)).ravel()
+                got = feasible.project(v)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_simplex_blocks_description():

@@ -1,12 +1,12 @@
 """Digest the CSVs of a fixed matrix of `visolve` runs.
 
-The matrix runs every applicable algorithm, seeds 0-2, on three instances
+The matrix runs every applicable algorithm, seeds 0-2, on four instances
 (the 30 x 30 pursuit game with instance seed 1 at budget 3000 and cadence
-60, the 2-D known-segment instance at budget 200 and cadence 10, the 4 x 4
-labeling game at budget 4000 and cadence 100), plus a `compare` of all
-seven algorithms on the pursuit game with `--q 0,1,2`. Every run goes
-through `cli.main` into a temporary directory; the output is one
-`sha256  relative/path` line per CSV, sorted by path.
+60, the 2-D known-segment instance at budget 200 and cadence 10, and the
+4 x 4 labeling game with 2 and with 3 regions at budget 4000 and cadence
+100), plus a `compare` of all seven algorithms on the pursuit game with
+`--q 0,1,2`. Every run goes through `cli.main` into a temporary directory;
+the output is one `sha256  relative/path` line per CSV, sorted by path.
 
     python3 tools/fixed_matrix.py [SRC_DIR] > digests.txt
 
@@ -30,6 +30,7 @@ RUNS = (
     ("pb", "pb", {"n": 30, "seed": 1}, 3000, 60),
     ("ws", "ws-example", {}, 200, 10),
     ("seg", "segmentation", {"grid": 4}, 4000, 100),
+    ("seg3", "segmentation", {"grid": 4, "regions": 3}, 4000, 100),
 )
 
 
