@@ -153,7 +153,11 @@ def cmd_gen(args):
     if errors:
         raise harness.ConfigError(errors)
     problem, _, label = harness.build_instance(name, **_instance_params(args))
-    problems.save_instance(args.out, problem)
+    try:
+        problems.save_instance(args.out, problem)
+    except OSError as err:
+        raise harness.ConfigError(
+            [f"cannot write instance file {args.out}: {err.strerror}"]) from None
     if problem.structure is not None:
         n, m = problem.structure.A.shape
         fro = problem.structure.frobenius_norm()

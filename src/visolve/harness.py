@@ -65,7 +65,12 @@ def build_instance(name, **params):
                 f"seg{grid}x{grid}h{regions}-s{seed}")
     if os.path.exists(name):
         label = os.path.splitext(os.path.basename(name))[0]
-        return problems.load_instance(name), None, label
+        try:
+            return problems.load_instance(name), None, label
+        except ValueError as err:  # the message names the file
+            raise ConfigError([str(err)]) from None
+        except OSError as err:
+            raise ConfigError([f"cannot read instance file {name}: {err.strerror}"]) from None
     raise ConfigError([f"unknown generator or missing instance file: {name!r}"])
 
 

@@ -22,12 +22,16 @@ _FEAS_TOL = 1e-12
 _COLUMN_KERNEL_MAX_BLOCK = 3
 
 
+class NonFiniteInput(ValueError):
+    """A vector handed to :meth:`FeasibleSet.project` holds inf or NaN."""
+
+
 def _check_vector(set_dim, v):
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (set_dim,):
         raise ValueError(f"dimension mismatch: expected ({set_dim},), got {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite input vector")
+        raise NonFiniteInput("non-finite input vector")
     return v
 
 

@@ -19,6 +19,7 @@ from .averaging import AveragingAccumulator
 from .metrics import GapTrace, duality_gap_at, natural_residual, dist_theta
 from .oracles import SnapshotCache, default_components, oracle_for
 from .rng import StableRng
+from .sets import NonFiniteInput
 
 StepResult = namedtuple("StepResult", ["iterates", "epoch"])
 
@@ -115,8 +116,14 @@ class _SolverBase:
             raise NumericalDivergence(self.name, self.iteration)
         return v
 
-    def _proj(self, v):
-        return self.problem.set.project(self._finite(v))
+    def _proj(self, v, feasible=None):
+        """Projection onto the problem's set, or onto the given part of it.
+        The set's own finiteness scan is the only one: a non-finite input
+        becomes NumericalDivergence."""
+        try:
+            return (self.problem.set if feasible is None else feasible).project(v)
+        except NonFiniteInput:
+            raise NumericalDivergence(self.name, self.iteration) from None
 
     def step(self):
         raise NotImplementedError
@@ -262,8 +269,8 @@ class PrimalDual(_SolverBase):
 
     def step(self):
         s = self.problem.structure
-        self.y = self.dual_set.project(self._finite(self.y + self.tau * (s.A.T @ self.x_bar + s.by)))
-        x_new = self.primal_set.project(self._finite(self.x - self.tau * (s.A @ self.y + s.bx)))
+        self.y = self._proj(self.y + self.tau * (s.A.T @ self.x_bar + s.by), self.dual_set)
+        x_new = self._proj(self.x - self.tau * (s.A @ self.y + s.bx), self.primal_set)
         self.x_bar = 2.0 * x_new - self.x
         self.x = x_new
         self.z = np.concatenate([self.x, self.y])

@@ -227,3 +227,34 @@ def test_cli_config_file_missing(tmp_path, capsys):
                      "--algo", "eg", "--budget", "40", "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"cannot read config file {missing}" in capsys.readouterr().err
+
+
+def test_cli_run_from_gen_file_matches_gen(tmp_path):
+    inst = tmp_path / "pb6-s1.vif"  # the label --gen pb gives, so file names match too
+    assert cli.main(["gen", "pb", "--n", "6", "--seed", "1", "--out", str(inst)]) == 0
+    sweep = ["--algo", "svrg-eg,dl-svrg-eg,eg", "--seeds", "0-1", "--budget", "360",
+             "--eval-every", "36"]
+    from_file, from_gen = tmp_path / "file", tmp_path / "gen"
+    assert cli.main(["run", "--instance", str(inst), *sweep, "--out", str(from_file)]) == 0
+    assert cli.main(["run", "--gen", "pb", "--n", "6", "--seed", "1", *sweep,
+                     "--out", str(from_gen)]) == 0
+    names = sorted(os.listdir(from_gen))
+    assert sorted(os.listdir(from_file)) == names and len(names) == 9
+    for name in names:
+        assert (from_file / name).read_bytes() == (from_gen / name).read_bytes()
+
+
+def test_cli_malformed_instance_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.vif"
+    bad.write_bytes(b"vif2 2 2 simplex:2*simplex:2\nabc")
+    code = cli.main(["run", "--instance", str(bad), "--algo", "eg", "--budget", "40",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"instance file {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_gen_unwritable_output_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.vif"
+    assert cli.main(["gen", "pb", "--n", "4", "--out", str(out)]) == 2
+    assert f"cannot write instance file {out}" in capsys.readouterr().err

@@ -220,6 +220,35 @@ def test_sampling_frequencies_match_probabilities():
         assert np.all(np.abs(freq - probs) <= 3.0 * se + 1e-12)
 
 
+class _Uniforms:
+    """Stands in for StableRng: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def uniform(self):
+        return next(self._values)
+
+
+@pytest.mark.parametrize("A", [vs.policeman_burglar(30, 0).structure.A,
+                               vs.synthetic_segmentation(8, 2, 0).structure.A,
+                               np.array([[1.0, 0.0], [0.0, 0.0]])],
+                         ids=["pb30", "seg8", "zero-row"])
+def test_draw_matches_searchsorted(A):
+    s = SamplingDistribution(A)
+    # every CDF entry and its predecessor, 0, and seeded uniforms
+    probes = [np.concatenate([cdf, np.nextafter(cdf, -np.inf), [0.0], StableRng(k).uniform(5000)])
+              for k, cdf in enumerate((s.cdf_row, s.cdf_col))]
+    count = max(p.size for p in probes)
+    u_row, u_col = (np.resize(p, count) for p in probes)
+    rng = _Uniforms(np.column_stack([u_row, u_col]).ravel().tolist())  # row uniform first
+    drawn = np.array([s.draw(rng) for _ in range(count)])
+    expect_i = np.minimum(np.searchsorted(s.cdf_row, u_row, side="right"), s.p_row.size - 1)
+    expect_j = np.minimum(np.searchsorted(s.cdf_col, u_col, side="right"), s.p_col.size - 1)
+    assert np.array_equal(drawn[:, 0], expect_i)
+    assert np.array_equal(drawn[:, 1], expect_j)
+
+
 @pytest.mark.parametrize("algo", vs.ALGORITHMS)
 def test_step_charges_closed_forms(pb8, algo):
     N = 8

@@ -222,13 +222,34 @@ def test_spectral_norm_computed_once_per_problem(monkeypatch):
     assert [b.tau for b in built] == [0.99 / expected] * 4
 
 
-@pytest.mark.parametrize("problem", [vs.policeman_burglar(5, 3), vs.uniform_random(3, 4, 2),
-                                     vs.nemirovski(4, 2, 1.0), vs.ws_example()[0],
-                                     vs.synthetic_segmentation(2, 2, 0)],
-                         ids=["pb", "uniform", "nem", "ws", "segmentation"])
-def test_instance_file_roundtrip(tmp_path, problem):
+def save_vif1(path, problem):
+    """The text writer of the older `vif1` format: the same header and value
+    order, values as 17-significant-digit decimals, 8 to a line."""
+    if problem.structure is not None:
+        s = problem.structure
+        n, m, parts = s.primal_dim, s.dual_dim, (s.dense_A(), s.bx, s.by)
+    else:
+        n = m = problem.dim
+        parts = (problem.M, problem.q)
+    values = np.concatenate([np.ravel(part) for part in parts])
+    with open(path, "w") as f:
+        f.write(f"vif1 {n} {m} {problem.set.descriptor()}\n")
+        for start in range(0, values.size, 8):
+            f.write(" ".join(f"{v:.17g}" for v in values[start:start + 8]) + "\n")
+
+
+_FILE_INSTANCES = {"pb": vs.policeman_burglar(5, 3), "uniform": vs.uniform_random(3, 4, 2),
+                   "nem": vs.nemirovski(4, 2, 1.0), "ws": vs.ws_example()[0],
+                   "segmentation": vs.synthetic_segmentation(2, 2, 0)}
+
+
+@pytest.mark.parametrize(
+    "problem, save",
+    [pytest.param(p, vs.save_instance, id=name) for name, p in _FILE_INSTANCES.items()]
+    + [pytest.param(p, save_vif1, id=f"{name}-vif1") for name, p in _FILE_INSTANCES.items()])
+def test_instance_file_roundtrip(tmp_path, problem, save):
     path = tmp_path / "inst.vif"
-    vs.save_instance(path, problem)
+    save(path, problem)
     loaded = vs.load_instance(path)
     assert loaded.set == problem.set
     if problem.structure is not None:
@@ -247,3 +268,17 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("nope 1 2\n0 0\n")
     with pytest.raises(ValueError, match="header"):
         vs.load_instance(path)
+
+
+@pytest.mark.parametrize("damage, match", [
+    (lambda raw: raw[:-3], "5 bytes after 34 values"),
+    (lambda raw: raw + bytes(8), "value count 36 matches neither layout"),
+    (lambda raw: raw.replace(b"vif2", b"vif9", 1), "header"),
+], ids=["cut-3-bytes", "extra-8-bytes", "unknown-magic"])
+def test_load_rejects_damaged_vif2(tmp_path, damage, match):
+    path = tmp_path / "pb5.vif"
+    vs.save_instance(path, vs.policeman_burglar(5, 3))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=match) as err:
+        vs.load_instance(path)
+    assert str(path) in str(err.value)

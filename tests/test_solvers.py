@@ -208,12 +208,13 @@ def test_pda_iterates_stay_feasible_on_segmentation():
 
 def test_nonfinite_values_abort_with_diagnostic(interior_box_problem):
     problem, z_star = interior_box_problem
-    solver = make_solver(problem, "eg", seed=0, stepsize=1e308, z0=z_star + 0.5)
-    with pytest.raises(NumericalDivergence) as err, np.errstate(over="ignore"):
-        for _ in range(10):
-            solver.step()
-    assert err.value.algorithm == "eg"
-    assert err.value.iteration >= 0
+    for algo, scale in (("eg", {"stepsize": 1e308}), ("svrg-eg", {"tau_scale": 1e308})):
+        solver = make_solver(problem, algo, seed=0, z0=z_star + 0.5, **scale)
+        with pytest.raises(NumericalDivergence) as err, np.errstate(over="ignore"):
+            for _ in range(10):
+                solver.step()
+        assert err.value.algorithm == algo
+        assert err.value.iteration >= 0
 
 
 def test_simplex_only_algorithms_rejected_elsewhere(ws):

@@ -1,12 +1,16 @@
 """Digest the CSVs of a fixed matrix of `visolve` runs.
 
-The matrix runs every applicable algorithm, seeds 0-2, on four instances
+The matrix runs every applicable algorithm, seeds 0-2, on five instances
 (the 30 x 30 pursuit game with instance seed 1 at budget 3000 and cadence
-60, the 2-D known-segment instance at budget 200 and cadence 10, and the
-4 x 4 labeling game with 2 and with 3 regions at budget 4000 and cadence
-100), plus a `compare` of all seven algorithms on the pursuit game with
-`--q 0,1,2`. Every run goes through `cli.main` into a temporary directory;
-the output is one `sha256  relative/path` line per CSV, sorted by path.
+60, the 2-D known-segment instance at budget 200 and cadence 10, the 4 x 4
+labeling game with 2 and with 3 regions at budget 4000 and cadence 100, and
+a 12-dimensional monotone affine VI over a box at budget 1200 and cadence
+60), plus a `compare` of all seven algorithms on the pursuit game with
+`--q 0,1,2`. The affine VI is written with `save_instance` and run through
+`--instance`, so the gate covers the instance file format; unlike the 2-D
+instance, whose traces are all zero, its residuals stay above zero at the
+budget. Every run goes through `cli.main` into a temporary directory; the
+output is one `sha256  relative/path` line per CSV, sorted by path.
 
     python3 tools/fixed_matrix.py [SRC_DIR] > digests.txt
 
@@ -25,26 +29,48 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-# (output subdirectory, generator, generator flags, budget, cadence)
+AFFINE_FILE = "affine12.vif"
+
+# (output subdirectory, generator or instance file, generator flags, budget, cadence)
 RUNS = (
     ("pb", "pb", {"n": 30, "seed": 1}, 3000, 60),
     ("ws", "ws-example", {}, 200, 10),
     ("seg", "segmentation", {"grid": 4}, 4000, 100),
     ("seg3", "segmentation", {"grid": 4, "regions": 3}, 4000, 100),
+    ("affine", AFFINE_FILE, {}, 1200, 60),
 )
+
+
+def affine_box_instance(vs):
+    """F(z) = Mz + q over the box [-1/2, 1/2]^12, with M = 0.1 B'B + (C - C')
+    monotone (the smallest eigenvalue of M + M' is about 6e-4) and B, C, q
+    seeded uniform draws."""
+    from visolve.rng import StableRng
+
+    d = 12
+    rng = StableRng(7)
+    B = rng.uniform(d * d).reshape(d, d) - 0.5
+    C = rng.uniform(d * d).reshape(d, d) - 0.5
+    q = 2.0 * (rng.uniform(d) - 0.5)
+    return vs.AffineVI(0.1 * B.T @ B + C - C.T, q, vs.Box(-0.5, 0.5, dim=d))
 
 
 def main(argv):
     src = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.join(HERE, os.pardir, "src")
     sys.path.insert(0, src)
+    import visolve as vs
     from visolve import cli, harness, solvers
 
     with tempfile.TemporaryDirectory() as out:
+        vs.save_instance(os.path.join(out, AFFINE_FILE), affine_box_instance(vs))
         commands = []
-        for sub, gen, params, budget, cadence in RUNS:
-            problem, _, _ = harness.build_instance(gen, **params)
+        for sub, name, params, budget, cadence in RUNS:
+            is_file = name not in harness.GENERATORS
+            instance = os.path.join(out, name) if is_file else name
+            problem, _, _ = harness.build_instance(instance, **params)
             algos = [a for a in solvers.ALGORITHMS if solvers.applicable(problem, a)]
-            flags = ["--gen", gen, *(f for k, v in params.items() for f in (f"--{k}", str(v))),
+            flags = ["--instance" if is_file else "--gen", instance,
+                     *(f for k, v in params.items() for f in (f"--{k}", str(v))),
                      "--seeds", "0-2", "--budget", str(budget), "--eval-every", str(cadence)]
             commands.append(["run", *flags, "--algo", ",".join(algos),
                              "--out", os.path.join(out, sub)])
