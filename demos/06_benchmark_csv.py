@@ -32,7 +32,8 @@ for path in run_command(cfg):
 print("\n== compare: one wide CSV across algorithms and averaging modes ==")
 cfg.algorithms = ["svrg-eg", "eg", "rm+"]
 cfg.eval_every = 240
-path = compare_command(cfg, out_path=str(workdir / "compare.csv"))
+cfg.out = str(workdir / "compare.csv")  # a .csv name is the file itself, not a directory
+path, = compare_command(cfg)
 print(" ", path)
 with open(path) as f:
     print("  header:", f.readline().strip())

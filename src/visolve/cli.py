@@ -64,7 +64,7 @@ def _add_run_flags(p):
     p.add_argument("--gamma", type=float, help="step-size safety factor override")
     p.add_argument("--tau-scale", type=float, default=1.0,
                    help="multiplier on the theoretical step size")
-    p.add_argument("--out", default=".", help="output directory (or file for compare)")
+    p.add_argument("--out", default=".", help="output directory (compare: or a .csv file)")
 
 
 def _instance_params(args):
@@ -169,21 +169,11 @@ def cmd_gen(args):
     return 0
 
 
-def cmd_run(args):
-    cfg = _build_config(args)
-    written = harness.run_command(cfg)
-    for path in written:
+def cmd_sweep(args):
+    """`run` or `compare`: print every file the sweep wrote."""
+    command = harness.run_command if args.command == "run" else harness.compare_command
+    for path in command(_build_config(args)):
         print(path)
-    return 0
-
-
-def cmd_compare(args):
-    cfg = _build_config(args)
-    out = args.out if args.out.endswith(".csv") else None
-    if out is not None:
-        cfg.out = "."
-    path = harness.compare_command(cfg, out_path=out)
-    print(path)
     return 0
 
 
@@ -220,9 +210,7 @@ def main(argv=None):
             args.alpha_exp = args.alpha_exp_alias
         if args.command == "gen":
             return cmd_gen(args)
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_compare(args)
+        return cmd_sweep(args)
     except harness.ConfigError as err:
         print(err, file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problems, solvers
+from .metrics import AVERAGE_COLUMNS, write_table
 from .oracles import default_components
 
 
@@ -28,7 +29,7 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"- {e}" for e in self.errors))
 
 
-_MODE_COLUMNS = {0: "gap_uniform", 1: "gap_linear", 2: "gap_quadratic"}
+_VARIANCE_REDUCED = ("svrg-eg", "dl-svrg-eg")
 
 GENERATORS = ("pb", "nemirovski", "uniform", "ws-example", "matching-pennies", "segmentation")
 
@@ -108,11 +109,21 @@ class RunConfig:
         if problem is not None and self.budget < default_components(problem):
             errors.append(f"budget {self.budget} is below one full evaluation "
                           f"({default_components(problem)})")
-        if self.eval_every is not None and self.eval_every < 1:
-            errors.append("evaluation cadence must be at least 1")
+        if self.eval_every is not None and not 1 <= self.eval_every <= self.budget:
+            errors.append(f"evaluation cadence {self.eval_every} must lie between 1 and "
+                          f"the budget {self.budget}")
         if self.tau_scale <= 0:
             errors.append("tau-scale must be positive")
-        if any(q not in _MODE_COLUMNS for q in self.q_exponents):
+        overrides = [k for k in ("p", "alpha", "gamma") if getattr(self, k) is not None]
+        if overrides and not set(_VARIANCE_REDUCED) & set(self.algorithms):
+            errors.append(f"{', '.join(overrides)} given without svrg-eg or dl-svrg-eg, "
+                          "the only algorithms that use them")
+        elif problem is not None and self.tau_scale > 0:  # a bad tau-scale is reported above
+            try:
+                _svrg_params(problem, self)
+            except ValueError as err:
+                errors.append(str(err))
+        if any(q not in AVERAGE_COLUMNS for q in self.q_exponents):
             errors.append(f"averaging exponents must each be 0, 1 or 2, "
                           f"got {list(self.q_exponents)}")
         if errors:
@@ -130,7 +141,7 @@ def _svrg_params(problem, cfg):
 
 def run_seeds(problem, algorithm, cfg, known=None):
     """One GapTrace per seed, run one after another in the calling thread."""
-    params = _svrg_params(problem, cfg) if algorithm in ("svrg-eg", "dl-svrg-eg") else None
+    params = _svrg_params(problem, cfg) if algorithm in _VARIANCE_REDUCED else None
     eval_every = cfg.resolved_eval_every()
     return {seed: solvers.run(problem, algorithm, cfg.budget, seed, eval_every,
                               params=params, tau_scale=cfg.tau_scale, known=known)
@@ -154,15 +165,6 @@ def aggregate(traces):
     return out
 
 
-def write_table(path, table):
-    names = list(table.keys())
-    length = len(next(iter(table.values())))
-    with open(path, "w") as f:
-        f.write(",".join(names) + "\n")
-        for k in range(length):
-            f.write(",".join(f"{table[name][k]:.17g}" for name in names) + "\n")
-
-
 def run_command(cfg):
     """The `run` entry: per-seed CSVs plus an aggregate CSV per algorithm.
 
@@ -184,15 +186,20 @@ def run_command(cfg):
     return written
 
 
-def compare_command(cfg, out_path=None):
+def compare_command(cfg):
     """The `compare` entry: seed-mean gaps of every (algorithm, mode) pair in
-    one wide CSV aligned on the cadence grid by nearest checkpoint."""
+    one wide CSV aligned on the cadence grid by nearest checkpoint.
+
+    ``cfg.out`` names the CSV itself when it ends in ``.csv``; otherwise it
+    is the directory of ``<label>_compare.csv``. Returns the list of files
+    written, as :func:`run_command` does.
+    """
     problem, known, label = build_instance(cfg.instance, **cfg.instance_params)
     cfg.validate(problem)
     eval_every = cfg.resolved_eval_every()
     grid = np.arange(eval_every, cfg.budget + 1, eval_every, dtype=np.int64)
     table = {"evals": grid.astype(np.float64)}
-    modes = ["gap_last"] + [_MODE_COLUMNS[q] for q in cfg.q_exponents]
+    modes = ["gap_last"] + [AVERAGE_COLUMNS[q] for q in cfg.q_exponents]
     for algo in cfg.algorithms:
         traces = list(run_seeds(problem, algo, cfg, known).values())
         for mode in modes:
@@ -202,7 +209,8 @@ def compare_command(cfg, out_path=None):
                 per_seed.append(np.asarray(t.column(mode))[idx])
             tag = mode.replace("gap_", "")
             table[f"{algo}_{tag}"] = np.stack(per_seed).mean(axis=0)
-    out_path = out_path or os.path.join(cfg.out, f"{label}_compare.csv")
+    out_path = (cfg.out if cfg.out.endswith(".csv")
+                else os.path.join(cfg.out, f"{label}_compare.csv"))
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     write_table(out_path, table)
-    return out_path
+    return [out_path]

@@ -77,7 +77,21 @@ def ws_ratio(problem, known, x):
     return float(problem.operator(s) @ gap_dir / dist)
 
 
-_GAP_COLUMNS = ("gap_last", "gap_uniform", "gap_linear", "gap_quadratic")
+# The trace column of each running average, by its weight exponent q.
+AVERAGE_COLUMNS = {0: "gap_uniform", 1: "gap_linear", 2: "gap_quadratic"}
+_GAP_COLUMNS = ("gap_last", *AVERAGE_COLUMNS.values())
+
+
+def write_table(path, table):
+    """Write equal-length named columns as CSV, one header line and then
+    every value with 17 significant digits, so floats read back exactly and
+    integer counts below 2**53 print as plain digits."""
+    names = list(table)
+    length = len(next(iter(table.values())))
+    with open(path, "w") as f:
+        f.write(",".join(names) + "\n")
+        for k in range(length):
+            f.write(",".join(f"{table[name][k]:.17g}" for name in names) + "\n")
 
 
 @dataclass
@@ -136,13 +150,7 @@ class GapTrace:
         return float(self.column(column)[idx])
 
     def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write(",".join(self.columns) + "\n")
-            for k in range(len(self)):
-                cells = [str(int(self.evals[k]))]
-                for name in self.columns[1:]:
-                    cells.append(f"{self.column(name)[k]:.17g}")
-                f.write(",".join(cells) + "\n")
+        write_table(path, {name: self.column(name) for name in self.columns})
 
     @classmethod
     def from_csv(cls, path):
@@ -151,11 +159,4 @@ class GapTrace:
             rows = [line.split(",") for line in f.read().splitlines() if line]
         data = {name: np.array([r[k] for r in rows], dtype=np.float64)
                 for k, name in enumerate(header)}
-        return cls(
-            evals=data["evals"].astype(np.int64),
-            gap_last=data["gap_last"],
-            gap_uniform=data["gap_uniform"],
-            gap_linear=data["gap_linear"],
-            gap_quadratic=data["gap_quadratic"],
-            dist_theta=data.get("dist_theta"),
-        )
+        return cls(**{name: data.get(name) for name in ("evals", *_GAP_COLUMNS, "dist_theta")})

@@ -400,7 +400,8 @@ def load_instance(path):
     apart by the value count: n*m + n + m for a bilinear instance versus
     d*d + d for a plain affine one. Every ``ValueError`` raised here (a
     malformed header, a payload that is not a whole number of 8-byte values,
-    a count that fits neither layout, a bad set or operator) names the file.
+    a NaN or infinite value, a count that fits neither layout, a bad set or
+    operator) names the file.
     """
     try:
         return _read_instance(path)
@@ -420,6 +421,8 @@ def _read_instance(path):
     if stray:
         raise ValueError(f"{stray} bytes after {values.size} values; "
                          "a raw payload is a whole number of 8-byte values")
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite value among the {values.size} values")
     feasible = sets.from_descriptor(descriptor)
     if values.size == n * m + n + m:
         A = values[:n * m].reshape(n, m)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .averaging import AveragingAccumulator
-from .metrics import GapTrace, duality_gap_at, natural_residual, dist_theta
+from .metrics import AVERAGE_COLUMNS, GapTrace, duality_gap_at, natural_residual, dist_theta
 from .oracles import SnapshotCache, default_components, oracle_for
 from .rng import StableRng
 from .sets import NonFiniteInput
@@ -286,10 +286,9 @@ class _OptimisticMirrorDescent(_SolverBase):
     ``_mirror(base, g)``. The first prediction costs N, and so does each
     iteration."""
 
-    def __init__(self, problem, eta, N, seed=0, z0=None):
+    def __init__(self, problem, tau, N, seed=0, z0=None):
         super().__init__(problem, N, seed, z0)
-        self.eta = float(eta)
-        self.tau = self.eta
+        self.tau = float(tau)
         self.ledger = self.z.copy()
         self.g_prev = problem.operator(self.z)
         self.evals += self.N  # prediction for the first step
@@ -310,7 +309,7 @@ class OptimisticMDL2(_OptimisticMirrorDescent):
     name = "oomd-l2"
 
     def _mirror(self, base, g):
-        return self._proj(base - self.eta * g)
+        return self._proj(base - self.tau * g)
 
     def step(self):
         return self._optimistic_step()
@@ -331,7 +330,7 @@ class OptimisticMDEntropy(_OptimisticMirrorDescent):
     def _mirror(self, base, g):
         out = np.empty_like(base)
         for sl in self.blocks:
-            u = np.log(np.maximum(base[sl], 1e-300)) - self.eta * g[sl]
+            u = np.log(np.maximum(base[sl], 1e-300)) - self.tau * g[sl]
             u -= u.max()
             e = np.exp(u)
             out[sl] = e / e.sum()
@@ -403,15 +402,6 @@ def applicable(problem, algorithm):
     return unmet_requirement(problem, algorithm) is None
 
 
-def _components(problem, cost_N):
-    """The price N of one full operator evaluation: the default finite-sum
-    size of the instance unless given."""
-    N = default_components(problem) if cost_N is None else int(cost_N)
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    return N
-
-
 def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
                 stepsize=None, cost_N=None, z0=None, oracle=None):
     """Build a solver with the suggested parameters of its algorithm.
@@ -422,7 +412,9 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     """
     if algorithm not in _SOLVERS:
         raise ValueError(f"unknown algorithm tag {algorithm!r}")
-    N = _components(problem, cost_N)
+    N = default_components(problem) if cost_N is None else int(cost_N)
+    if N < 1:
+        raise ValueError("N must be at least 1")
     cls = _SOLVERS[algorithm]
     if issubclass(cls, _AnchoredExtragradient):
         if params is None:
@@ -438,12 +430,14 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
 
 
 def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
-        tau_scale=1.0, stepsize=None, known=None, cost_N=None, z0=None,
-        oracle=None, stop_when_gap_below=None):
-    """Drive a solver until the cumulative charge reaches the budget.
+        tau_scale=1.0, known=None, stop_when_gap_below=None):
+    """Drive a solver from :func:`make_solver` until the cumulative charge
+    reaches the budget, or until the last-iterate measure reaches
+    ``stop_when_gap_below``.
 
     Records a row at the first step whose cumulative charge meets each
-    cadence multiple; the stored ``evals`` is the actual cumulative charge.
+    multiple of the cadence, which must lie between 1 and the budget; the
+    stored ``evals`` is the actual cumulative charge.
     Each row holds the convergence measure of the last iterate and of the
     uniform, linear, and quadratic running averages of the half-step
     iterates (the last iterate stands in while an average is still
@@ -454,23 +448,24 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
     """
     budget_evals = int(budget_evals)
     eval_every = int(eval_every)
-    N = _components(problem, cost_N)
+    N = default_components(problem)
     if budget_evals < N:
         raise ValueError(f"budget {budget_evals} is below one full evaluation ({N})")
-    if eval_every < 1:
-        raise ValueError("evaluation cadence must be at least 1")
+    if not 1 <= eval_every <= budget_evals:
+        raise ValueError(f"evaluation cadence {eval_every} must lie between 1 and "
+                         f"the budget {budget_evals}")
     solver = make_solver(problem, algorithm, seed, params=params, tau_scale=tau_scale,
-                         stepsize=stepsize, cost_N=N, z0=z0, oracle=oracle)
+                         cost_N=N)
 
     if problem.structure is not None:
         measure = lambda z: duality_gap_at(problem, z)
     else:
-        res_tau = getattr(solver, "tau", 1.0)
-        measure = lambda z: natural_residual(problem, z, res_tau)
+        measure = lambda z: natural_residual(problem, z, solver.tau)
 
-    accumulators = {q: AveragingAccumulator(q) for q in (0, 1, 2)}
-    rows = {name: [] for name in ("evals", "gap_last", "gap_uniform",
-                                  "gap_linear", "gap_quadratic", "dist_theta")}
+    accumulators = {q: AveragingAccumulator(q) for q in AVERAGE_COLUMNS}
+    rows = {name: [] for name in ("evals", "gap_last", *AVERAGE_COLUMNS.values())}
+    if known is not None:
+        rows["dist_theta"] = []
     next_mark = eval_every
     while solver.evals < budget_evals:
         result = solver.step()
@@ -483,7 +478,7 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
         gap_last = measure(solver.z)
         rows["evals"].append(solver.evals)
         rows["gap_last"].append(gap_last)
-        for q, name in ((0, "gap_uniform"), (1, "gap_linear"), (2, "gap_quadratic")):
+        for q, name in AVERAGE_COLUMNS.items():
             avg = accumulators[q].current()
             rows[name].append(gap_last if avg is None else measure(avg))
         if known is not None:
@@ -491,13 +486,5 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
         next_mark = eval_every * (solver.evals // eval_every + 1)
         if stop_when_gap_below is not None and gap_last <= stop_when_gap_below:
             break
-    return GapTrace(
-        evals=np.array(rows["evals"], dtype=np.int64),
-        gap_last=np.array(rows["gap_last"]),
-        gap_uniform=np.array(rows["gap_uniform"]),
-        gap_linear=np.array(rows["gap_linear"]),
-        gap_quadratic=np.array(rows["gap_quadratic"]),
-        dist_theta=np.array(rows["dist_theta"]) if known is not None else None,
-        meta={"algorithm": algorithm, "seed": seed, "budget": budget_evals,
-              "eval_every": eval_every, "N": N},
-    )
+    return GapTrace(**rows, meta={"algorithm": algorithm, "seed": seed, "budget": budget_evals,
+                                  "eval_every": eval_every, "N": N})

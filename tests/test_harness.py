@@ -66,7 +66,7 @@ def test_compare_wide_csv(tmp_path):
     cfg = RunConfig(instance="pb", instance_params={"n": 8, "seed": 1},
                     algorithms=["eg", "rm+"], seeds=[0, 1], budget=480,
                     eval_every=48, out=str(tmp_path))
-    path = harness.compare_command(cfg)
+    path, = harness.compare_command(cfg)
     with open(path) as f:
         header = f.readline().strip().split(",")
     assert header[0] == "evals"
@@ -246,15 +246,43 @@ def test_cli_run_from_gen_file_matches_gen(tmp_path):
 
 def test_cli_malformed_instance_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.vif"
-    bad.write_bytes(b"vif2 2 2 simplex:2*simplex:2\nabc")
-    code = cli.main(["run", "--instance", str(bad), "--algo", "eg", "--budget", "40",
-                     "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert f"instance file {bad}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    nan_in_A = np.array([np.nan] + [0.0] * 7, dtype="<f8").tobytes()
+    for payload in (b"abc", nan_in_A):
+        bad.write_bytes(b"vif2 2 2 simplex:2*simplex:2\n" + payload)
+        code = cli.main(["run", "--instance", str(bad), "--algo", "eg", "--budget", "40",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"instance file {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_gen_unwritable_output_exit_code(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "x.vif"
     assert cli.main(["gen", "pb", "--n", "4", "--out", str(out)]) == 2
     assert f"cannot write instance file {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["cmp.csv", "cmp"], ids=["file", "directory"])
+def test_cli_compare_out_file_or_directory(tmp_path, capsys, out):
+    code = cli.main(["compare", "--gen", "pb", "--n", "6", "--seed", "1", "--algo", "eg",
+                     "--budget", "360", "--eval-every", "36", "--out", str(tmp_path / out)])
+    assert code == 0
+    expect = tmp_path / out if out.endswith(".csv") else tmp_path / out / "pb6-s1_compare.csv"
+    assert capsys.readouterr().out.splitlines() == [str(expect)]
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [expect]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--algo", "eg", "--eval-every", "100"], "cadence 100 must lie between 1 and the budget 60"),
+    (["--algo", "svrg-eg", "--p", "2"], "p must lie in (0, 1]"),
+    (["--algo", "dl-svrg-eg,eg", "--alpha", "1"], "alpha must lie in [0, 1)"),
+    (["--algo", "svrg-eg", "--gamma", "0"], "gamma must lie in (0, 1)"),
+    (["--algo", "eg,pda", "--p", "0.5", "--gamma", "0.9"], "p, gamma given without svrg-eg"),
+], ids=["eval-every", "p", "alpha", "gamma", "p-without-svrg-eg"])
+def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
+    for command in ("run", "compare"):
+        code = cli.main([command, "--gen", "pb", "--n", "6", "--budget", "60", *flags,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import visolve as vs
-from visolve.metrics import GapTrace, dist_theta, duality_gap, duality_gap_at, natural_residual, ws_ratio
+from visolve.metrics import (GapTrace, dist_theta, duality_gap, duality_gap_at, natural_residual,
+                             write_table, ws_ratio)
 from visolve.rng import StableRng
 
 from conftest import random_game
@@ -197,3 +198,12 @@ def test_gap_trace_csv_roundtrip(tmp_path, pennies):
     back = GapTrace.from_csv(path)
     for name in trace.columns:
         assert np.array_equal(back.column(name), trace.column(name))
+
+    # Counts past 2**32 still print as plain digits, and to_csv is write_table.
+    big = _tiny_trace(evals=np.array([4098, 2**32 + 1, 5_000_000_000]))
+    big.to_csv(path)
+    write_table(tmp_path / "table.csv", {name: big.column(name) for name in big.columns})
+    assert path.read_bytes() == (tmp_path / "table.csv").read_bytes()
+    assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == \
+        ["4098", "4294967297", "5000000000"]
+    assert np.array_equal(GapTrace.from_csv(path).evals, big.evals)

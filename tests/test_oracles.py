@@ -273,8 +273,6 @@ def test_step_charges_closed_forms(pb8, algo):
     assert solver.evals == total
     if algo == "svrg-eg":
         assert seen == {2, N + 2}
-    with pytest.raises(ValueError):
-        vs.run(pb8, algo, budget_evals=100, seed=0, eval_every=10, cost_N=0)
 
 
 def test_charge_closed_forms(pb8):

@@ -142,6 +142,8 @@ def test_run_rejects_tiny_budget(pennies):
         vs.run(problem, "eg", budget_evals=0, seed=0, eval_every=1)
     with pytest.raises(ValueError, match="budget"):
         vs.run(problem, "eg", budget_evals=1, seed=0, eval_every=1)
+    with pytest.raises(ValueError, match="cadence 100 must lie between 1 and the budget 60"):
+        vs.run(problem, "eg", budget_evals=60, seed=0, eval_every=100)
 
 
 def test_run_extragradient_exact_iteration_count(pb8):

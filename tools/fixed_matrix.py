@@ -5,8 +5,10 @@ The matrix runs every applicable algorithm, seeds 0-2, on five instances
 60, the 2-D known-segment instance at budget 200 and cadence 10, the 4 x 4
 labeling game with 2 and with 3 regions at budget 4000 and cadence 100, and
 a 12-dimensional monotone affine VI over a box at budget 1200 and cadence
-60), plus a `compare` of all seven algorithms on the pursuit game with
-`--q 0,1,2`. The affine VI is written with `save_instance` and run through
+60), plus a `compare` with `--q 0,1,2` of every applicable algorithm on
+the pursuit game, written to a named `.csv` file, and on the 2-region
+labeling game, written into a directory, so both `--out` rules are gated.
+The affine VI is written with `save_instance` and run through
 `--instance`, so the gate covers the instance file format; unlike the 2-D
 instance, whose traces are all zero, its residuals stay above zero at the
 budget. Every run goes through `cli.main` into a temporary directory; the
@@ -39,6 +41,9 @@ RUNS = (
     ("seg3", "segmentation", {"grid": 4, "regions": 3}, 4000, 100),
     ("affine", AFFINE_FILE, {}, 1200, 60),
 )
+
+# `compare --out` of a run above: a file when it ends in .csv, else a directory.
+COMPARE_OUT = {"pb": os.path.join("cmp", "pb30_compare.csv"), "seg": "cmp"}
 
 
 def affine_box_instance(vs):
@@ -74,10 +79,9 @@ def main(argv):
                      "--seeds", "0-2", "--budget", str(budget), "--eval-every", str(cadence)]
             commands.append(["run", *flags, "--algo", ",".join(algos),
                              "--out", os.path.join(out, sub)])
-            if sub == "pb":
-                commands.append(["compare", *flags, "--algo", ",".join(solvers.ALGORITHMS),
-                                 "--q", "0,1,2",
-                                 "--out", os.path.join(out, "cmp", "pb30_compare.csv")])
+            if sub in COMPARE_OUT:
+                commands.append(["compare", *flags, "--algo", ",".join(algos), "--q", "0,1,2",
+                                 "--out", os.path.join(out, COMPARE_OUT[sub])])
         for command in commands:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(command)
