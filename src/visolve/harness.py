@@ -12,6 +12,7 @@ pairs, serial faster in every pair, identical output bytes).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,6 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         super().__init__("invalid configuration:\n" + "\n".join(f"- {e}" for e in self.errors))
 
-
-_VARIANCE_REDUCED = ("svrg-eg", "dl-svrg-eg")
 
 GENERATORS = ("pb", "nemirovski", "uniform", "ws-example", "matching-pennies", "segmentation")
 
@@ -95,30 +94,23 @@ class RunConfig:
     def resolved_eval_every(self):
         return self.eval_every if self.eval_every else max(1, self.budget // 50)
 
-    def validate(self, problem=None):
+    def validate(self, problem):
         errors = []
         if not self.algorithms:
             errors.append("no algorithms selected")
-        for algo in self.algorithms:
-            if algo not in solvers.ALGORITHMS:
-                errors.append(f"unknown algorithm {algo!r} (choose from {solvers.ALGORITHMS})")
-            elif problem is not None and (reason := solvers.unmet_requirement(problem, algo)):
-                errors.append(reason)
+        errors += solvers.setting_errors(problem, self.algorithms, self.tau_scale,
+                                         self.budget, self.eval_every)
         if not self.seeds:
             errors.append("seed list is empty")
-        if problem is not None and self.budget < default_components(problem):
-            errors.append(f"budget {self.budget} is below one full evaluation "
-                          f"({default_components(problem)})")
-        if self.eval_every is not None and not 1 <= self.eval_every <= self.budget:
-            errors.append(f"evaluation cadence {self.eval_every} must lie between 1 and "
-                          f"the budget {self.budget}")
-        if self.tau_scale <= 0:
-            errors.append("tau-scale must be positive")
+        if repeated := sorted(seed for seed, n in Counter(self.seeds).items() if n > 1):
+            errors.append(f"seed list repeats {', '.join(map(str, repeated))}")
         overrides = [k for k in ("p", "alpha", "gamma") if getattr(self, k) is not None]
-        if overrides and not set(_VARIANCE_REDUCED) & set(self.algorithms):
-            errors.append(f"{', '.join(overrides)} given without svrg-eg or dl-svrg-eg, "
-                          "the only algorithms that use them")
-        elif problem is not None and self.tau_scale > 0:  # a bad tau-scale is reported above
+        for given, users in ((overrides, solvers.VARIANCE_REDUCED),
+                             (["tau-scale"] if self.tau_scale != 1.0 else [], solvers.STEP_SIZED)):
+            if given and not set(users) & set(self.algorithms):
+                errors.append(f"{', '.join(given)} given without {' or '.join(users)}, "
+                              "the only algorithms that use them")
+        if set(solvers.VARIANCE_REDUCED) & set(self.algorithms):
             try:
                 _svrg_params(problem, self)
             except ValueError as err:
@@ -131,17 +123,14 @@ class RunConfig:
 
 
 def _svrg_params(problem, cfg):
-    if cfg.p is None and cfg.alpha is None and cfg.gamma is None:
-        return None  # solver picks the suggested parameters
-    N = default_components(problem)
-    return solvers.SvrgParams.suggested(
-        N, problem.lipschitz_bound(), tau_scale=cfg.tau_scale,
-        gamma=0.99 if cfg.gamma is None else cfg.gamma, p=cfg.p, alpha=cfg.alpha)
+    """make_solver's suggested parameters with the config's overrides."""
+    return solvers.SvrgParams.suggested(default_components(problem), problem.lipschitz_bound(),
+                                        p=cfg.p, alpha=cfg.alpha, gamma=cfg.gamma)
 
 
 def run_seeds(problem, algorithm, cfg, known=None):
     """One GapTrace per seed, run one after another in the calling thread."""
-    params = _svrg_params(problem, cfg) if algorithm in _VARIANCE_REDUCED else None
+    params = _svrg_params(problem, cfg) if algorithm in solvers.VARIANCE_REDUCED else None
     eval_every = cfg.resolved_eval_every()
     return {seed: solvers.run(problem, algorithm, cfg.budget, seed, eval_every,
                               params=params, tau_scale=cfg.tau_scale, known=known)

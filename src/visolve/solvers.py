@@ -27,27 +27,28 @@ StepResult = namedtuple("StepResult", ["iterates", "epoch"])
 class NumericalDivergence(RuntimeError):
     """Raised when an iterate or operator value turns non-finite."""
 
-    def __init__(self, algorithm, iteration):
-        super().__init__(f"non-finite value in {algorithm} at iteration {iteration}")
+    def __init__(self, algorithm, iteration, seed):
+        super().__init__(f"non-finite value in {algorithm} at iteration {iteration} "
+                         f"of seed {seed}")
         self.algorithm = algorithm
         self.iteration = iteration
+        self.seed = seed
 
 
 @dataclass(frozen=True)
 class SvrgParams:
     """Parameters of the variance-reduced extragradient solvers.
 
-    The step size is tau_scale * gamma * sqrt(1 - alpha) / L; at the default
-    tau_scale = 1 this is the theoretically safe step. L is the mean-square
-    Lipschitz constant of the oracle (the Frobenius norm of the payoff for
-    sampled games). K is the inner-loop length of the double-loop variant.
+    The step size tau = gamma * sqrt(1 - alpha) / L is the theoretically safe
+    step; make_solver scales it. L is the mean-square Lipschitz constant of
+    the oracle (the Frobenius norm of the payoff for sampled games). K is the
+    inner-loop length of the double-loop variant.
     """
 
     p: float
     alpha: float
     gamma: float
     L: float
-    tau_scale: float = 1.0
     K: int | None = None
 
     def __post_init__(self):
@@ -59,23 +60,25 @@ class SvrgParams:
             raise ValueError("gamma must lie in (0, 1)")
         if self.L <= 0.0:
             raise ValueError("L must be positive")
-        if self.tau_scale <= 0.0:
-            raise ValueError("tau_scale must be positive")
         if self.K is not None and self.K < 1:
             raise ValueError("inner length K must be at least 1")
 
     @property
     def tau(self):
-        return self.tau_scale * self.gamma * np.sqrt(1.0 - self.alpha) / self.L
+        return self.scaled_tau(1.0)
+
+    def scaled_tau(self, tau_scale):
+        """tau_scale * gamma * sqrt(1 - alpha) / L, multiplied in that order."""
+        return tau_scale * self.gamma * np.sqrt(1.0 - self.alpha) / self.L
 
     @classmethod
-    def suggested(cls, N, L, tau_scale=1.0, gamma=0.99, p=None, alpha=None):
-        """p = 2/N, alpha = 1 - 2/N, K = N/2 (clamped to valid ranges)."""
+    def suggested(cls, N, L, p=None, alpha=None, gamma=None):
+        """p = 2/N, alpha = 1 - 2/N, K = N/2 (clamped to valid ranges), gamma = 0.99."""
         N = int(N)
         p = min(1.0, 2.0 / N) if p is None else p
         alpha = max(0.0, 1.0 - 2.0 / N) if alpha is None else alpha
-        return cls(p=p, alpha=alpha, gamma=gamma, L=L, tau_scale=tau_scale,
-                   K=max(1, N // 2))
+        gamma = 0.99 if gamma is None else gamma
+        return cls(p=p, alpha=alpha, gamma=gamma, L=L, K=max(1, N // 2))
 
 
 class _SolverBase:
@@ -97,6 +100,7 @@ class _SolverBase:
             raise ValueError(reason)
         self.problem = problem
         self.N = int(N)
+        self.seed = seed
         self.rng = StableRng(seed)
         start = problem.set.center() if z0 is None else np.asarray(z0, dtype=np.float64)
         self.z = problem.set.project(start)
@@ -113,7 +117,7 @@ class _SolverBase:
 
     def _finite(self, v):
         if not np.all(np.isfinite(v)):
-            raise NumericalDivergence(self.name, self.iteration)
+            raise NumericalDivergence(self.name, self.iteration, self.seed)
         return v
 
     def _proj(self, v, feasible=None):
@@ -123,7 +127,7 @@ class _SolverBase:
         try:
             return (self.problem.set if feasible is None else feasible).project(v)
         except NonFiniteInput:
-            raise NumericalDivergence(self.name, self.iteration) from None
+            raise NumericalDivergence(self.name, self.iteration, self.seed) from None
 
     def step(self):
         raise NotImplementedError
@@ -139,9 +143,10 @@ class _AnchoredExtragradient(_SolverBase):
     from zbar (Alacaoglu & Malitsky 2022).
     """
 
-    def __init__(self, problem, params, N, seed=0, z0=None, oracle=None):
+    def __init__(self, problem, params, tau, N, seed=0, z0=None, oracle=None):
         super().__init__(problem, N, seed, z0)
         self.params = params
+        self.tau = float(tau)
         self.oracle = oracle_for(problem) if oracle is None else oracle
         self.cache = SnapshotCache.at(problem, self.z)
         self.evals += self.N  # full operator at the initial snapshot
@@ -150,18 +155,14 @@ class _AnchoredExtragradient(_SolverBase):
     def w_point(self):
         return self.cache.w
 
-    @property
-    def tau(self):
-        return self.params.tau
-
     def _anchored_step(self):
         """One anchored extragradient step; returns the half-step iterate."""
-        prm = self.params
-        zbar = prm.alpha * self.z + (1.0 - prm.alpha) * self.cache.w
-        z_half = self._proj(zbar - prm.tau * self.cache.Fw)
+        alpha = self.params.alpha
+        zbar = alpha * self.z + (1.0 - alpha) * self.cache.w
+        z_half = self._proj(zbar - self.tau * self.cache.Fw)
         sample = self.oracle.draw(self.rng)
         fhat = self.oracle.vr_estimate(self.cache, sample, z_half)
-        self.z = self._proj(zbar - prm.tau * fhat)
+        self.z = self._proj(zbar - self.tau * fhat)
         self.iteration += 1
         return z_half
 
@@ -196,10 +197,10 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
 
     name = "dl-svrg-eg"
 
-    def __init__(self, problem, params, N, seed=0, z0=None, oracle=None):
+    def __init__(self, problem, params, tau, N, seed=0, z0=None, oracle=None):
         if params.K is None:
             raise ValueError("double-loop solver needs the inner length K")
-        super().__init__(problem, params, N, seed, z0, oracle)
+        super().__init__(problem, params, tau, N, seed, z0, oracle)
         self.epoch = 0
 
     @property
@@ -383,6 +384,10 @@ _SOLVERS = {cls.name: cls for cls in (LooplessSvrgEG, DoubleLoopSvrgEG, Extragra
                                       PrimalDual, OptimisticMDL2, OptimisticMDEntropy,
                                       RegretMatchingPlus)}
 ALGORITHMS = tuple(_SOLVERS)
+VARIANCE_REDUCED = tuple(tag for tag, cls in _SOLVERS.items()
+                         if issubclass(cls, _AnchoredExtragradient))
+# The algorithms with a step size for tau_scale to multiply; rm+ takes no step.
+STEP_SIZED = tuple(tag for tag, cls in _SOLVERS.items() if cls is not RegretMatchingPlus)
 
 # Baseline step sizes over the spectral norm of the payoff.
 _STEP_OVER_NORM = {"eg": 0.99, "pda": 0.99, "oomd-l2": 0.5}
@@ -390,6 +395,8 @@ _STEP_OVER_NORM = {"eg": 0.99, "pda": 0.99, "oomd-l2": 0.5}
 
 def unmet_requirement(problem, algorithm):
     """Why the algorithm cannot run on the instance, or None when it can."""
+    if algorithm not in _SOLVERS:
+        return f"unknown algorithm {algorithm!r} (choose from {', '.join(ALGORITHMS)})"
     need = _SOLVERS[algorithm].requires
     if need is None or need.holds(problem):
         return None
@@ -402,31 +409,47 @@ def applicable(problem, algorithm):
     return unmet_requirement(problem, algorithm) is None
 
 
+def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every=None):
+    """One message per run rule the settings break; the budget and cadence
+    rules apply when those are given."""
+    errors = [reason for algorithm in algorithms
+              if (reason := unmet_requirement(problem, algorithm)) is not None]
+    if not tau_scale > 0.0:  # NaN too
+        errors.append(f"tau_scale must be positive, got {tau_scale}")
+    if budget_evals is not None:
+        N = default_components(problem)
+        if budget_evals < N:
+            errors.append(f"budget {budget_evals} is below one full evaluation ({N})")
+        if eval_every is not None and not 1 <= eval_every <= budget_evals:
+            errors.append(f"evaluation cadence {eval_every} must lie between 1 and the budget "
+                          f"{budget_evals}")
+    return errors
+
+
 def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
                 stepsize=None, cost_N=None, z0=None, oracle=None):
     """Build a solver with the suggested parameters of its algorithm.
 
     Baseline step sizes: 0.99/||A||_2 for the extragradient and primal-dual
     solvers, 0.5/||A||_2 for Euclidean optimistic mirror descent, 1 for the
-    entropy variant; tau_scale multiplies whichever baseline applies.
+    entropy variant; tau_scale multiplies every step, given or baseline.
     """
-    if algorithm not in _SOLVERS:
-        raise ValueError(f"unknown algorithm tag {algorithm!r}")
+    if errors := setting_errors(problem, [algorithm], tau_scale):
+        raise ValueError("; ".join(errors))
     N = default_components(problem) if cost_N is None else int(cost_N)
     if N < 1:
         raise ValueError("N must be at least 1")
     cls = _SOLVERS[algorithm]
     if issubclass(cls, _AnchoredExtragradient):
         if params is None:
-            params = SvrgParams.suggested(N, problem.lipschitz_bound(), tau_scale=tau_scale)
-        return cls(problem, params, N, seed, z0, oracle)
+            params = SvrgParams.suggested(N, problem.lipschitz_bound())
+        return cls(problem, params, params.scaled_tau(tau_scale), N, seed, z0, oracle)
     if cls is RegretMatchingPlus:
         return cls(problem, N, seed, z0)
     if stepsize is None:
-        base = (_STEP_OVER_NORM[algorithm] / problem.spectral_norm()
-                if algorithm in _STEP_OVER_NORM else 1.0)
-        stepsize = base * tau_scale
-    return cls(problem, stepsize, N, seed, z0)
+        stepsize = (_STEP_OVER_NORM[algorithm] / problem.spectral_norm()
+                    if algorithm in _STEP_OVER_NORM else 1.0)
+    return cls(problem, tau_scale * stepsize, N, seed, z0)
 
 
 def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
@@ -436,8 +459,8 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
     ``stop_when_gap_below``.
 
     Records a row at the first step whose cumulative charge meets each
-    multiple of the cadence, which must lie between 1 and the budget; the
-    stored ``evals`` is the actual cumulative charge.
+    multiple of the cadence; the stored ``evals`` is the actual cumulative
+    charge. The settings must pass :func:`setting_errors`.
     Each row holds the convergence measure of the last iterate and of the
     uniform, linear, and quadratic running averages of the half-step
     iterates (the last iterate stands in while an average is still
@@ -448,14 +471,9 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
     """
     budget_evals = int(budget_evals)
     eval_every = int(eval_every)
-    N = default_components(problem)
-    if budget_evals < N:
-        raise ValueError(f"budget {budget_evals} is below one full evaluation ({N})")
-    if not 1 <= eval_every <= budget_evals:
-        raise ValueError(f"evaluation cadence {eval_every} must lie between 1 and "
-                         f"the budget {budget_evals}")
-    solver = make_solver(problem, algorithm, seed, params=params, tau_scale=tau_scale,
-                         cost_N=N)
+    if errors := setting_errors(problem, [algorithm], tau_scale, budget_evals, eval_every):
+        raise ValueError("; ".join(errors))
+    solver = make_solver(problem, algorithm, seed, params=params, tau_scale=tau_scale)
 
     if problem.structure is not None:
         measure = lambda z: duality_gap_at(problem, z)
@@ -487,4 +505,4 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
         if stop_when_gap_below is not None and gap_last <= stop_when_gap_below:
             break
     return GapTrace(**rows, meta={"algorithm": algorithm, "seed": seed, "budget": budget_evals,
-                                  "eval_every": eval_every, "N": N})
+                                  "eval_every": eval_every, "N": solver.N})

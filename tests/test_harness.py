@@ -154,7 +154,8 @@ def test_cli_numerical_abort_exit_code(tmp_path, capsys):
                          "--eval-every", "8", "--tau-scale", "1e300",
                          "--out", str(tmp_path)])
     assert code == 3
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "of seed 0" in err
 
 
 def test_cli_solver_parameter_overrides(tmp_path):
@@ -278,7 +279,10 @@ def test_cli_compare_out_file_or_directory(tmp_path, capsys, out):
     (["--algo", "dl-svrg-eg,eg", "--alpha", "1"], "alpha must lie in [0, 1)"),
     (["--algo", "svrg-eg", "--gamma", "0"], "gamma must lie in (0, 1)"),
     (["--algo", "eg,pda", "--p", "0.5", "--gamma", "0.9"], "p, gamma given without svrg-eg"),
-], ids=["eval-every", "p", "alpha", "gamma", "p-without-svrg-eg"])
+    (["--algo", "svrg-eg", "--seeds", "0,0,1"], "seed list repeats 0"),
+    (["--algo", "rm+", "--tau-scale", "5"], "tau-scale given without svrg-eg"),
+], ids=["eval-every", "p", "alpha", "gamma", "p-without-svrg-eg", "repeated-seed",
+        "tau-scale-with-only-rm+"])
 def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
     for command in ("run", "compare"):
         code = cli.main([command, "--gen", "pb", "--n", "6", "--budget", "60", *flags,

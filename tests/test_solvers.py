@@ -217,6 +217,30 @@ def test_nonfinite_values_abort_with_diagnostic(interior_box_problem):
                 solver.step()
         assert err.value.algorithm == algo
         assert err.value.iteration >= 0
+        assert err.value.seed == 0
+
+
+def test_variance_reduced_tags():
+    assert vs.solvers.VARIANCE_REDUCED == ("svrg-eg", "dl-svrg-eg")
+
+
+@pytest.mark.parametrize("algo", ["svrg-eg", "dl-svrg-eg", "eg", "pda", "oomd-l2",
+                                  "oomd-entropy"])
+def test_tau_scale_multiplies_a_given_step(pb8, algo):
+    """A power-of-two scale is exact, so the scaled step equals 2x the given one."""
+    params = SvrgParams.suggested(8, pb8.lipschitz_bound(), gamma=0.5)
+    given, step = ((dict(params=params), params.tau) if algo in vs.solvers.VARIANCE_REDUCED
+                   else (dict(stepsize=0.3), 0.3))
+    assert make_solver(pb8, algo, seed=0, tau_scale=2.0, **given).tau == 2.0 * step
+
+
+@pytest.mark.parametrize("algo", vs.ALGORITHMS)
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_nonpositive_tau_scale_rejected(pb8, algo, bad):
+    with pytest.raises(ValueError, match="tau_scale must be positive"):
+        make_solver(pb8, algo, seed=0, tau_scale=bad)
+    with pytest.raises(ValueError, match="tau_scale must be positive"):
+        vs.run(pb8, algo, budget_evals=160, seed=0, eval_every=16, tau_scale=bad)
 
 
 def test_simplex_only_algorithms_rejected_elsewhere(ws):

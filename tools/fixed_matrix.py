@@ -5,7 +5,10 @@ The matrix runs every applicable algorithm, seeds 0-2, on five instances
 60, the 2-D known-segment instance at budget 200 and cadence 10, the 4 x 4
 labeling game with 2 and with 3 regions at budget 4000 and cadence 100, and
 a 12-dimensional monotone affine VI over a box at budget 1200 and cadence
-60), plus a `compare` with `--q 0,1,2` of every applicable algorithm on
+60). It runs the pursuit game once more with `--tau-scale 3 --gamma 0.7`,
+so the step multiplier, a parameter override and the order in which a
+multiplier that is not a power of two enters the step are gated too. It
+adds a `compare` with `--q 0,1,2` of every applicable algorithm on
 the pursuit game, written to a named `.csv` file, and on the 2-region
 labeling game, written into a directory, so both `--out` rules are gated.
 The affine VI is written with `save_instance` and run through
@@ -40,7 +43,11 @@ RUNS = (
     ("seg", "segmentation", {"grid": 4}, 4000, 100),
     ("seg3", "segmentation", {"grid": 4, "regions": 3}, 4000, 100),
     ("affine", AFFINE_FILE, {}, 1200, 60),
+    ("scaled", "pb", {"n": 30, "seed": 1}, 3000, 60),
 )
+
+# Flags a run above adds to its `run` command.
+EXTRA_FLAGS = {"scaled": ["--tau-scale", "3", "--gamma", "0.7"]}
 
 # `compare --out` of a run above: a file when it ends in .csv, else a directory.
 COMPARE_OUT = {"pb": os.path.join("cmp", "pb30_compare.csv"), "seg": "cmp"}
@@ -77,7 +84,7 @@ def main(argv):
             flags = ["--instance" if is_file else "--gen", instance,
                      *(f for k, v in params.items() for f in (f"--{k}", str(v))),
                      "--seeds", "0-2", "--budget", str(budget), "--eval-every", str(cadence)]
-            commands.append(["run", *flags, "--algo", ",".join(algos),
+            commands.append(["run", *flags, *EXTRA_FLAGS.get(sub, ()), "--algo", ",".join(algos),
                              "--out", os.path.join(out, sub)])
             if sub in COMPARE_OUT:
                 commands.append(["compare", *flags, "--algo", ",".join(algos), "--q", "0,1,2",
