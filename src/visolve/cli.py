@@ -44,7 +44,7 @@ def _add_instance_flags(p):
                    help="generator name (alternative to --instance)")
     p.add_argument("--n", type=int, help="rows of the payoff matrix")
     p.add_argument("--m", type=int, help="columns of the payoff matrix")
-    p.add_argument("--seed", type=int, default=0, help="instance generator seed")
+    p.add_argument("--seed", type=int, help="instance generator seed")
     p.add_argument("--family", type=int, help="symmetric-matrix family (1 or 2)")
     p.add_argument("--alpha-exp", type=float, help="symmetric-matrix exponent")
     p.add_argument("--grid", type=int, help="segmentation grid side")
@@ -68,22 +68,19 @@ def _add_run_flags(p):
 
 
 def _instance_params(args):
-    params = {}
-    for key in ("n", "m", "family", "grid", "regions"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if getattr(args, "alpha_exp", None) is not None:
-        params["alpha_exp"] = args.alpha_exp
-    params["seed"] = args.seed
-    return params
+    """The generator parameters given on the command line, named as in harness.GENERATORS."""
+    keys = dict.fromkeys(key for _, takes, _ in harness.GENERATORS.values() for key in takes)
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _instance_name(args, errors):
-    name = args.instance or args.generator
-    if not name:
-        errors.append("no instance: pass --instance FILE or --gen NAME")
-    return name
+    names = [name for name in (args.instance, args.generator, getattr(args, "generator_pos", None))
+             if name]
+    if len(names) != 1:
+        errors.append("name exactly one instance, with --instance FILE or --gen NAME; "
+                      f"got {', '.join(names) or 'none'}")
+        return None
+    return names[0]
 
 
 def _load_config_defaults(argv, parser):
@@ -127,6 +124,8 @@ def _build_config(args):
         errors.append("no budget: pass --budget EVALS")
     seeds = _parsed(_parse_seeds, "--seeds", args.seeds, errors)
     q_exponents = _parsed(_parse_q, "--q", args.q, errors)
+    if args.command == "run" and q_exponents not in (None, harness.RunConfig.q_exponents):
+        errors.append(f"--q applies to compare only, got {args.q!r} on run")
     if errors:
         raise harness.ConfigError(errors)
     return harness.RunConfig(
@@ -189,8 +188,7 @@ def main(argv=None):
     p_gen.add_argument("generator_pos", nargs="?", choices=harness.GENERATORS,
                        metavar="generator", help="generator name")
     _add_instance_flags(p_gen)
-    p_gen.add_argument("--alpha", dest="alpha_exp_alias", type=float,
-                       help="alias for --alpha-exp on gen")
+    p_gen.add_argument("--alpha", dest="alpha_exp", type=float, help="alias for --alpha-exp on gen")
     p_gen.add_argument("--out", default="instance.vif", help="output file")
 
     run_parsers = {}
@@ -204,10 +202,6 @@ def main(argv=None):
             if cmd in argv:
                 _load_config_defaults(argv, p_cmd)
         args = parser.parse_args(argv)
-        if getattr(args, "generator_pos", None) and not args.instance and not args.generator:
-            args.generator = args.generator_pos
-        if getattr(args, "alpha_exp_alias", None) is not None and args.alpha_exp is None:
-            args.alpha_exp = args.alpha_exp_alias
         if args.command == "gen":
             return cmd_gen(args)
         return cmd_sweep(args)

@@ -11,6 +11,7 @@ pairs, serial faster in every pair, identical output bytes).
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,48 +31,51 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"- {e}" for e in self.errors))
 
 
-GENERATORS = ("pb", "nemirovski", "uniform", "ws-example", "matching-pennies", "segmentation")
+# name -> (builder, {parameter: (type, default)}, label format). A default
+# that names an earlier parameter takes its value. A builder returns the
+# problem, or the problem and its known solution set.
+GENERATORS = {
+    "pb": (problems.policeman_burglar, {"n": (int, 100), "seed": (int, 0)}, "pb{n}-s{seed}"),
+    "nemirovski": (problems.nemirovski,
+                   {"n": (int, 100), "family": (int, 1), "alpha_exp": (float, 1.0)},
+                   "nem{family}-{n}"),
+    "uniform": (problems.uniform_random, {"n": (int, 100), "m": (int, "n"), "seed": (int, 0)},
+                "uni{n}x{m}-s{seed}"),
+    "ws-example": (problems.ws_example, {}, "ws-example"),
+    "matching-pennies": (problems.matching_pennies, {}, "pennies"),
+    "segmentation": (problems.synthetic_segmentation,
+                     {"grid": (int, 8), "regions": (int, 2), "seed": (int, 0)},
+                     "seg{grid}x{grid}h{regions}-s{seed}"),
+}
 
 
 def build_instance(name, **params):
-    """Instantiate a named generator or load an instance file.
+    """Instantiate a named generator or load an instance file; a parameter
+    the generator does not take (a file takes none) is a ConfigError.
 
     Returns (problem, known_solution_set_or_None, label).
     """
-    if name == "pb":
-        n, seed = int(params.get("n", 100)), int(params.get("seed", 0))
-        return problems.policeman_burglar(n, seed), None, f"pb{n}-s{seed}"
-    if name == "nemirovski":
-        n = int(params.get("n", 100))
-        family = int(params.get("family", 1))
-        alpha_exp = float(params.get("alpha_exp", 1.0))
-        return problems.nemirovski(n, family, alpha_exp), None, f"nem{family}-{n}"
-    if name == "uniform":
-        n = int(params.get("n", 100))
-        m = int(params.get("m", n))
-        seed = int(params.get("seed", 0))
-        return problems.uniform_random(n, m, seed), None, f"uni{n}x{m}-s{seed}"
-    if name == "ws-example":
-        problem, known = problems.ws_example()
-        return problem, known, "ws-example"
-    if name == "matching-pennies":
-        problem, known = problems.matching_pennies()
-        return problem, known, "pennies"
-    if name == "segmentation":
-        grid = int(params.get("grid", 8))
-        regions = int(params.get("regions", 2))
-        seed = int(params.get("seed", 0))
-        return (problems.synthetic_segmentation(grid, regions, seed), None,
-                f"seg{grid}x{grid}h{regions}-s{seed}")
-    if os.path.exists(name):
+    if name in GENERATORS:
+        build, takes, label = GENERATORS[name]
+    elif os.path.exists(name):
+        build, takes = functools.partial(problems.load_instance, name), {}
         label = os.path.splitext(os.path.basename(name))[0]
-        try:
-            return problems.load_instance(name), None, label
-        except ValueError as err:  # the message names the file
-            raise ConfigError([str(err)]) from None
-        except OSError as err:
-            raise ConfigError([f"cannot read instance file {name}: {err.strerror}"]) from None
-    raise ConfigError([f"unknown generator or missing instance file: {name!r}"])
+    else:
+        raise ConfigError([f"unknown generator or missing instance file: {name!r}"])
+    if unknown := [key for key in params if key not in takes]:
+        raise ConfigError([f"{name} takes {', '.join(takes) or 'no parameters'}, "
+                           f"not {', '.join(unknown)}"])
+    values = {}
+    for key, (kind, default) in takes.items():
+        values[key] = kind(params.get(key, values.get(default, default)))
+    try:
+        built = build(**values)
+    except ValueError as err:  # a parameter out of range, or a malformed file the message names
+        raise ConfigError([str(err)]) from None
+    except OSError as err:
+        raise ConfigError([f"cannot read instance file {name}: {err.strerror}"]) from None
+    problem, known = built if isinstance(built, tuple) else (built, None)
+    return problem, known, label.format(**values) if name in GENERATORS else label
 
 
 @dataclass
@@ -102,8 +106,9 @@ class RunConfig:
                                          self.budget, self.eval_every)
         if not self.seeds:
             errors.append("seed list is empty")
-        if repeated := sorted(seed for seed, n in Counter(self.seeds).items() if n > 1):
-            errors.append(f"seed list repeats {', '.join(map(str, repeated))}")
+        for what, items in (("algorithm", self.algorithms), ("seed", self.seeds)):
+            if repeated := sorted(item for item, n in Counter(items).items() if n > 1):
+                errors.append(f"{what} list repeats {', '.join(map(str, repeated))}")
         overrides = [k for k in ("p", "alpha", "gamma") if getattr(self, k) is not None]
         for given, users in ((overrides, solvers.VARIANCE_REDUCED),
                              (["tau-scale"] if self.tau_scale != 1.0 else [], solvers.STEP_SIZED)):
@@ -183,14 +188,14 @@ def compare_command(cfg):
     is the directory of ``<label>_compare.csv``. Returns the list of files
     written, as :func:`run_command` does.
     """
-    problem, known, label = build_instance(cfg.instance, **cfg.instance_params)
+    problem, _, label = build_instance(cfg.instance, **cfg.instance_params)
     cfg.validate(problem)
     eval_every = cfg.resolved_eval_every()
     grid = np.arange(eval_every, cfg.budget + 1, eval_every, dtype=np.int64)
     table = {"evals": grid.astype(np.float64)}
     modes = ["gap_last"] + [AVERAGE_COLUMNS[q] for q in cfg.q_exponents]
     for algo in cfg.algorithms:
-        traces = list(run_seeds(problem, algo, cfg, known).values())
+        traces = list(run_seeds(problem, algo, cfg).values())
         for mode in modes:
             per_seed = []
             for t in traces:

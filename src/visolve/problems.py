@@ -20,6 +20,8 @@ log = logging.getLogger(__name__)
 
 _EIG_CHECK_MAX_DIM = 64
 _EIG_FLOOR = -1e-10
+_SOLUTION_CHECKS = 10_000
+_SOLUTION_CHECK_SEED = 0
 
 
 class BilinearStructure:
@@ -202,11 +204,11 @@ class SolutionSet:
     stored reference points against 10^4 sampled feasible directions.
     """
 
-    def __init__(self, kind, points, problem=None, n_checks=10_000, tol=1e-9, check_seed=0):
+    def __init__(self, kind, points, problem=None, tol=1e-9):
         self.kind = kind
         self.points = [np.asarray(p, dtype=np.float64) for p in points]
         if problem is not None:
-            self._validate(problem, n_checks, tol, check_seed)
+            self._validate(problem, tol)
 
     @classmethod
     def single(cls, z_star, problem=None, **kw):
@@ -216,8 +218,8 @@ class SolutionSet:
     def segment(cls, p0, p1, problem=None, **kw):
         return cls("segment", [p0, p1], problem, **kw)
 
-    def _validate(self, problem, n_checks, tol, seed):
-        Z = problem.set.sample(StableRng(seed), n_checks)
+    def _validate(self, problem, tol):
+        Z = problem.set.sample(StableRng(_SOLUTION_CHECK_SEED), _SOLUTION_CHECKS)
         if self.kind == "point":
             refs = [self.points[0]]
         else:

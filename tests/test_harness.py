@@ -97,6 +97,24 @@ def test_build_instance_unknown_name():
         harness.build_instance("no-such-generator")
 
 
+def test_build_instance_rejects_a_parameter_it_does_not_take():
+    with pytest.raises(ConfigError, match="ws-example takes no parameters, not seed"):
+        harness.build_instance("ws-example", seed=0)
+
+
+@pytest.mark.parametrize("name, params, label", [
+    ("pb", {"n": 5}, "pb5-s0"),
+    ("nemirovski", {"n": 4}, "nem1-4"),
+    ("uniform", {"n": 3}, "uni3x3-s0"),
+    ("uniform", {"n": 3, "m": 2, "seed": 4}, "uni3x2-s4"),
+    ("segmentation", {"grid": 3}, "seg3x3h2-s0"),
+    ("ws-example", {}, "ws-example"),
+    ("matching-pennies", {}, "pennies"),
+])
+def test_build_instance_labels(name, params, label):
+    assert harness.build_instance(name, **params)[2] == label
+
+
 def test_cli_gen_run_compare_cycle(tmp_path, capsys):
     inst = tmp_path / "game.vif"
     assert cli.main(["gen", "pb", "--n", "6", "--seed", "1", "--out", str(inst)]) == 0
@@ -143,7 +161,9 @@ def test_cli_bad_seeds_or_q(tmp_path, capsys, flags):
     code = cli.main(["run", "--instance", "matching-pennies", "--algo", "eg",
                      "--budget", "40", *flags, "--out", str(out)])
     assert code == 2
-    assert f"bad value {flags[1]!r} for {flags[0]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"bad value {flags[1]!r} for {flags[0]}" in err
+    assert "compare only" not in err
     assert not out.exists()
 
 
@@ -177,6 +197,44 @@ def test_cli_gen_nemirovski_alpha_alias(tmp_path, capsys):
     assert code == 0
     loaded = vs.load_instance(inst)
     assert np.allclose(loaded.structure.A, np.array([[1.0, 2.0], [2.0, 1.0]]) / 3.0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--instance", "p4.vif", "--gen", "segmentation", "--grid", "3"],
+     "name exactly one instance, with --instance FILE or --gen NAME; got p4.vif, segmentation"),
+    (["gen", "pb", "--gen", "uniform", "--n", "3"], "got uniform, pb"),
+    (["run", "--gen", "pb", "--n", "6", "--grid", "9", "--regions", "5", "--family", "2"],
+     "pb takes n, seed, not family, grid, regions"),
+    (["run", "--gen", "matching-pennies", "--n", "50", "--m", "3"],
+     "matching-pennies takes no parameters, not n, m"),
+    (["run", "--instance", "p4.vif", "--n", "100", "--seed", "7"],
+     "p4.vif takes no parameters, not n, seed"),
+    (["gen", "nemirovski", "--n", "3", "--alpha-exp", "2", "--alpha", "1"], None),
+], ids=["instance-and-gen", "gen-positional-and-flag", "pb-segmentation-flags",
+        "pennies-size-flags", "file-generator-flags", "alpha-exp-then-alpha"])
+def test_cli_instance_inputs_used_or_rejected(tmp_path, monkeypatch, capsys, argv, message):
+    """A second instance or a flag the instance does not take exits 2 and
+    writes nothing; of the two spellings of gen's exponent the last wins."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "pb", "--n", "4", "--out", "p4.vif"]) == 0
+    capsys.readouterr()
+    extra = ["--out", "x.vif"] if argv[0] == "gen" else ["--algo", "eg", "--budget", "60",
+                                                         "--out", "x"]
+    code = cli.main([*argv, *extra])
+    if message is None:
+        assert code == 0
+        A = vs.load_instance("x.vif").structure.A
+        assert np.array_equal(A, vs.nemirovski(3, 1, 1.0).structure.A)
+        return
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists("x.vif") and not os.path.exists("x")
+
+
+def test_cli_gen_alpha_alias_reads_its_value(tmp_path):
+    inst = tmp_path / "nem.vif"  # 2 is not the default exponent, so the alias is read
+    assert cli.main(["gen", "nemirovski", "--n", "3", "--alpha", "2", "--out", str(inst)]) == 0
+    assert np.array_equal(vs.load_instance(inst).structure.A, vs.nemirovski(3, 1, 2.0).structure.A)
 
 
 def test_cli_config_file_with_overrides(tmp_path):
@@ -257,6 +315,12 @@ def test_cli_malformed_instance_file_exit_code(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_cli_gen_out_of_range_parameter_exit_code(tmp_path, capsys):
+    assert cli.main(["gen", "pb", "--n", "0", "--out", str(tmp_path / "x.vif")]) == 2
+    assert "need at least one house" in capsys.readouterr().err
+    assert not (tmp_path / "x.vif").exists()
+
+
 def test_cli_gen_unwritable_output_exit_code(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "x.vif"
     assert cli.main(["gen", "pb", "--n", "4", "--out", str(out)]) == 2
@@ -281,10 +345,12 @@ def test_cli_compare_out_file_or_directory(tmp_path, capsys, out):
     (["--algo", "eg,pda", "--p", "0.5", "--gamma", "0.9"], "p, gamma given without svrg-eg"),
     (["--algo", "svrg-eg", "--seeds", "0,0,1"], "seed list repeats 0"),
     (["--algo", "rm+", "--tau-scale", "5"], "tau-scale given without svrg-eg"),
+    (["--algo", "eg,pda,eg"], "algorithm list repeats eg"),
+    (["--algo", "eg", "--q", "1"], "--q applies to compare only"),
 ], ids=["eval-every", "p", "alpha", "gamma", "p-without-svrg-eg", "repeated-seed",
-        "tau-scale-with-only-rm+"])
+        "tau-scale-with-only-rm+", "algo-repeated", "q-on-run"])
 def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
-    for command in ("run", "compare"):
+    for command in ("run",) if "--q" in flags else ("run", "compare"):  # --q is a compare flag
         code = cli.main([command, "--gen", "pb", "--n", "6", "--budget", "60", *flags,
                          "--out", str(tmp_path / "out")])
         assert code == 2

@@ -10,7 +10,9 @@ so the step multiplier, a parameter override and the order in which a
 multiplier that is not a power of two enters the step are gated too. It
 adds a `compare` with `--q 0,1,2` of every applicable algorithm on
 the pursuit game, written to a named `.csv` file, and on the 2-region
-labeling game, written into a directory, so both `--out` rules are gated.
+labeling game and the 2-D instance, written into a directory, so both
+`--out` rules and a `compare` on an instance with a known solution set are
+gated.
 The affine VI is written with `save_instance` and run through
 `--instance`, so the gate covers the instance file format; unlike the 2-D
 instance, whose traces are all zero, its residuals stay above zero at the
@@ -50,7 +52,7 @@ RUNS = (
 EXTRA_FLAGS = {"scaled": ["--tau-scale", "3", "--gamma", "0.7"]}
 
 # `compare --out` of a run above: a file when it ends in .csv, else a directory.
-COMPARE_OUT = {"pb": os.path.join("cmp", "pb30_compare.csv"), "seg": "cmp"}
+COMPARE_OUT = {"pb": os.path.join("cmp", "pb30_compare.csv"), "seg": "cmp", "ws": "cmp"}
 
 
 def affine_box_instance(vs):
