@@ -150,16 +150,6 @@ class AffineVI:
             return np.concatenate([s.A @ y + s.bx, -(s.A.T @ x) + s.by])
         return self._M @ z + self.q
 
-    def operator_many(self, Z):
-        """Row-wise operator values for a (k, dim) batch of points."""
-        Z = np.asarray(Z, dtype=np.float64)
-        if self.structure is not None:
-            s = self.structure
-            n = s.primal_dim
-            X, Y = Z[:, :n], Z[:, n:]
-            return np.hstack([Y @ s.A.T + s.bx, -(X @ s.A) + s.by])
-        return Z @ self._M.T + self.q
-
     def lipschitz_bound(self):
         """Mean-square Lipschitz constant of the sampled oracle: ||A||_F for
         games, spectral norm of M otherwise."""
@@ -183,9 +173,10 @@ def spectral_norm(A):
     v = rng.uniform(A.shape[1]) - 0.5
     v /= np.linalg.norm(v)
     sigma = 0.0
+    At = A.T
     for _ in range(10_000):
         u = A @ v
-        v = A.T @ u
+        v = At @ u
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return 0.0

@@ -17,7 +17,6 @@ import numpy as np
 
 from .rng import StableRng
 
-_FEAS_TOL = 1e-12
 # Longest block the column kernel takes; longer blocks go to the batch kernel.
 _COLUMN_KERNEL_MAX_BLOCK = 3
 
@@ -246,10 +245,14 @@ class Box(FeasibleSet):
 class HalfspaceBox(FeasibleSet):
     """2-D polytope {lo <= x <= hi, <a, x> <= b}.
 
-    Projection enumerates every KKT active-set configuration (the point
-    itself, each single facet, and each facet pair), keeps the feasible
-    candidates, and returns the closest; this is exact in 2-D. Emptiness is
-    caught at construction by projecting the box midpoint.
+    Projection is closed form. When the box projection of v meets the
+    halfspace, it is the projection; otherwise the halfspace is active, and
+    the projection is the point nearest v on the segment that the box cuts
+    from the line <a, x> = b: v's line parameter clamped to the segment's
+    ends. No squared distance is formed and b is never subtracted from
+    <a, v>, so every finite v projects without overflow or cancellation.
+    Emptiness is caught at construction by projecting the box midpoint: an
+    empty set leaves an empty segment.
     """
 
     def __init__(self, lo, hi, a, b):
@@ -268,42 +271,29 @@ class HalfspaceBox(FeasibleSet):
         if np.allclose(self.a, 0.0):
             raise ValueError("halfspace normal must be nonzero")
         self.dim = 2
+        # The line <a, x> = b is p + t d. No entry of d exceeds 1 in size, so
+        # <v, d> is never inf - inf; the box cuts t to [t_lo, t_hi].
+        self._p = (self.b / (self.a @ self.a)) * self.a
+        self._d = np.array([-self.a[1], self.a[0]]) / np.abs(self.a).max()
+        t_lo, t_hi = -np.inf, np.inf
+        for lo_i, hi_i, p_i, d_i in zip(self.lo, self.hi, self._p, self._d):
+            if d_i != 0.0:
+                ends = sorted(((lo_i - p_i) / d_i, (hi_i - p_i) / d_i))
+                t_lo, t_hi = max(t_lo, ends[0]), min(t_hi, ends[1])
+            elif not lo_i <= p_i <= hi_i:
+                t_lo = np.inf  # the line misses the box
+        self._t_ends = (t_lo, t_hi)
         self.project(0.5 * (self.lo + self.hi))  # raises when the set is empty
 
-    def _candidates(self, v):
-        lo, hi, a, b = self.lo, self.hi, self.a, self.b
-        cands = [v]
-        # single active facet: one box face, or the halfspace boundary
-        for i in range(2):
-            for bound in (lo[i], hi[i]):
-                c = v.copy()
-                c[i] = bound
-                cands.append(c)
-        cands.append(v - ((a @ v - b) / (a @ a)) * a)
-        # facet pairs: box corners, and halfspace boundary crossed with a face
-        for x0 in (lo[0], hi[0]):
-            for x1 in (lo[1], hi[1]):
-                cands.append(np.array([x0, x1]))
-        for i in range(2):
-            j = 1 - i
-            if a[j] != 0.0:
-                for bound in (lo[i], hi[i]):
-                    c = np.empty(2)
-                    c[i] = bound
-                    c[j] = (b - a[i] * bound) / a[j]
-                    cands.append(c)
-        return cands
-
     def _project(self, v):
-        best, best_d = None, np.inf
-        for c in self._candidates(v):
-            if self._contains(c, _FEAS_TOL * max(1.0, float(np.abs(c).max()))):
-                d = float(np.sum((c - v) ** 2))
-                if d < best_d:
-                    best, best_d = c, d
-        if best is None:
+        x = np.clip(v, self.lo, self.hi)
+        if self.a @ x <= self.b:
+            return x
+        t_lo, t_hi = self._t_ends
+        if t_lo > t_hi:
             raise ValueError("empty feasible set: box and halfspace do not intersect")
-        return np.clip(best, self.lo, self.hi)
+        t = min(max((v @ self._d) / (self._d @ self._d), t_lo), t_hi)
+        return np.clip(self._p + t * self._d, self.lo, self.hi)
 
     def _contains(self, v, tol):
         return bool(

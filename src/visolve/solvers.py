@@ -391,6 +391,9 @@ STEP_SIZED = tuple(tag for tag, cls in _SOLVERS.items() if cls is not RegretMatc
 
 # Baseline step sizes over the spectral norm of the payoff.
 _STEP_OVER_NORM = {"eg": 0.99, "pda": 0.99, "oomd-l2": 0.5}
+# The algorithms that use each make_solver option.
+_OPTION_USERS = {"params": VARIANCE_REDUCED, "oracle": VARIANCE_REDUCED,
+                 "stepsize": tuple(tag for tag in STEP_SIZED if tag not in VARIANCE_REDUCED)}
 
 
 def unmet_requirement(problem, algorithm):
@@ -412,7 +415,7 @@ def applicable(problem, algorithm):
 def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every=None):
     """One message per run rule the settings break; the budget and cadence
     rules apply when those are given."""
-    errors = [reason for algorithm in algorithms
+    errors = [reason for algorithm in dict.fromkeys(algorithms)
               if (reason := unmet_requirement(problem, algorithm)) is not None]
     if not tau_scale > 0.0:  # NaN too
         errors.append(f"tau_scale must be positive, got {tau_scale}")
@@ -433,9 +436,16 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     Baseline step sizes: 0.99/||A||_2 for the extragradient and primal-dual
     solvers, 0.5/||A||_2 for Euclidean optimistic mirror descent, 1 for the
     entropy variant; tau_scale multiplies every step, given or baseline.
+    ``params`` and ``oracle`` apply to the variance-reduced solvers and
+    ``stepsize`` to the other step-sized ones; an option the algorithm does
+    not use is an error.
     """
     if errors := setting_errors(problem, [algorithm], tau_scale):
         raise ValueError("; ".join(errors))
+    given = {"params": params, "oracle": oracle, "stepsize": stepsize}
+    if unused := [option for option, value in given.items()
+                  if value is not None and algorithm not in _OPTION_USERS[option]]:
+        raise ValueError(f"{algorithm} does not use {', '.join(unused)}")
     N = default_components(problem) if cost_N is None else int(cost_N)
     if N < 1:
         raise ValueError("N must be at least 1")

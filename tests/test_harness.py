@@ -356,3 +356,12 @@ def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
         assert code == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_unknown_algorithm_named_once(tmp_path, capsys):
+    code = cli.main(["run", "--gen", "pb", "--n", "6", "--algo", "sgd,sgd", "--budget", "60",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("unknown algorithm 'sgd'") == 1
+    assert "algorithm list repeats sgd" in err

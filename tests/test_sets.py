@@ -28,12 +28,26 @@ def simplex_projection_oracle(v):
     return best
 
 
+def halfspace_boxes():
+    """ws-example's set, and two geometries no other test reaches: a normal
+    with a negative entry and a normal with a zero entry."""
+    return {
+        "ws": HalfspaceBox(0.0, 1.0, np.array([1.0, 1.0]), 1.5),
+        "negative-normal-entry": HalfspaceBox(np.array([-1.0, 0.0]), np.array([2.0, 1.0]),
+                                              np.array([1.0, -2.0]), 0.5),
+        "zero-normal-entry": HalfspaceBox(0.0, 1.0, np.array([0.0, 1.0]), 0.5),
+    }
+
+
 def variants():
+    boxes = halfspace_boxes()
     return [
         Simplex(5),
         Box(np.array([-1.0, 0.0, -2.0, 1.0]), np.array([1.0, 0.5, -1.0, 3.0])),
         SimplexProduct([3, 2, 4]),
-        HalfspaceBox(0.0, 1.0, np.array([1.0, 1.0]), 1.5),
+        boxes["ws"],
+        pytest.param(boxes["negative-normal-entry"], id="HalfspaceBox-negative-normal-entry"),
+        pytest.param(boxes["zero-normal-entry"], id="HalfspaceBox-zero-normal-entry"),
         Product([Simplex(3), Box(-0.5, 0.5, dim=2)]),
         # short equal blocks take the column kernel, longer ones the batch
         # kernel, unequal ones the 1-D kernel
@@ -68,19 +82,28 @@ def test_halfspacebox_example_point():
     assert np.allclose(s.project(np.array([1.0, 1.0])), [0.75, 0.75], atol=1e-12)
 
 
-def test_halfspacebox_beats_grid_search():
-    s = HalfspaceBox(0.0, 1.0, np.array([1.0, 1.0]), 1.5)
-    axis = np.linspace(0.0, 1.0, 401)
-    gx, gy = np.meshgrid(axis, axis)
+@pytest.mark.parametrize("name", list(halfspace_boxes()))
+def test_halfspacebox_beats_grid_search(name):
+    s = halfspace_boxes()[name]
+    gx, gy = np.meshgrid(*(np.linspace(lo, hi, 401) for lo, hi in zip(s.lo, s.hi)))
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     pts = pts[pts @ s.a <= s.b]
     rng = StableRng(3)
     for _ in range(50):
-        v = 4.0 * rng.uniform(2) - 1.5
+        v = s.lo + (s.hi - s.lo) * (4.0 * rng.uniform(2) - 1.5)
         proj = s.project(v)
         grid_best = np.min(np.sum((pts - v) ** 2, axis=1))
         assert np.sum((proj - v) ** 2) <= grid_best + 1e-9
         assert s.contains(proj, tol=1e-12)
+
+
+@pytest.mark.parametrize("v, expected", [((1e17, 1e17), (0.75, 0.75)),
+                                         ((1e160, 1e160), (0.75, 0.75)),
+                                         ((1e308, -1e308), (1.0, 0.0))],
+                         ids=["1e17", "1e160", "1e308"])
+def test_halfspacebox_projects_every_finite_magnitude(ws, v, expected):
+    """No squared distance overflows and no b is lost against <a, v>."""
+    assert np.array_equal(ws[0].set.project(np.array(v)), expected)
 
 
 def test_box_clamp_example():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,24 @@ def test_nonfinite_values_abort_with_diagnostic(interior_box_problem):
         assert err.value.algorithm == algo
         assert err.value.iteration >= 0
         assert err.value.seed == 0
+
+
+@pytest.mark.parametrize("tau_scale", [1e150, 1e300])
+def test_huge_steps_project_onto_the_ws_solution_segment(ws, tau_scale):
+    """A step this long leaves the box far along the diagonal; its projection
+    is (3/4, 3/4), on the solution segment."""
+    problem, known = ws
+    trace = vs.run(problem, "eg", 40, 0, 4, tau_scale=tau_scale, known=known)
+    assert trace.dist_theta[-1] == 0
+
+
+@pytest.mark.parametrize("algo, option", [("eg", "params"), ("oomd-l2", "oracle"),
+                                          ("svrg-eg", "stepsize"), ("rm+", "stepsize")])
+def test_make_solver_rejects_an_option_its_algorithm_does_not_use(pb8, algo, option):
+    value = {"params": SvrgParams.suggested(8, pb8.lipschitz_bound()),
+             "oracle": ExactOracle(pb8), "stepsize": 0.5}[option]
+    with pytest.raises(ValueError, match=re.escape(f"{algo} does not use {option}")):
+        make_solver(pb8, algo, seed=0, **{option: value})
 
 
 def test_variance_reduced_tags():

@@ -1,23 +1,28 @@
 """Digest the CSVs of a fixed matrix of `visolve` runs.
 
-The matrix runs every applicable algorithm, seeds 0-2, on five instances
+The matrix runs every applicable algorithm, seeds 0-2, on six instances
 (the 30 x 30 pursuit game with instance seed 1 at budget 3000 and cadence
 60, the 2-D known-segment instance at budget 200 and cadence 10, the 4 x 4
-labeling game with 2 and with 3 regions at budget 4000 and cadence 100, and
-a 12-dimensional monotone affine VI over a box at budget 1200 and cadence
-60). It runs the pursuit game once more with `--tau-scale 3 --gamma 0.7`,
+labeling game with 2 and with 3 regions at budget 4000 and cadence 100, a
+12-dimensional monotone affine VI over a box at budget 1200 and cadence 60,
+and a 2-D affine VI over a box cut by a halfspace at budget 200 and cadence
+10). It runs the pursuit game once more with `--tau-scale 3 --gamma 0.7`,
 so the step multiplier, a parameter override and the order in which a
 multiplier that is not a power of two enters the step are gated too. It
-adds a `compare` with `--q 0,1,2` of every applicable algorithm on
-the pursuit game, written to a named `.csv` file, and on the 2-region
-labeling game and the 2-D instance, written into a directory, so both
+adds a `compare` with `--q 0,1,2` of every applicable algorithm on the
+pursuit game, written to a named `.csv` file, and on the 2-region labeling
+game and the 2-D known-segment instance, written into a directory, so both
 `--out` rules and a `compare` on an instance with a known solution set are
 gated.
-The affine VI is written with `save_instance` and run through
-`--instance`, so the gate covers the instance file format; unlike the 2-D
-instance, whose traces are all zero, its residuals stay above zero at the
-budget. Every run goes through `cli.main` into a temporary directory; the
-output is one `sha256  relative/path` line per CSV, sorted by path.
+The two affine VIs are written with `save_instance` and run through
+`--instance`, so the gate covers the instance file format. Unlike the 2-D
+known-segment instance, whose traces are all zero and whose iterates all
+lie on the diagonal, the 12-dimensional VI's residuals stay above zero at
+the budget, and the 2-D VI's steps leave the halfspace off the diagonal, so
+they gate the active branch of its projection; its last iterates reach the
+solution vertex, but its averaged residuals stay above zero. Every run
+goes through `cli.main` into a temporary directory; the output is one
+`sha256  relative/path` line per CSV, sorted by path.
 
     python3 tools/fixed_matrix.py [SRC_DIR] > digests.txt
 
@@ -37,6 +42,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 AFFINE_FILE = "affine12.vif"
+HALFBOX_FILE = "halfbox2.vif"
 
 # (output subdirectory, generator or instance file, generator flags, budget, cadence)
 RUNS = (
@@ -45,6 +51,7 @@ RUNS = (
     ("seg", "segmentation", {"grid": 4}, 4000, 100),
     ("seg3", "segmentation", {"grid": 4, "regions": 3}, 4000, 100),
     ("affine", AFFINE_FILE, {}, 1200, 60),
+    ("halfbox", HALFBOX_FILE, {}, 200, 10),
     ("scaled", "pb", {"n": 30, "seed": 1}, 3000, 60),
 )
 
@@ -69,6 +76,14 @@ def affine_box_instance(vs):
     return vs.AffineVI(0.1 * B.T @ B + C - C.T, q, vs.Box(-0.5, 0.5, dim=d))
 
 
+def halfspace_box_instance(vs):
+    """F(z) = Mz + q with M = [[1/2, 1], [-1, 1/2]] (M + M' = I) and
+    q = (-2, -1) over {0 <= z <= 1, z1 + 2 z2 <= 1.6}; the halfspace is
+    active at the solution, which lies off the diagonal."""
+    M = [[0.5, 1.0], [-1.0, 0.5]]
+    return vs.AffineVI(M, [-2.0, -1.0], vs.HalfspaceBox(0.0, 1.0, [1.0, 2.0], 1.6))
+
+
 def main(argv):
     src = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.join(HERE, os.pardir, "src")
     sys.path.insert(0, src)
@@ -77,6 +92,7 @@ def main(argv):
 
     with tempfile.TemporaryDirectory() as out:
         vs.save_instance(os.path.join(out, AFFINE_FILE), affine_box_instance(vs))
+        vs.save_instance(os.path.join(out, HALFBOX_FILE), halfspace_box_instance(vs))
         commands = []
         for sub, name, params, budget, cadence in RUNS:
             is_file = name not in harness.GENERATORS
