@@ -5,9 +5,8 @@ and closed-form convergence diagnostics."""
 
 from .averaging import AveragingAccumulator
 from .metrics import GapTrace, dist_theta, duality_gap, duality_gap_at, natural_residual, ws_ratio
-from .oracles import (ExactOracle, MatrixGameOracle, SamplingDistribution, SnapshotCache,
-                      default_components, pair_second_moment, stochastic_operator,
-                      vr_conditional_variance)
+from .oracles import (MatrixGameOracle, SamplingDistribution, SnapshotCache, default_components,
+                      pair_second_moment, stochastic_operator, vr_conditional_variance)
 from .problems import (AffineVI, BilinearStructure, SolutionSet, grid_gradient, load_instance,
                        matching_pennies, nemirovski, policeman_burglar, save_instance,
                        spectral_norm, synthetic_segmentation, uniform_random, ws_example)

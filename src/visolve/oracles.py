@@ -1,12 +1,15 @@
-"""Stochastic operator oracles for bilinear games and variance reduction.
+"""Column-sampled operator oracle and variance reduction, for every instance.
 
-The sampled oracle picks a row i and a column j with probabilities
-proportional to their squared norms and returns inverse-probability-weighted
-rank-one slices, so its expectation is exactly the full operator and its
-mean-square Lipschitz constant equals the Frobenius norm of the payoff
-matrix. Costs are counted in units of one sampled evaluation; a full
-operator evaluation costs N units (``default_components``), and each
-solver's step charges itself.
+F(z) = Mz + q is q plus the sum over k of the columns M_.k scaled by z_k.
+The columns fall into blocks: a game's x columns (the rows of A, negated,
+which fill the y rows of F) and its y columns (the columns of A, which fill
+the x rows), and a plain affine VI's one block of all of M. The oracle draws
+one column k per block with probability proportional to ||M_.k||^2 and
+weights it by 1 / p_k, so its expectation is exactly the full operator and
+its mean-square Lipschitz constant is the Frobenius norm of A for a game and
+of M for a plain VI. Costs are counted in units of one sampled evaluation: a
+full operator evaluation costs N units (``default_components``), so N
+sampled evaluations read all of M, and each solver's step charges itself.
 """
 
 from __future__ import annotations
@@ -19,64 +22,42 @@ import scipy.sparse as sp
 
 
 class SamplingDistribution:
-    """Row/column importance sampling: p_i = ||A_i||^2 / ||A||_F^2 and
-    p_j = ||A_.j||^2 / ||A||_F^2. Zero rows and columns get probability zero
-    and are never drawn."""
+    """Column importance sampling, one column per block: p_k = ||M_.k||^2 / T.
 
-    def __init__(self, A):
-        if sp.issparse(A):
-            sq = A.multiply(A)
-            row_sq = np.asarray(sq.sum(axis=1)).ravel()
-            col_sq = np.asarray(sq.sum(axis=0)).ravel()
-        else:
-            A = np.asarray(A, dtype=np.float64)
-            row_sq = np.sum(A * A, axis=1)
-            col_sq = np.sum(A * A, axis=0)
-        total = row_sq.sum()
+    T is the first block's squared Frobenius norm. A plain VI has one block,
+    and each block of a game holds every entry of A once, so one T serves
+    every block. Zero columns get probability zero and are never drawn.
+    """
+
+    def __init__(self, block_sq):
+        total = block_sq[0].sum()
         if total <= 0.0:
-            raise ValueError("all-zero payoff matrix has no sampling distribution")
-        self.p_row = row_sq / total
-        self.p_col = col_sq / total
-        self.cdf_row = np.cumsum(self.p_row)
-        self.cdf_col = np.cumsum(self.p_col)
-        self.cdf_row[-1] = 1.0
-        self.cdf_col[-1] = 1.0
+            raise ValueError("all-zero operator has no sampling distribution")
+        self.total = float(total)
+        self.p = [sq / total for sq in block_sq]
+        self.cdf = [np.cumsum(p) for p in self.p]
+        for cdf in self.cdf:
+            cdf[-1] = 1.0
         # bisect on Python lists finds what searchsorted(side="right") finds,
-        # without the cost of two scalar numpy calls per draw
-        self._cdf_row_list = self.cdf_row.tolist()
-        self._cdf_col_list = self.cdf_col.tolist()
+        # without the cost of scalar numpy calls per draw
+        self._cdf_lists = [(cdf.tolist(), cdf.size - 1) for cdf in self.cdf]
 
     def draw(self, rng):
-        """One (i, j) sample; the row uniform is consumed before the column's."""
-        i = bisect.bisect_right(self._cdf_row_list, rng.uniform())
-        j = bisect.bisect_right(self._cdf_col_list, rng.uniform())
-        return min(i, self.p_row.size - 1), min(j, self.p_col.size - 1)
+        """One column index per block; the blocks consume their uniforms in order."""
+        return [min(bisect.bisect_right(cdf, rng.uniform()), last)
+                for cdf, last in self._cdf_lists]
 
     def draw_many(self, rng, count):
-        i = np.searchsorted(self.cdf_row, rng.uniform(count), side="right")
-        j = np.searchsorted(self.cdf_col, rng.uniform(count), side="right")
-        return (np.minimum(i, self.p_row.size - 1), np.minimum(j, self.p_col.size - 1))
+        """``count`` draws as one index array per block; each block takes its
+        ``count`` uniforms before the next block takes any."""
+        return [np.minimum(np.searchsorted(cdf, rng.uniform(count), side="right"), cdf.size - 1)
+                for cdf in self.cdf]
 
 
-def stochastic_operator(problem, sampling, sample, z):
-    """Sampled estimate of F at z for a bilinear problem.
-
-    Returns ((1/p_j) A_.j y_j + bx, -(1/p_i) A_i x_i + by) for the drawn
-    (i, j); the inverse-probability weights make the estimate unbiased, and
-    the linear terms pass through unweighted.
-    """
-    s = problem.structure
-    i, j = sample
-    pi, pj = sampling.p_row[i], sampling.p_col[j]
-    if pi <= 0.0 or pj <= 0.0:
-        raise ValueError("drew a zero-probability row or column")
-    x, y = problem.split(z)
-    out = np.concatenate([s.bx, s.by])
-    idx, vals = s.col(j)
-    out[:s.primal_dim][idx] += (y[j] / pj) * vals
-    idx, vals = s.row(i)
-    out[s.primal_dim:][idx] += (-x[i] / pi) * vals
-    return out
+def _squared_sums(A, axes):
+    """Sums of the squared entries of a dense or sparse matrix along each axis."""
+    sq = A.multiply(A) if sp.issparse(A) else A * A
+    return [np.asarray(sq.sum(axis=axis)).ravel() for axis in axes]
 
 
 @dataclass
@@ -92,76 +73,76 @@ class SnapshotCache:
         return cls(w=w, Fw=problem.operator(w))
 
 
-def pair_second_moment(problem, z1, z2):
-    """Exact E ||F_sampled(z1) - F_sampled(z2)||^2 over the sampling support.
-
-    Under importance weighting this collapses to ||A||_F^2 times the squared
-    distance restricted to rows/columns with positive probability.
-    """
-    s = problem.structure
-    sampling = SamplingDistribution(s.A)
-    fro_sq = s.frobenius_norm() ** 2
-    x1, y1 = problem.split(np.asarray(z1, dtype=np.float64))
-    x2, y2 = problem.split(np.asarray(z2, dtype=np.float64))
-    dx = np.where(sampling.p_row > 0, x1 - x2, 0.0)
-    dy = np.where(sampling.p_col > 0, y1 - y2, 0.0)
-    return float(fro_sq * (dx @ dx + dy @ dy))
-
-
-def vr_conditional_variance(problem, z_half, w):
-    """Exact conditional variance E ||Fhat(z_half) - F(z_half)||^2 of the
-    variance-reduced estimate anchored at snapshot w."""
-    mean_diff = problem.operator(z_half) - problem.operator(w)
-    return float(pair_second_moment(problem, z_half, w) - mean_diff @ mean_diff)
-
-
 class MatrixGameOracle:
-    """Importance-sampled oracle over a bilinear payoff matrix."""
+    """Column-sampled oracle of F(z) = Mz + q, for games and plain affine VIs.
+
+    Each block is a row ``(at, rows, column, signed_p)``: its columns are the
+    coordinates ``at + k``, column k of M is ``sign * column(k)`` placed in
+    ``F[rows]``, and ``signed_p`` is ``sign * p``. Dividing by the signed
+    probability applies the sign exactly.
+    """
 
     def __init__(self, problem):
-        if problem.structure is None:
-            raise ValueError("sampled oracle needs a bilinear structure")
         self.problem = problem
-        self.sampling = SamplingDistribution(problem.structure.A)
+        s = problem.structure
+        if s is None:
+            M = problem.M
+            blocks = [(0, slice(0, problem.dim), lambda k: (slice(None), M[:, k]), 1.0)]
+            self.sampling = SamplingDistribution(_squared_sums(M, (0,)))
+        else:
+            n, m = s.primal_dim, s.dual_dim
+            blocks = [(0, slice(n, n + m), s.row, -1.0), (n, slice(0, n), s.col, 1.0)]
+            self.sampling = SamplingDistribution(_squared_sums(s.A, (1, 0)))
+        self._blocks = [(at, rows, column, sign * p)
+                        for (at, rows, column, sign), p in zip(blocks, self.sampling.p)]
 
     def draw(self, rng):
         return self.sampling.draw(rng)
 
     def vr_estimate(self, cache, sample, z_half):
-        """F_sampled(z_half) - F_sampled(w) + F(w), both slices on one sample.
+        """F(w) + sum over blocks of ((z_half_k - w_k) / p_k) M_.k, on one sample.
 
-        The shared terms cancel analytically: at z_half = w it returns F(w)
-        exactly, for every sample.
+        At z_half = w it returns F(w) exactly, for every sample.
         """
-        i, j = sample
-        s = self.problem.structure
-        n = s.primal_dim
         out = cache.Fw.copy()
-        idx, vals = s.col(j)
-        out[:n][idx] += ((z_half[n + j] - cache.w[n + j]) / self.sampling.p_col[j]) * vals
-        idx, vals = s.row(i)
-        out[n:][idx] -= ((z_half[i] - cache.w[i]) / self.sampling.p_row[i]) * vals
+        w = cache.w
+        for k, (at, rows, column, signed_p) in zip(sample, self._blocks):
+            idx, vals = column(k)
+            out[rows][idx] += ((z_half[at + k] - w[at + k]) / signed_p[k]) * vals
         return out
 
 
-class ExactOracle:
-    """Degenerate oracle whose samples are the full operator (used for
-    problems without a sampled decomposition; draws consume no randomness)."""
+def stochastic_operator(oracle, sample, z):
+    """Sampled estimate of F at z: q plus (z_k / p_k) M_.k for each drawn k.
 
-    def __init__(self, problem):
-        self.problem = problem
-
-    def draw(self, rng):
-        return None
-
-    def vr_estimate(self, cache, sample, z_half):
-        return self.problem.operator(z_half)
+    It is the variance-reduced estimate anchored at the origin, where F is q.
+    """
+    if any(p[k] <= 0.0 for p, k in zip(oracle.sampling.p, sample)):
+        raise ValueError("drew a zero-probability column")
+    problem = oracle.problem
+    origin = SnapshotCache(w=np.zeros(problem.dim), Fw=problem.q)
+    return oracle.vr_estimate(origin, sample, np.asarray(z, dtype=np.float64))
 
 
-def oracle_for(problem):
-    if problem.structure is not None:
-        return MatrixGameOracle(problem)
-    return ExactOracle(problem)
+def pair_second_moment(oracle, z1, z2):
+    """Exact E ||F_sampled(z1) - F_sampled(z2)||^2 over the sampling support.
+
+    The blocks fill disjoint rows of F, so under importance weighting this
+    collapses to T times the squared distance restricted to the coordinates
+    whose columns have positive probability.
+    """
+    sampling = oracle.sampling
+    d = np.asarray(z1, dtype=np.float64) - np.asarray(z2, dtype=np.float64)
+    d = np.where(np.concatenate(sampling.p) > 0, d, 0.0)
+    return float(sampling.total * (d @ d))
+
+
+def vr_conditional_variance(oracle, z_half, w):
+    """Exact conditional variance E ||Fhat(z_half) - F(z_half)||^2 of the
+    variance-reduced estimate anchored at snapshot w."""
+    problem = oracle.problem
+    mean_diff = problem.operator(z_half) - problem.operator(w)
+    return float(pair_second_moment(oracle, z_half, w) - mean_diff @ mean_diff)
 
 
 def default_components(problem):

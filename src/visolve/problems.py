@@ -151,11 +151,11 @@ class AffineVI:
         return self._M @ z + self.q
 
     def lipschitz_bound(self):
-        """Mean-square Lipschitz constant of the sampled oracle: ||A||_F for
-        games, spectral norm of M otherwise."""
+        """Mean-square Lipschitz constant of the column-sampled oracle: ||A||_F
+        for games, ||M||_F otherwise."""
         if self.structure is not None:
             return self.structure.frobenius_norm()
-        return self.spectral_norm()
+        return float(np.linalg.norm(self._M))
 
     def spectral_norm(self):
         """Spectral norm of the payoff matrix for games, of M otherwise;

@@ -268,7 +268,7 @@ class HalfspaceBox(FeasibleSet):
             raise ValueError("this polytope variant is 2-D only")
         if np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi componentwise")
-        if np.allclose(self.a, 0.0):
+        if not self.a @ self.a > 0.0:
             raise ValueError("halfspace normal must be nonzero")
         self.dim = 2
         # The line <a, x> = b is p + t d. No entry of d exceeds 1 in size, so

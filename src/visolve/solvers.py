@@ -17,7 +17,7 @@ import numpy as np
 
 from .averaging import AveragingAccumulator
 from .metrics import AVERAGE_COLUMNS, GapTrace, duality_gap_at, natural_residual, dist_theta
-from .oracles import SnapshotCache, default_components, oracle_for
+from .oracles import MatrixGameOracle, SnapshotCache, default_components
 from .rng import StableRng
 from .sets import NonFiniteInput
 
@@ -41,8 +41,8 @@ class SvrgParams:
 
     The step size tau = gamma * sqrt(1 - alpha) / L is the theoretically safe
     step; make_solver scales it. L is the mean-square Lipschitz constant of
-    the oracle (the Frobenius norm of the payoff for sampled games). K is the
-    inner-loop length of the double-loop variant.
+    the column-sampled oracle: the Frobenius norm of A for a game, of M for a
+    plain affine VI. K is the inner-loop length of the double-loop variant.
     """
 
     p: float
@@ -143,11 +143,11 @@ class _AnchoredExtragradient(_SolverBase):
     from zbar (Alacaoglu & Malitsky 2022).
     """
 
-    def __init__(self, problem, params, tau, N, seed=0, z0=None, oracle=None):
+    def __init__(self, problem, params, tau, N, seed=0, z0=None):
         super().__init__(problem, N, seed, z0)
         self.params = params
         self.tau = float(tau)
-        self.oracle = oracle_for(problem) if oracle is None else oracle
+        self.oracle = MatrixGameOracle(problem)
         self.cache = SnapshotCache.at(problem, self.z)
         self.evals += self.N  # full operator at the initial snapshot
 
@@ -197,10 +197,10 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
 
     name = "dl-svrg-eg"
 
-    def __init__(self, problem, params, tau, N, seed=0, z0=None, oracle=None):
+    def __init__(self, problem, params, tau, N, seed=0, z0=None):
         if params.K is None:
             raise ValueError("double-loop solver needs the inner length K")
-        super().__init__(problem, params, tau, N, seed, z0, oracle)
+        super().__init__(problem, params, tau, N, seed, z0)
         self.epoch = 0
 
     @property
@@ -392,7 +392,7 @@ STEP_SIZED = tuple(tag for tag, cls in _SOLVERS.items() if cls is not RegretMatc
 # Baseline step sizes over the spectral norm of the payoff.
 _STEP_OVER_NORM = {"eg": 0.99, "pda": 0.99, "oomd-l2": 0.5}
 # The algorithms that use each make_solver option.
-_OPTION_USERS = {"params": VARIANCE_REDUCED, "oracle": VARIANCE_REDUCED,
+_OPTION_USERS = {"params": VARIANCE_REDUCED,
                  "stepsize": tuple(tag for tag in STEP_SIZED if tag not in VARIANCE_REDUCED)}
 
 
@@ -430,19 +430,19 @@ def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every
 
 
 def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
-                stepsize=None, cost_N=None, z0=None, oracle=None):
+                stepsize=None, cost_N=None, z0=None):
     """Build a solver with the suggested parameters of its algorithm.
 
     Baseline step sizes: 0.99/||A||_2 for the extragradient and primal-dual
     solvers, 0.5/||A||_2 for Euclidean optimistic mirror descent, 1 for the
     entropy variant; tau_scale multiplies every step, given or baseline.
-    ``params`` and ``oracle`` apply to the variance-reduced solvers and
-    ``stepsize`` to the other step-sized ones; an option the algorithm does
-    not use is an error.
+    ``params`` applies to the variance-reduced solvers and ``stepsize`` to
+    the other step-sized ones; an option the algorithm does not use is an
+    error.
     """
     if errors := setting_errors(problem, [algorithm], tau_scale):
         raise ValueError("; ".join(errors))
-    given = {"params": params, "oracle": oracle, "stepsize": stepsize}
+    given = {"params": params, "stepsize": stepsize}
     if unused := [option for option, value in given.items()
                   if value is not None and algorithm not in _OPTION_USERS[option]]:
         raise ValueError(f"{algorithm} does not use {', '.join(unused)}")
@@ -453,7 +453,7 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     if issubclass(cls, _AnchoredExtragradient):
         if params is None:
             params = SvrgParams.suggested(N, problem.lipschitz_bound())
-        return cls(problem, params, params.scaled_tau(tau_scale), N, seed, z0, oracle)
+        return cls(problem, params, params.scaled_tau(tau_scale), N, seed, z0)
     if cls is RegretMatchingPlus:
         return cls(problem, N, seed, z0)
     if stepsize is None:

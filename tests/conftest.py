@@ -1,9 +1,15 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import visolve as vs
 from visolve.rng import StableRng
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools"))
+import fixed_matrix  # noqa: E402  (the fixed matrix's instances and digests)
 
 
 def random_game(n, m, seed, lo=-1.0, hi=1.0, with_linear=False):
@@ -55,3 +61,9 @@ def interior_box_problem():
     M = np.eye(3)
     feasible = vs.Box(-2.0, 2.0, dim=3)
     return vs.AffineVI(M, -z_star, feasible), z_star
+
+
+def plain_affine_vis():
+    """The two plain affine VIs of the fixed matrix, fresh, by name."""
+    return {"affine12": fixed_matrix.affine_box_instance(vs),
+            "halfbox2": fixed_matrix.halfspace_box_instance(vs)}

@@ -10,7 +10,7 @@ import pytest
 import visolve as vs
 from visolve.averaging import AveragingAccumulator
 from visolve.metrics import dist_theta, duality_gap, ws_ratio
-from visolve.oracles import SamplingDistribution, stochastic_operator, vr_conditional_variance
+from visolve.oracles import MatrixGameOracle, stochastic_operator, vr_conditional_variance
 from visolve.rng import StableRng
 from visolve.solvers import SvrgParams, make_solver
 
@@ -24,7 +24,8 @@ def _criterion(num, passed, detail):
 
 def test_criterion_01_oracle_unbiasedness():
     problem = random_game(5, 5, seed=2024)
-    s = SamplingDistribution(problem.structure.A)
+    oracle = MatrixGameOracle(problem)
+    p_row, p_col = oracle.sampling.p
     rng = StableRng(1)
     worst = 0.0
     for _ in range(20):
@@ -32,7 +33,7 @@ def test_criterion_01_oracle_unbiasedness():
         mean = np.zeros(problem.dim)
         for i in range(5):
             for j in range(5):
-                mean += s.p_row[i] * s.p_col[j] * stochastic_operator(problem, s, (i, j), z)
+                mean += p_row[i] * p_col[j] * stochastic_operator(oracle, (i, j), z)
         F = problem.operator(z)
         worst = max(worst, np.linalg.norm(mean - F) / np.linalg.norm(F))
     _criterion(1, worst <= 1e-10, f"exact-expectation relative error {worst:.2e} <= 1e-10")
@@ -43,7 +44,8 @@ def test_criterion_02_lipschitz_in_mean():
     worst = 0.0
     for seed in range(5):
         problem = random_game(5, 5, seed=seed)
-        s = SamplingDistribution(problem.structure.A)
+        oracle = MatrixGameOracle(problem)
+        p_row, p_col = oracle.sampling.p
         bound = 2.0 * problem.structure.frobenius_norm() ** 2
         for _ in range(10):
             z1 = problem.set.sample(rng, 1)[0]
@@ -51,9 +53,9 @@ def test_criterion_02_lipschitz_in_mean():
             second = 0.0
             for i in range(5):
                 for j in range(5):
-                    diff = (stochastic_operator(problem, s, (i, j), z1)
-                            - stochastic_operator(problem, s, (i, j), z2))
-                    second += s.p_row[i] * s.p_col[j] * float(diff @ diff)
+                    diff = (stochastic_operator(oracle, (i, j), z1)
+                            - stochastic_operator(oracle, (i, j), z2))
+                    second += p_row[i] * p_col[j] * float(diff @ diff)
             worst = max(worst, second / (bound * float(np.sum((z1 - z2) ** 2))))
     _criterion(2, worst <= 1.0, f"second moment / (2 ||A||_F^2 dist^2) max {worst:.3f} <= 1")
 
@@ -68,7 +70,7 @@ def _windowed_variance(problem, seed, mark):
     vals = []
     for _ in range(window):
         res = solver.step()
-        vals.append(vr_conditional_variance(problem, res.iterates[0], solver.cache.w))
+        vals.append(vr_conditional_variance(solver.oracle, res.iterates[0], solver.cache.w))
     return float(np.mean(vals))
 
 

@@ -1,115 +1,131 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import visolve as vs
-from visolve.oracles import (MatrixGameOracle, SamplingDistribution, SnapshotCache,
-                             default_components, pair_second_moment, stochastic_operator,
-                             vr_conditional_variance)
+from visolve.oracles import (MatrixGameOracle, SnapshotCache, default_components,
+                             pair_second_moment, stochastic_operator, vr_conditional_variance)
 from visolve.rng import StableRng
 
-from conftest import random_game
+from conftest import plain_affine_vis, random_game
 
 
-def exact_expectation(problem, z):
+def with_plain_vis(game):
+    """The given game, then the two plain affine VIs, by name."""
+    return {"game": game, **plain_affine_vis()}
+
+
+def sampling_of(A):
+    return MatrixGameOracle(vs.AffineVI.bilinear(A)).sampling
+
+
+def support(oracle):
+    """Every sample of positive probability (one column per block), with it."""
+    p = oracle.sampling.p
+    for sample in itertools.product(*(range(block.size) for block in p)):
+        weight = np.prod([block[k] for block, k in zip(p, sample)])
+        if weight > 0:
+            yield sample, weight
+
+
+def exact_expectation(oracle, z):
     """Sum the sampled oracle over its full support with the draw weights."""
-    s = SamplingDistribution(problem.structure.A)
-    n, m = problem.structure.A.shape
-    total = np.zeros(problem.dim)
-    for i in range(n):
-        for j in range(m):
-            w = s.p_row[i] * s.p_col[j]
-            if w > 0:
-                total += w * stochastic_operator(problem, s, (i, j), z)
+    total = np.zeros(oracle.problem.dim)
+    for sample, weight in support(oracle):
+        total += weight * stochastic_operator(oracle, sample, z)
     return total
 
 
 def test_sampling_distribution_examples():
-    s = SamplingDistribution(np.eye(2))
-    assert np.allclose(s.p_row, [0.5, 0.5]) and np.allclose(s.p_col, [0.5, 0.5])
-    s2 = SamplingDistribution(np.array([[3.0, 0.0], [0.0, 4.0]]))
-    assert np.allclose(s2.p_row, [9 / 25, 16 / 25])
-    assert np.allclose(s2.p_col, [9 / 25, 16 / 25])
+    s = sampling_of(np.eye(2))
+    assert np.allclose(s.p, [[0.5, 0.5], [0.5, 0.5]])
+    s2 = sampling_of(np.array([[3.0, 0.0], [0.0, 4.0]]))
+    assert np.allclose(s2.p, [[9 / 25, 16 / 25], [9 / 25, 16 / 25]])
     for seed in range(5):
         A = StableRng(seed).uniform(12).reshape(3, 4)
-        s3 = SamplingDistribution(A)
-        assert abs(s3.p_row.sum() - 1.0) <= 1e-12
-        assert abs(s3.p_col.sum() - 1.0) <= 1e-12
+        for p in sampling_of(A).p:
+            assert abs(p.sum() - 1.0) <= 1e-12
+    plain = vs.AffineVI(np.array([[3.0, 0.0], [0.0, 4.0]]), np.zeros(2), vs.Box(0.0, 1.0, dim=2))
+    assert np.allclose(MatrixGameOracle(plain).sampling.p, [[9 / 25, 16 / 25]])
+    for name, problem in plain_affine_vis().items():
+        (p,) = MatrixGameOracle(problem).sampling.p
+        assert abs(p.sum() - 1.0) <= 1e-12, name
+        assert np.allclose(p, np.sum(problem.M ** 2, axis=0) / problem.lipschitz_bound() ** 2)
 
 
 def test_zero_rows_never_sampled():
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
-    s = SamplingDistribution(A)
-    assert np.allclose(s.p_row, [1.0, 0.0])
-    assert np.allclose(s.p_col, [1.0, 0.0])
-    i, j = s.draw_many(StableRng(0), 10_000)
-    assert np.all(i == 0) and np.all(j == 0)
     problem = vs.AffineVI.bilinear(A)
+    oracle = MatrixGameOracle(problem)
+    assert np.allclose(oracle.sampling.p, [[1.0, 0.0], [1.0, 0.0]])
+    i, j = oracle.sampling.draw_many(StableRng(0), 10_000)
+    assert np.all(i == 0) and np.all(j == 0)
     z = problem.set.sample(StableRng(1), 1)[0]
-    assert np.allclose(exact_expectation(problem, z), problem.operator(z), atol=1e-12)
+    assert np.allclose(exact_expectation(oracle, z), problem.operator(z), atol=1e-12)
 
 
 def test_all_zero_matrix_rejected():
     with pytest.raises(ValueError, match="zero"):
-        SamplingDistribution(np.zeros((3, 3)))
+        MatrixGameOracle(vs.AffineVI.bilinear(np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="zero"):
+        MatrixGameOracle(vs.AffineVI(np.zeros((2, 2)), np.ones(2), vs.Box(0.0, 1.0, dim=2)))
 
 
 def test_stochastic_operator_identity_example():
-    problem = vs.AffineVI.bilinear(np.eye(2))
-    s = SamplingDistribution(np.eye(2))
+    oracle = MatrixGameOracle(vs.AffineVI.bilinear(np.eye(2)))
     z = np.array([1.0, 0.0, 0.0, 1.0])
-    out = stochastic_operator(problem, s, (0, 1), z)
+    out = stochastic_operator(oracle, (0, 1), z)
     assert np.allclose(out, [0.0, 2.0, -2.0, 0.0])
 
 
 def test_exact_expectation_is_unbiased():
-    problem = random_game(4, 4, seed=9, with_linear=True)
-    for k in range(5):
-        z = problem.set.sample(StableRng(k), 1)[0]
-        F = problem.operator(z)
-        err = np.linalg.norm(exact_expectation(problem, z) - F) / max(np.linalg.norm(F), 1e-30)
-        assert err <= 1e-10
+    for name, problem in with_plain_vis(random_game(4, 4, seed=9, with_linear=True)).items():
+        oracle = MatrixGameOracle(problem)
+        for k in range(5):
+            z = problem.set.sample(StableRng(k), 1)[0]
+            F = problem.operator(z)
+            err = np.linalg.norm(exact_expectation(oracle, z) - F) / max(np.linalg.norm(F), 1e-30)
+            assert err <= 1e-10, name
 
 
 def test_linear_terms_pass_through_every_sample():
     problem = random_game(3, 4, seed=2, with_linear=True)
     st = problem.structure
-    s = SamplingDistribution(st.A)
+    oracle = MatrixGameOracle(problem)
+    p_row, p_col = oracle.sampling.p
     z = problem.set.sample(StableRng(0), 1)[0]
     x, y = problem.split(z)
     for i in range(3):
         for j in range(4):
-            out = stochastic_operator(problem, s, (i, j), z)
-            weighted_primal = (y[j] / s.p_col[j]) * st.A[:, j]
-            weighted_dual = (-x[i] / s.p_row[i]) * st.A[i]
+            out = stochastic_operator(oracle, (i, j), z)
+            weighted_primal = (y[j] / p_col[j]) * st.A[:, j]
+            weighted_dual = (-x[i] / p_row[i]) * st.A[i]
             assert np.array_equal(out[:3], weighted_primal + st.bx)
             assert np.array_equal(out[3:], weighted_dual + st.by)
 
 
 def test_vr_estimate_collapses_at_snapshot():
-    problem = random_game(4, 4, seed=4)
-    oracle = MatrixGameOracle(problem)
-    w = problem.set.sample(StableRng(3), 1)[0]
-    cache = SnapshotCache.at(problem, w)
-    for i in range(4):
-        for j in range(4):
-            out = oracle.vr_estimate(cache, (i, j), w)
-            assert np.array_equal(out, cache.Fw)
+    for name, problem in with_plain_vis(random_game(4, 4, seed=4)).items():
+        oracle = MatrixGameOracle(problem)
+        w = problem.set.sample(StableRng(3), 1)[0]
+        cache = SnapshotCache.at(problem, w)
+        for sample, _ in support(oracle):
+            assert np.array_equal(oracle.vr_estimate(cache, sample, w), cache.Fw), name
 
 
 def test_vr_estimate_exact_conditional_expectation():
-    problem = random_game(4, 4, seed=5)
-    oracle = MatrixGameOracle(problem)
-    s = oracle.sampling
-    rng = StableRng(8)
-    w = problem.set.sample(rng, 1)[0]
-    z_half = problem.set.sample(rng, 1)[0]
-    cache = SnapshotCache.at(problem, w)
-    mean = np.zeros(problem.dim)
-    for i in range(4):
-        for j in range(4):
-            mean += s.p_row[i] * s.p_col[j] * oracle.vr_estimate(cache, (i, j), z_half)
-    assert np.allclose(mean, problem.operator(z_half), atol=1e-12)
+    for name, problem in with_plain_vis(random_game(4, 4, seed=5)).items():
+        oracle = MatrixGameOracle(problem)
+        rng = StableRng(8)
+        w = problem.set.sample(rng, 1)[0]
+        z_half = problem.set.sample(rng, 1)[0]
+        cache = SnapshotCache.at(problem, w)
+        mean = np.zeros(problem.dim)
+        for sample, weight in support(oracle):
+            mean += weight * oracle.vr_estimate(cache, sample, z_half)
+        assert np.allclose(mean, problem.operator(z_half), atol=1e-12), name
 
 
 def duplicate_entry_payoffs():
@@ -141,83 +157,76 @@ def test_sparse_slices_exact(payoff):
     problem = vs.AffineVI.bilinear(A, bx, by, primal_set=vs.Box(-1.0, 1.0, dim=n),
                                    dual_set=vs.Box(-1.0, 1.0, dim=m))
     oracle = MatrixGameOracle(problem)
-    s = oracle.sampling
+    p_row, p_col = oracle.sampling.p
     w, z_half = problem.set.sample(rng, 2)
     cache = SnapshotCache.at(problem, w)
     for _ in range(200):
         i, j = oracle.draw(rng)
         expected = cache.Fw.copy()
-        expected[:n] += ((z_half[n + j] - w[n + j]) / s.p_col[j]) * dense[:, j]
-        expected[n:] -= ((z_half[i] - w[i]) / s.p_row[i]) * dense[i]
+        expected[:n] += ((z_half[n + j] - w[n + j]) / p_col[j]) * dense[:, j]
+        expected[n:] -= ((z_half[i] - w[i]) / p_row[i]) * dense[i]
         assert np.array_equal(oracle.vr_estimate(cache, (i, j), z_half), expected)
-        sampled = np.concatenate([(z_half[n + j] / s.p_col[j]) * dense[:, j] + bx,
-                                  (-z_half[i] / s.p_row[i]) * dense[i] + by])
-        assert np.array_equal(stochastic_operator(problem, s, (i, j), z_half), sampled)
+        sampled = np.concatenate([(z_half[n + j] / p_col[j]) * dense[:, j] + bx,
+                                  (-z_half[i] / p_row[i]) * dense[i] + by])
+        assert np.array_equal(stochastic_operator(oracle, (i, j), z_half), sampled)
 
 
-def bruteforce_vr_variance(problem, z_half, w):
-    oracle = MatrixGameOracle(problem)
-    s = oracle.sampling
+def bruteforce_vr_variance(oracle, z_half, w):
+    problem = oracle.problem
     cache = SnapshotCache.at(problem, w)
     F = problem.operator(z_half)
     total = 0.0
-    for i in range(s.p_row.size):
-        for j in range(s.p_col.size):
-            weight = s.p_row[i] * s.p_col[j]
-            if weight > 0:
-                diff = oracle.vr_estimate(cache, (i, j), z_half) - F
-                total += weight * float(diff @ diff)
+    for sample, weight in support(oracle):
+        diff = oracle.vr_estimate(cache, sample, z_half) - F
+        total += weight * float(diff @ diff)
     return total
 
 
 def test_closed_form_variance_matches_bruteforce():
-    problem = random_game(4, 5, seed=6, with_linear=True)
-    rng = StableRng(12)
-    for _ in range(5):
-        w = problem.set.sample(rng, 1)[0]
-        z_half = problem.set.sample(rng, 1)[0]
-        brute = bruteforce_vr_variance(problem, z_half, w)
-        closed = vr_conditional_variance(problem, z_half, w)
-        assert np.isclose(closed, brute, rtol=1e-12, atol=1e-14)
+    for name, problem in with_plain_vis(random_game(4, 5, seed=6, with_linear=True)).items():
+        oracle = MatrixGameOracle(problem)
+        rng = StableRng(12)
+        for _ in range(5):
+            w = problem.set.sample(rng, 1)[0]
+            z_half = problem.set.sample(rng, 1)[0]
+            brute = bruteforce_vr_variance(oracle, z_half, w)
+            closed = vr_conditional_variance(oracle, z_half, w)
+            assert np.isclose(closed, brute, rtol=1e-12, atol=1e-14), name
 
 
 def test_vr_variance_lipschitz_bound():
-    problem = random_game(4, 4, seed=7)
-    fro_sq = problem.structure.frobenius_norm() ** 2
-    rng = StableRng(21)
-    for _ in range(20):
-        w = problem.set.sample(rng, 1)[0]
-        z_half = problem.set.sample(rng, 1)[0]
-        var = vr_conditional_variance(problem, z_half, w)
-        assert var <= fro_sq * float(np.sum((z_half - w) ** 2)) * (1.0 + 1e-12)
+    for name, problem in with_plain_vis(random_game(4, 4, seed=7)).items():
+        oracle = MatrixGameOracle(problem)
+        L_sq = problem.lipschitz_bound() ** 2
+        rng = StableRng(21)
+        for _ in range(20):
+            w = problem.set.sample(rng, 1)[0]
+            z_half = problem.set.sample(rng, 1)[0]
+            var = vr_conditional_variance(oracle, z_half, w)
+            assert var <= L_sq * float(np.sum((z_half - w) ** 2)) * (1.0 + 1e-12), name
 
 
 def test_pair_second_moment_matches_bruteforce():
-    problem = random_game(3, 4, seed=1, with_linear=True)
-    s = SamplingDistribution(problem.structure.A)
-    rng = StableRng(14)
-    z1 = problem.set.sample(rng, 1)[0]
-    z2 = problem.set.sample(rng, 1)[0]
-    brute = 0.0
-    for i in range(3):
-        for j in range(4):
-            weight = s.p_row[i] * s.p_col[j]
-            if weight > 0:
-                diff = (stochastic_operator(problem, s, (i, j), z1)
-                        - stochastic_operator(problem, s, (i, j), z2))
-                brute += weight * float(diff @ diff)
-    assert np.isclose(pair_second_moment(problem, z1, z2), brute, rtol=1e-12)
+    for name, problem in with_plain_vis(random_game(3, 4, seed=1, with_linear=True)).items():
+        oracle = MatrixGameOracle(problem)
+        rng = StableRng(14)
+        z1 = problem.set.sample(rng, 1)[0]
+        z2 = problem.set.sample(rng, 1)[0]
+        brute = 0.0
+        for sample, weight in support(oracle):
+            diff = stochastic_operator(oracle, sample, z1) - stochastic_operator(oracle, sample, z2)
+            brute += weight * float(diff @ diff)
+        assert np.isclose(pair_second_moment(oracle, z1, z2), brute, rtol=1e-12), name
 
 
 def test_sampling_frequencies_match_probabilities():
-    problem = random_game(5, 5, seed=3)
-    s = SamplingDistribution(problem.structure.A)
-    draws = 1_000_000
-    i, j = s.draw_many(StableRng(0), draws)
-    for probs, drawn in ((s.p_row, i), (s.p_col, j)):
-        freq = np.bincount(drawn, minlength=probs.size) / draws
-        se = np.sqrt(probs * (1.0 - probs) / draws)
-        assert np.all(np.abs(freq - probs) <= 3.0 * se + 1e-12)
+    for name, problem in with_plain_vis(random_game(5, 5, seed=3)).items():
+        s = MatrixGameOracle(problem).sampling
+        draws = 1_000_000
+        for probs, drawn in zip(s.p, s.draw_many(StableRng(0), draws)):
+            freq = np.bincount(drawn, minlength=probs.size) / draws
+            se = np.sqrt(probs * (1.0 - probs) / draws)
+            assert np.all(np.abs(freq - probs) <= 3.0 * se + 1e-12), name
 
 
 class _Uniforms:
@@ -230,23 +239,23 @@ class _Uniforms:
         return next(self._values)
 
 
-@pytest.mark.parametrize("A", [vs.policeman_burglar(30, 0).structure.A,
-                               vs.synthetic_segmentation(8, 2, 0).structure.A,
-                               np.array([[1.0, 0.0], [0.0, 0.0]])],
-                         ids=["pb30", "seg8", "zero-row"])
-def test_draw_matches_searchsorted(A):
-    s = SamplingDistribution(A)
+@pytest.mark.parametrize("problem", [vs.policeman_burglar(30, 0),
+                                     vs.synthetic_segmentation(8, 2, 0),
+                                     vs.AffineVI.bilinear(np.array([[1.0, 0.0], [0.0, 0.0]])),
+                                     plain_affine_vis()["affine12"]],
+                         ids=["pb30", "seg8", "zero-row", "affine12"])
+def test_draw_matches_searchsorted(problem):
+    s = MatrixGameOracle(problem).sampling
     # every CDF entry and its predecessor, 0, and seeded uniforms
     probes = [np.concatenate([cdf, np.nextafter(cdf, -np.inf), [0.0], StableRng(k).uniform(5000)])
-              for k, cdf in enumerate((s.cdf_row, s.cdf_col))]
+              for k, cdf in enumerate(s.cdf)]
     count = max(p.size for p in probes)
-    u_row, u_col = (np.resize(p, count) for p in probes)
-    rng = _Uniforms(np.column_stack([u_row, u_col]).ravel().tolist())  # row uniform first
+    uniforms = [np.resize(p, count) for p in probes]
+    rng = _Uniforms(np.column_stack(uniforms).ravel().tolist())  # block order within a draw
     drawn = np.array([s.draw(rng) for _ in range(count)])
-    expect_i = np.minimum(np.searchsorted(s.cdf_row, u_row, side="right"), s.p_row.size - 1)
-    expect_j = np.minimum(np.searchsorted(s.cdf_col, u_col, side="right"), s.p_col.size - 1)
-    assert np.array_equal(drawn[:, 0], expect_i)
-    assert np.array_equal(drawn[:, 1], expect_j)
+    for block, (cdf, u) in enumerate(zip(s.cdf, uniforms)):
+        expect = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        assert np.array_equal(drawn[:, block], expect)
 
 
 @pytest.mark.parametrize("algo", vs.ALGORITHMS)
@@ -313,3 +322,50 @@ def test_default_components():
     assert default_components(vs.policeman_burglar(7, 0)) == 7
     assert default_components(vs.uniform_random(3, 9, 0)) == 9
     assert default_components(vs.ws_example()[0]) == 2
+
+
+def audited_pairs():
+    """(instance, algorithm) for every applicable algorithm among those that
+    evaluate F, on one instance of each family."""
+    instances = {"pb8": lambda: vs.policeman_burglar(8, 1),
+                 "seg4": lambda: vs.synthetic_segmentation(4, 2, 0),
+                 "ws": lambda: vs.ws_example()[0],
+                 **{name: lambda name=name: plain_affine_vis()[name]
+                    for name in ("affine12", "halfbox2")}}
+    return [pytest.param(make, algo, id=f"{name}-{algo}") for name, make in instances.items()
+            for algo in ("eg", "oomd-l2", "oomd-entropy", "svrg-eg", "dl-svrg-eg")
+            if vs.applicable(make(), algo)]
+
+
+@pytest.mark.parametrize("make, algo", audited_pairs())
+def test_charges_match_the_work_done(make, algo):
+    """Count full operator calls and sampled estimates: a step's charge is N
+    per full call plus 2 per estimate, and an estimate calls no full
+    operator. pda and rm+ multiply by A directly; their charges are checked
+    by the closed forms above."""
+    problem = make()
+    full, estimates = [0], [0]
+    operator = problem.operator
+
+    def counted_operator(z):
+        full[0] += 1
+        return operator(z)
+
+    problem.operator = counted_operator
+    solver = vs.make_solver(problem, algo, seed=0)
+    if algo in vs.solvers.VARIANCE_REDUCED:
+        estimate = solver.oracle.vr_estimate
+
+        def counted_estimate(*args):
+            before = full[0]
+            out = estimate(*args)
+            assert full[0] == before, "a sampled estimate evaluated the full operator"
+            estimates[0] += 1
+            return out
+
+        solver.oracle.vr_estimate = counted_estimate
+    assert solver.evals == solver.N * full[0]
+    for _ in range(30):
+        solver.step()  # not run: its measurement evaluates F too
+        assert solver.evals == solver.N * full[0] + 2 * estimates[0]
+    assert full[0] > 0 and (estimates[0] > 0) == (algo in vs.solvers.VARIANCE_REDUCED)

@@ -106,6 +106,14 @@ def test_halfspacebox_projects_every_finite_magnitude(ws, v, expected):
     assert np.array_equal(ws[0].set.project(np.array(v)), expected)
 
 
+def test_halfspacebox_takes_a_small_nonzero_normal():
+    """{x1 <= 1/2} in the unit box, with a normal far below 1 in size."""
+    s = HalfspaceBox(0.0, 1.0, [1e-9, 0.0], 5e-10)
+    assert np.allclose(s.project(np.array([1.0, 1.0])), [0.5, 1.0], rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="nonzero"):
+        HalfspaceBox(0.0, 1.0, [0.0, 0.0], 0.5)
+
+
 def test_box_clamp_example():
     s = Box(-0.5, 0.5, dim=2)
     assert np.array_equal(s.project(np.array([3.0, -0.2])), [0.5, -0.2])

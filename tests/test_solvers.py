@@ -5,7 +5,6 @@ import pytest
 
 import visolve as vs
 from visolve.metrics import dist_theta
-from visolve.oracles import ExactOracle
 from visolve.solvers import NumericalDivergence, SvrgParams, make_solver
 
 from conftest import equilibrium_lp
@@ -58,19 +57,6 @@ def test_pennies_one_step_moves_inward(pennies):
     solver = make_solver(problem, "svrg-eg", seed=0, z0=z0)
     solver.step()
     assert np.linalg.norm(solver.z - z_star) < np.linalg.norm(z0 - z_star)
-
-
-def test_degenerate_params_reduce_to_extragradient(ws):
-    """alpha = 0, p = 1 with the exact oracle reproduces the plain
-    extragradient trajectory step for step."""
-    problem, _ = ws
-    prm = SvrgParams(p=1.0, alpha=0.0, gamma=0.99, L=problem.lipschitz_bound())
-    svrg = make_solver(problem, "svrg-eg", seed=0, oracle=ExactOracle(problem), params=prm)
-    eg = make_solver(problem, "eg", seed=0, stepsize=prm.tau)
-    for _ in range(50):
-        svrg.step()
-        eg.step()
-        assert np.array_equal(svrg.z, eg.z)
 
 
 def test_extragradient_spirals_inward_on_pennies(pennies):
@@ -231,11 +217,10 @@ def test_huge_steps_project_onto_the_ws_solution_segment(ws, tau_scale):
     assert trace.dist_theta[-1] == 0
 
 
-@pytest.mark.parametrize("algo, option", [("eg", "params"), ("oomd-l2", "oracle"),
-                                          ("svrg-eg", "stepsize"), ("rm+", "stepsize")])
+@pytest.mark.parametrize("algo, option", [("eg", "params"), ("svrg-eg", "stepsize"),
+                                          ("rm+", "stepsize")])
 def test_make_solver_rejects_an_option_its_algorithm_does_not_use(pb8, algo, option):
-    value = {"params": SvrgParams.suggested(8, pb8.lipschitz_bound()),
-             "oracle": ExactOracle(pb8), "stepsize": 0.5}[option]
+    value = {"params": SvrgParams.suggested(8, pb8.lipschitz_bound()), "stepsize": 0.5}[option]
     with pytest.raises(ValueError, match=re.escape(f"{algo} does not use {option}")):
         make_solver(pb8, algo, seed=0, **{option: value})
 

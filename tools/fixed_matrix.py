@@ -22,12 +22,16 @@ the budget, and the 2-D VI's steps leave the halfspace off the diagonal, so
 they gate the active branch of its projection; its last iterates reach the
 solution vertex, but its averaged residuals stay above zero. Every run
 goes through `cli.main` into a temporary directory; the output is one
-`sha256  relative/path` line per CSV, sorted by path.
+`sha256  relative/path` line per CSV, sorted by path, after a header of
+`#` lines that names the numpy and scipy versions, the BLAS build and the
+CPU, because a BLAS kernel can change the order of a sum.
 
     python3 tools/fixed_matrix.py [SRC_DIR] > digests.txt
 
 SRC_DIR is the `src` directory of the checkout to run (default: the one
 beside this script), so two checkouts can be compared with `diff`.
+`fixed_matrix.txt` beside this script holds the digests of the current
+tree; `tests/test_fixed_matrix.py` checks them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 
@@ -84,9 +89,28 @@ def halfspace_box_instance(vs):
     return vs.AffineVI(M, [-2.0, -1.0], vs.HalfspaceBox(0.0, 1.0, [1.0, 2.0], 1.6))
 
 
-def main(argv):
-    src = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.join(HERE, os.pardir, "src")
-    sys.path.insert(0, src)
+def environment():
+    """Header lines naming what can change the bits of a sum: the numpy and
+    scipy versions, the BLAS build numpy reports and the CPU model."""
+    import numpy as np
+    import scipy
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name')} {blas.get('version')}: {blas.get('openblas configuration', '')}"
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        build = "unknown"
+    cpu = platform.processor() or platform.machine()
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as f:
+        cpu = next((line.split(":", 1)[1].strip() for line in f
+                    if line.startswith("model name")), cpu)
+    return [f"# numpy {np.__version__}, scipy {scipy.__version__}",
+            f"# blas {build.strip()}", f"# cpu {cpu}"]
+
+
+def digest_matrix():
+    """Run the matrix with the importable `visolve` and return one
+    `sha256  relative/path` line per CSV, sorted by path."""
     import visolve as vs
     from visolve import cli, harness, solvers
 
@@ -120,8 +144,13 @@ def main(argv):
                     with open(path, "rb") as f:
                         digest = hashlib.sha256(f.read()).hexdigest()
                     lines.append((os.path.relpath(path, out), digest))
-    for rel, digest in sorted(lines):
-        print(f"{digest}  {rel}")
+    return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
+
+
+def main(argv):
+    src = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.join(HERE, os.pardir, "src")
+    sys.path.insert(0, src)
+    print("\n".join(environment() + digest_matrix()))
 
 
 if __name__ == "__main__":
