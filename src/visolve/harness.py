@@ -11,6 +11,7 @@ pairs, serial faster in every pair, identical output bytes).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 from collections import Counter
@@ -134,12 +135,24 @@ def _svrg_params(problem, cfg):
 
 
 def run_seeds(problem, algorithm, cfg, known=None):
-    """One GapTrace per seed, run one after another in the calling thread."""
+    """One GapTrace per seed, run one after another in the calling thread.
+
+    An algorithm that draws no random numbers runs once, for the first seed:
+    every seed would retrace it bit for bit, so each gets that trace with
+    its own seed in ``meta``.
+    """
     params = _svrg_params(problem, cfg) if algorithm in solvers.VARIANCE_REDUCED else None
     eval_every = cfg.resolved_eval_every()
-    return {seed: solvers.run(problem, algorithm, cfg.budget, seed, eval_every,
-                              params=params, tau_scale=cfg.tau_scale, known=known)
-            for seed in cfg.seeds}
+
+    def trace(seed):
+        return solvers.run(problem, algorithm, cfg.budget, seed, eval_every,
+                           params=params, tau_scale=cfg.tau_scale, known=known)
+
+    if algorithm in solvers.DETERMINISTIC:
+        first = trace(cfg.seeds[0])
+        return {seed: dataclasses.replace(first, meta={**first.meta, "seed": seed})
+                for seed in cfg.seeds}
+    return {seed: trace(seed) for seed in cfg.seeds}
 
 
 def aggregate(traces):

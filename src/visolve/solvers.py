@@ -86,13 +86,16 @@ class _SolverBase:
 
     ``N`` is the price of one full operator evaluation in sampled-evaluation
     units; each ``step`` adds its own closed-form charge to ``evals``.
-    ``requires`` names what the instance must offer, or None. Every tagged
+    ``requires`` names what the instance must offer, or None. ``draws`` is
+    False for a solver that never draws from its ``rng``: from the set's
+    center, every seed retraces its iterates bit for bit. Every tagged
     class defines its own ``step``, so a step of each algorithm can be told
     apart where the method is looked up (perfbench traces it there).
     """
 
     name = "?"
     requires = None
+    draws = True
 
     def __init__(self, problem, N, seed=0, z0=None):
         reason = unmet_requirement(problem, self.name)
@@ -120,12 +123,13 @@ class _SolverBase:
             raise NumericalDivergence(self.name, self.iteration, self.seed)
         return v
 
-    def _proj(self, v, feasible=None):
-        """Projection onto the problem's set, or onto the given part of it.
-        The set's own finiteness scan is the only one: a non-finite input
-        becomes NumericalDivergence."""
+    def _proj(self, v, feasible=None, near=None):
+        """Projection onto the problem's set, or onto the given part of it;
+        ``near``, a point the solver holds, only speeds it up. The set's own
+        finiteness scan is the only one: a non-finite input becomes
+        NumericalDivergence."""
         try:
-            return (self.problem.set if feasible is None else feasible).project(v)
+            return (self.problem.set if feasible is None else feasible).project(v, near)
         except NonFiniteInput:
             raise NumericalDivergence(self.name, self.iteration, self.seed) from None
 
@@ -148,21 +152,27 @@ class _AnchoredExtragradient(_SolverBase):
         self.params = params
         self.tau = float(tau)
         self.oracle = MatrixGameOracle(problem)
-        self.cache = SnapshotCache.at(problem, self.z)
+        self._snapshot(self.z)
         self.evals += self.N  # full operator at the initial snapshot
 
     @property
     def w_point(self):
         return self.cache.w
 
+    def _snapshot(self, w):
+        """Move the snapshot to w, with the two products of w and F(w) that
+        every step until the next refresh uses."""
+        self.cache = SnapshotCache.at(self.problem, w)
+        self._w_part = (1.0 - self.params.alpha) * self.cache.w
+        self._w_step = self.tau * self.cache.Fw
+
     def _anchored_step(self):
         """One anchored extragradient step; returns the half-step iterate."""
-        alpha = self.params.alpha
-        zbar = alpha * self.z + (1.0 - alpha) * self.cache.w
-        z_half = self._proj(zbar - self.tau * self.cache.Fw)
+        zbar = self.params.alpha * self.z + self._w_part
+        z_half = self._proj(zbar - self._w_step, near=self.z)
         sample = self.oracle.draw(self.rng)
         fhat = self.oracle.vr_estimate(self.cache, sample, z_half)
-        self.z = self._proj(zbar - self.tau * fhat)
+        self.z = self._proj(zbar - self.tau * fhat, near=z_half)
         self.iteration += 1
         return z_half
 
@@ -184,7 +194,7 @@ class LooplessSvrgEG(_AnchoredExtragradient):
         z_half = self._anchored_step()
         updated = bool(self.rng.uniform() < self.params.p)
         if updated:
-            self.cache = SnapshotCache.at(self.problem, self.z)
+            self._snapshot(self.z)
         self.evals += 2 + (self.N if updated else 0)
         return StepResult([z_half], None)
 
@@ -215,7 +225,7 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
         for _ in range(K):
             halves.append(self._anchored_step())
             inner_sum += self.z
-        self.cache = SnapshotCache.at(self.problem, inner_sum / K)
+        self._snapshot(inner_sum / K)
         self.evals += self.N + 2 * K
         self.epoch += 1
         return StepResult(halves, self.epoch - 1)
@@ -226,14 +236,15 @@ class Extragradient(_SolverBase):
     iteration costs 2N."""
 
     name = "eg"
+    draws = False
 
     def __init__(self, problem, tau, N, seed=0, z0=None):
         super().__init__(problem, N, seed, z0)
         self.tau = float(tau)
 
     def step(self):
-        z_half = self._proj(self.z - self.tau * self.problem.operator(self.z))
-        self.z = self._proj(self.z - self.tau * self.problem.operator(z_half))
+        z_half = self._proj(self.z - self.tau * self.problem.operator(self.z), near=self.z)
+        self.z = self._proj(self.z - self.tau * self.problem.operator(z_half), near=z_half)
         self.evals += 2 * self.N
         self.iteration += 1
         return StepResult([z_half], None)
@@ -260,6 +271,7 @@ class PrimalDual(_SolverBase):
 
     name = "pda"
     requires = _BILINEAR
+    draws = False
 
     def __init__(self, problem, tau, N, seed=0, z0=None):
         super().__init__(problem, N, seed, z0)
@@ -287,6 +299,8 @@ class _OptimisticMirrorDescent(_SolverBase):
     ``_mirror(base, g)``. The first prediction costs N, and so does each
     iteration."""
 
+    draws = False
+
     def __init__(self, problem, tau, N, seed=0, z0=None):
         super().__init__(problem, N, seed, z0)
         self.tau = float(tau)
@@ -310,7 +324,7 @@ class OptimisticMDL2(_OptimisticMirrorDescent):
     name = "oomd-l2"
 
     def _mirror(self, base, g):
-        return self._proj(base - self.tau * g)
+        return self._proj(base - self.tau * g, near=base)
 
     def step(self):
         return self._optimistic_step()
@@ -349,6 +363,7 @@ class RegretMatchingPlus(_SolverBase):
 
     name = "rm+"
     requires = _SIMPLEX_STRATEGIES
+    draws = False
 
     def __init__(self, problem, N, seed=0, z0=None):
         super().__init__(problem, N, seed, z0)
@@ -386,6 +401,7 @@ _SOLVERS = {cls.name: cls for cls in (LooplessSvrgEG, DoubleLoopSvrgEG, Extragra
 ALGORITHMS = tuple(_SOLVERS)
 VARIANCE_REDUCED = tuple(tag for tag, cls in _SOLVERS.items()
                          if issubclass(cls, _AnchoredExtragradient))
+DETERMINISTIC = tuple(tag for tag, cls in _SOLVERS.items() if not cls.draws)
 # The algorithms with a step size for tau_scale to multiply; rm+ takes no step.
 STEP_SIZED = tuple(tag for tag, cls in _SOLVERS.items() if cls is not RegretMatchingPlus)
 

@@ -1,10 +1,11 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 import visolve as vs
-from visolve import cli, harness
+from visolve import cli, harness, solvers
 from visolve.harness import ConfigError, RunConfig
 from visolve.metrics import GapTrace
 
@@ -50,6 +51,57 @@ def test_end_to_end_determinism(tmp_path):
         harness.run_command(_pennies_config(out))
     for name in sorted(os.listdir(out1)):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_deterministic_algorithm_runs_once_per_sweep(monkeypatch, pb8):
+    """An algorithm that draws nothing runs for the first seed only; every
+    seed gets the trace a run of its own would give, with its own seed."""
+    calls = []
+    real_run = solvers.run
+
+    def counting_run(problem, algorithm, *args, **kwargs):
+        calls.append(algorithm)
+        return real_run(problem, algorithm, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "run", counting_run)
+    cfg = RunConfig(instance="pb", algorithms=list(vs.ALGORITHMS), seeds=[4, 0, 9],
+                    budget=400, eval_every=40)
+    for algo in vs.ALGORITHMS:
+        traces = harness.run_seeds(pb8, algo, cfg)
+        assert list(traces) == cfg.seeds
+        for seed, trace in traces.items():
+            alone = real_run(pb8, algo, cfg.budget, seed, cfg.eval_every)
+            assert trace.meta == alone.meta and trace.meta["seed"] == seed
+            for name in trace.columns:
+                assert np.array_equal(trace.column(name), alone.column(name))
+    assert calls == [algo for algo in vs.ALGORITHMS
+                     for _ in range(1 if algo in solvers.DETERMINISTIC else 3)]
+    assert set(solvers.DETERMINISTIC) == {"eg", "pda", "oomd-l2", "oomd-entropy", "rm+"}
+
+
+def test_warm_projection_keeps_no_state_between_sweeps(tmp_path):
+    """Projections reuse only points their solver holds: a pb30 sweep, a
+    ws-example sweep and the pb30 sweep again, in one process, write the
+    same pb30 bytes twice, and a sweep leaves its instance's set as it was."""
+    pb30 = ["--gen", "pb", "--n", "30", "--algo", "svrg-eg,eg", "--seeds", "0,1",
+            "--budget", "3000", "--eval-every", "300"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["run", *pb30, "--out", str(first)]) == 0
+    assert cli.main(["run", "--gen", "ws-example", "--algo", "svrg-eg,eg", "--seeds", "0,1",
+                     "--budget", "200", "--eval-every", "10", "--out", str(tmp_path / "ws")]) == 0
+    assert cli.main(["run", *pb30, "--out", str(second)]) == 0
+    names = sorted(os.listdir(first))
+    assert len(names) == 6 and names == sorted(os.listdir(second))
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    problem, _, _ = harness.build_instance("pb", n=30)
+    before = {key: pickle.dumps(value) for key, value in vars(problem.set).items()}
+    cfg = RunConfig(instance="pb", algorithms=["svrg-eg", "eg"], seeds=[0, 1], budget=3000,
+                    eval_every=300)
+    for algo in cfg.algorithms:
+        harness.run_seeds(problem, algo, cfg)
+    assert {key: pickle.dumps(value) for key, value in vars(problem.set).items()} == before
 
 
 def test_per_seed_row_counts_align(tmp_path):

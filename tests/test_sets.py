@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from visolve.rng import StableRng
 from visolve.sets import (_COLUMN_KERNEL_MAX_BLOCK, Box, HalfspaceBox, Product, Simplex,
-                          SimplexProduct, batch_simplex_project, from_descriptor,
-                          simplex_project)
+                          SimplexProduct, _support_projection, batch_simplex_project,
+                          from_descriptor, simplex_project)
 
 
 def simplex_projection_oracle(v):
@@ -266,3 +266,80 @@ def test_simplex_projection_properties(values):
     assert np.all(out >= 0.0)
     assert abs(out.sum() - 1.0) <= 1e-9
     assert np.linalg.norm(simplex_project(out) - out) <= 1e-12
+
+
+@st.composite
+def warm_cases(draw):
+    """(v, near, h): k = 2 or 3 blocks of h = 4-50 entries, so the batch
+    kernel projects them; |v| <= 1e6 with ties, signed zeros and zeros; near
+    a point of the product of simplexes whose support guess may be right,
+    wrong or a single vertex."""
+    k, h = draw(st.integers(2, 3)), draw(st.integers(4, 50))
+    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))  # ties
+    entry = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, *pool])
+    v = np.array(draw(st.lists(entry, min_size=k * h, max_size=k * h))).reshape(k, h)
+    guess = draw(st.sampled_from(["projection", "perturbed", "vertex", "any"]))
+    if guess == "vertex":
+        near = np.zeros((k, h))
+        near[np.arange(k), draw(st.lists(st.integers(0, h - 1), min_size=k, max_size=k))] = 1.0
+    elif guess == "any":
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0),
+                                         min_size=k * h, max_size=k * h))).reshape(k, h)
+        weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+        near = weights / weights.sum(axis=1, keepdims=True)
+    else:
+        shift = draw(st.floats(-1.0, 1.0)) if guess == "perturbed" else 0.0
+        near = batch_simplex_project(v + shift * np.linspace(-1.0, 1.0, h))
+    return v, near, h
+
+
+@settings(max_examples=400, deadline=None)
+@given(warm_cases())
+def test_warm_projection_properties(case):
+    """A guessed support changes the result only within roundoff, and a
+    guess that misses gives the bits of the sort."""
+    v, near, h = case
+    k = v.shape[0]
+    feasible = SimplexProduct([h] * k)
+    eps = 4 * h * np.spacing(max(1.0, np.abs(v).max()))
+    x = feasible.project(v.ravel(), near.ravel()).reshape(k, h)
+    cold = feasible.project(v.ravel()).reshape(k, h)
+    assert np.all(x >= 0.0)
+    assert np.all(np.abs(x.sum(axis=1) - 1.0) <= eps)
+    for row, xb in zip(v, x):
+        theta = (row - xb)[xb > 0.0]
+        assert theta.max() - theta.min() <= eps
+        assert np.all(row[xb == 0.0] <= theta.min() + eps)
+    again = feasible.project(x.ravel(), near.ravel()).reshape(k, h)
+    assert np.all(np.abs(again - x) <= eps)
+    assert np.all(np.abs(x - cold) <= eps)
+    if _support_projection(v, near) is None:
+        assert np.array_equal(x, cold)
+        assert np.array_equal(np.signbit(x), np.signbit(cold))
+
+
+def test_warm_projection_hits_and_misses():
+    """The true support is a hit with the result max(v - theta, 0); a wrong
+    support, or a row with none, falls back to the sort's bits."""
+    rng = StableRng(31)
+    v = 2.0 * rng.uniform((2 * 40)).reshape(2, 40) - 1.0
+    cold = batch_simplex_project(v)
+    hit = _support_projection(v, cold)
+    assert hit is not None and np.allclose(hit, cold, rtol=0.0, atol=1e-15)
+    assert np.array_equal(hit > 0.0, cold > 0.0)
+    for near in (np.full_like(v, 1.0 / 40), np.vstack([cold[0], np.zeros(40)])):
+        assert _support_projection(v, near) is None
+        assert np.array_equal(batch_simplex_project(v, near), cold)
+
+
+@pytest.mark.xfail(strict=True, raises=IndexError,
+                   reason="ROADMAP item 8: css - 1.0 loses the 1 once entries reach about 1e16")
+def test_simplex_project_at_1e17():
+    assert np.array_equal(simplex_project(np.array([1e17, 0.0])), [1.0, 0.0])
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 8: css - 1.0 loses the 1 once entries reach about 1e16")
+def test_simplex_product_projection_at_1e17_is_feasible():
+    feasible = SimplexProduct([2, 2])
+    assert feasible.contains(feasible.project(np.array([1e17, 0.0, 0.3, 0.1])))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import visolve as vs
+from visolve import solvers
 from visolve.metrics import dist_theta
 from visolve.solvers import NumericalDivergence, SvrgParams, make_solver
 
@@ -272,6 +273,18 @@ def test_each_algorithm_has_its_own_step(pb8, algo):
     cls = type(make_solver(pb8, algo, seed=0))
     assert "step" in vars(cls)
     assert vars(cls).get("name") == algo
+
+
+@pytest.mark.parametrize("algo", vs.ALGORITHMS)
+def test_deterministic_solvers_draw_nothing(pb8, algo):
+    """A solver that declares it draws no random numbers leaves its StableRng
+    where the seed put it after 20 steps; every other solver moves it, so
+    the declaration is not vacuous."""
+    solver = make_solver(pb8, algo, seed=5)
+    for _ in range(20):
+        solver.step()
+    untouched = solver.rng.raw() == vs.StableRng(5).raw()
+    assert untouched == (algo in solvers.DETERMINISTIC)
 
 
 def _block_game():
