@@ -157,14 +157,9 @@ def cmd_gen(args):
     except OSError as err:
         raise harness.ConfigError(
             [f"cannot write instance file {args.out}: {err.strerror}"]) from None
-    if problem.structure is not None:
-        n, m = problem.structure.A.shape
-        fro = problem.structure.frobenius_norm()
-    else:
-        n = m = problem.dim
-        fro = float((problem.M ** 2).sum() ** 0.5)
-    print(f"{label}: {n} x {m}, frobenius={fro:.6g}, spectral={problem.spectral_norm():.6g}, "
-          f"wrote {args.out}")
+    n, m = (problem.dim,) * 2 if problem.structure is None else problem.structure.A.shape
+    print(f"{label}: {n} x {m}, frobenius={problem.lipschitz_bound():.6g}, "
+          f"spectral={problem.spectral_norm():.6g}, wrote {args.out}")
     return 0
 
 

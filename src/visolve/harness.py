@@ -107,6 +107,8 @@ class RunConfig:
                                          self.budget, self.eval_every)
         if not self.seeds:
             errors.append("seed list is empty")
+        if negative := sorted({seed for seed in self.seeds if seed < 0}):
+            errors.append(f"--seeds must be non-negative, got {', '.join(map(str, negative))}")
         for what, items in (("algorithm", self.algorithms), ("seed", self.seeds)):
             if repeated := sorted(item for item, n in Counter(items).items() if n > 1):
                 errors.append(f"{what} list repeats {', '.join(map(str, repeated))}")

@@ -26,7 +26,10 @@ class StableRng:
     """Seeded deterministic random stream (PCG64 raw + fixed conversions)."""
 
     def __init__(self, seed):
-        self._bits = np.random.PCG64(np.random.SeedSequence(seed))
+        try:
+            self._bits = np.random.PCG64(np.random.SeedSequence(seed))
+        except ValueError:  # numpy's message names no parameter
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
 
     def raw(self, n=None):
         """Raw 64-bit unsigned draws; scalar when n is None."""

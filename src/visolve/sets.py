@@ -7,6 +7,11 @@ are immutable after construction and safe to share across threads.
 `Simplex` is the one-block `SimplexProduct`. `simplex_blocks` holds a set's
 simplex block sizes when it is a product of simplexes, and None otherwise: it
 is the one description of simplex blocks that solvers read.
+
+Two kernels project onto simplexes, with the same operations per block and
+so the same bits: `simplex_project`, the sort rule on the rows of a (k, h)
+matrix, and a compare-exchange network on the h columns of one, for blocks
+of at most 3 entries. The block sizes pick the route (`_block_projection`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .rng import StableRng
 
-# Longest block the column kernel takes; longer blocks go to the batch kernel.
+# Longest block the column kernel takes; longer blocks go to simplex_project.
 _COLUMN_KERNEL_MAX_BLOCK = 3
 
 
@@ -32,21 +37,6 @@ def _check_vector(set_dim, v):
     if not np.isfinite(v).all():
         raise NonFiniteInput("non-finite input vector")
     return v
-
-
-def simplex_project(v):
-    """Euclidean projection onto the unit simplex, O(d log d) sort-threshold.
-
-    Threshold ties resolve through the cumulative rule: the kept support is
-    the longest prefix of the descending sort with positive shifted mass.
-    """
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    mask = u - css / ks > 0
-    rho = np.nonzero(mask)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
 
 
 def _support_projection(rows, near):
@@ -69,10 +59,13 @@ def _support_projection(rows, near):
     return np.maximum(shifted, 0.0)
 
 
-def batch_simplex_project(rows, near=None):
-    """Row-wise simplex projection of a (k, h) matrix.
+def simplex_project(rows, near=None):
+    """Row-wise Euclidean projection of a (k, h) matrix onto the unit
+    simplex, O(h log h) per row by the sort-threshold rule.
 
-    With ``near`` it first tries the support near guesses
+    Threshold ties resolve through the cumulative rule: a row keeps the
+    longest prefix of its descending sort with positive shifted mass. With
+    ``near`` it first tries the support near guesses
     (:func:`_support_projection`); on a miss, and without near, the sort
     rule runs on every row.
     """
@@ -91,18 +84,19 @@ def batch_simplex_project(rows, near=None):
 
 
 def _project_equal_blocks(v, near, shape):
-    return batch_simplex_project(v.reshape(shape), None if near is None
-                                 else np.asarray(near).reshape(shape)).ravel()
+    return simplex_project(v.reshape(shape), None if near is None
+                           else np.asarray(near).reshape(shape)).ravel()
 
 
-def _project_small_blocks(v, shape):
-    """batch_simplex_project of the (k, h) blocks of v, computed on h columns
-    of length k, which is cheaper when h is small and k is large.
+def _project_small_blocks(v, near, shape):
+    """simplex_project of the (k, h) blocks of v, computed on h columns of
+    length k, which is cheaper when h is small and k is large; near is
+    ignored.
 
     A compare-exchange network sorts every block in descending order; the
     running sums, the threshold test and the fallback to rho = h - 1 then
-    repeat batch_simplex_project's operations in its order, so the bits are
-    the same.
+    repeat simplex_project's operations in its order, so the bits are the
+    same.
     """
     h = shape[1]
     blocks = v.reshape(shape)
@@ -121,30 +115,25 @@ def _project_small_blocks(v, shape):
     return np.maximum(blocks - theta[:, None], 0.0).ravel()
 
 
-def _project_each_block(v, cuts):
-    return np.concatenate([simplex_project(b) for b in np.split(v, cuts)])
-
-
-def _without_near(kernel, v, near):
-    return kernel(v)
+def _project_each_block(v, near, cuts):
+    """simplex_project of each block of unequal sizes as a one-row matrix;
+    near is ignored."""
+    return np.concatenate([simplex_project(b[None])[0] for b in np.split(v, cuts)])
 
 
 def _block_projection(blocks):
     """Projection ``(v, near) -> x`` onto the product of simplexes with these
-    block sizes. The sizes pick the kernel once: the 1-D kernel for one
-    block; for several blocks of equal size, the column kernel when they are
-    short, else the batch kernel, the only one that uses near; else the 1-D
-    kernel block by block (the only kernel that handles unequal sizes)."""
+    block sizes. The sizes pick one of three routes once: unequal sizes go
+    block by block through simplex_project; equal blocks of at most
+    _COLUMN_KERNEL_MAX_BLOCK entries, one block included, go through the
+    column kernel; longer equal blocks go through simplex_project as one
+    (k, h) matrix, the only route that uses near."""
     shape = (len(blocks), blocks[0])
-    if len(blocks) == 1:
-        kernel = simplex_project
-    elif len(set(blocks)) > 1:
-        kernel = functools.partial(_project_each_block, cuts=np.cumsum(blocks[:-1]))
-    elif blocks[0] <= _COLUMN_KERNEL_MAX_BLOCK:
-        kernel = functools.partial(_project_small_blocks, shape=shape)
-    else:
-        return functools.partial(_project_equal_blocks, shape=shape)
-    return functools.partial(_without_near, kernel)
+    if len(set(blocks)) > 1:
+        return functools.partial(_project_each_block, cuts=np.cumsum(blocks[:-1]))
+    if blocks[0] <= _COLUMN_KERNEL_MAX_BLOCK:
+        return functools.partial(_project_small_blocks, shape=shape)
+    return functools.partial(_project_equal_blocks, shape=shape)
 
 
 class FeasibleSet:
@@ -157,11 +146,12 @@ class FeasibleSet:
         """Euclidean projection of v onto the set.
 
         ``near`` is an optional point of the set's dimension, such as the
-        iterate the step starts from. A product of equal simplex blocks takes
-        its positive entries as a guess of the projection's support and skips
-        the sort when the guess holds. It changes only the speed, never the
-        result beyond roundoff: a wrong guess gives the bits of a call
-        without near.
+        iterate the step starts from. A product of equal simplex blocks of
+        more than 3 entries, one block included, takes its positive entries
+        as a guess of the projection's support and skips the sort when the
+        guess holds; every other set ignores it. It changes only the speed,
+        never the result beyond roundoff: a wrong guess gives the bits of a
+        call without near.
         """
         v = _check_vector(self.dim, v)
         return self._project(v, near)

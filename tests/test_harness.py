@@ -373,6 +373,13 @@ def test_cli_gen_out_of_range_parameter_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x.vif").exists()
 
 
+def test_cli_gen_negative_seed_exit_code(tmp_path, capsys):
+    assert cli.main(["gen", "pb", "--n", "6", "--seed", "-1",
+                     "--out", str(tmp_path / "x.vif")]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x.vif").exists()
+
+
 def test_cli_gen_unwritable_output_exit_code(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "x.vif"
     assert cli.main(["gen", "pb", "--n", "4", "--out", str(out)]) == 2
@@ -396,11 +403,12 @@ def test_cli_compare_out_file_or_directory(tmp_path, capsys, out):
     (["--algo", "svrg-eg", "--gamma", "0"], "gamma must lie in (0, 1)"),
     (["--algo", "eg,pda", "--p", "0.5", "--gamma", "0.9"], "p, gamma given without svrg-eg"),
     (["--algo", "svrg-eg", "--seeds", "0,0,1"], "seed list repeats 0"),
+    (["--algo", "eg", "--seeds=-1"], "--seeds must be non-negative, got -1"),
     (["--algo", "rm+", "--tau-scale", "5"], "tau-scale given without svrg-eg"),
     (["--algo", "eg,pda,eg"], "algorithm list repeats eg"),
     (["--algo", "eg", "--q", "1"], "--q applies to compare only"),
 ], ids=["eval-every", "p", "alpha", "gamma", "p-without-svrg-eg", "repeated-seed",
-        "tau-scale-with-only-rm+", "algo-repeated", "q-on-run"])
+        "negative-seed", "tau-scale-with-only-rm+", "algo-repeated", "q-on-run"])
 def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
     for command in ("run",) if "--q" in flags else ("run", "compare"):  # --q is a compare flag
         code = cli.main([command, "--gen", "pb", "--n", "6", "--budget", "60", *flags,

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from visolve.rng import StableRng
 from visolve.sets import (_COLUMN_KERNEL_MAX_BLOCK, Box, HalfspaceBox, Product, Simplex,
-                          SimplexProduct, _support_projection, batch_simplex_project,
-                          from_descriptor, simplex_project)
+                          SimplexProduct, _support_projection, from_descriptor,
+                          simplex_project)
 
 
 def simplex_projection_oracle(v):
@@ -49,8 +49,11 @@ def variants():
         pytest.param(boxes["negative-normal-entry"], id="HalfspaceBox-negative-normal-entry"),
         pytest.param(boxes["zero-normal-entry"], id="HalfspaceBox-zero-normal-entry"),
         Product([Simplex(3), Box(-0.5, 0.5, dim=2)]),
-        # short equal blocks take the column kernel, longer ones the batch
-        # kernel, unequal ones the 1-D kernel
+        # short equal blocks, one block included, take the column kernel;
+        # longer ones take simplex_project as one matrix, and unequal ones
+        # take it block by block
+        pytest.param(Simplex(2), id="Simplex-2"),
+        pytest.param(Simplex(3), id="Simplex-3"),
         pytest.param(SimplexProduct([2] * 8), id="SimplexProduct-short-blocks"),
         pytest.param(SimplexProduct([3, 3, 3]), id="SimplexProduct-equal-blocks"),
         pytest.param(Product([Simplex(4), Simplex(4)]), id="Product-equal-simplexes"),
@@ -70,11 +73,12 @@ def test_simplex_corner_example():
 
 
 def test_simplex_matches_kkt_oracle():
+    """Both kernels: the column kernel up to 3 entries, simplex_project beyond."""
     rng = StableRng(11)
-    for d in (2, 3):
+    for d in (2, 3, 4, 5):
         for _ in range(200):
             v = 4.0 * rng.uniform(d) - 2.0
-            assert np.allclose(simplex_project(v), simplex_projection_oracle(v), atol=1e-12)
+            assert np.allclose(Simplex(d).project(v), simplex_projection_oracle(v), atol=1e-12)
 
 
 def test_halfspacebox_example_point():
@@ -119,38 +123,66 @@ def test_box_clamp_example():
     assert np.array_equal(s.project(np.array([3.0, -0.2])), [0.5, -0.2])
 
 
+def uses_near(feasible):
+    """Whether the set's projection reads near: only equal simplex blocks
+    longer than the column kernel's limit do."""
+    blocks = feasible.simplex_blocks
+    return (blocks is not None and len(set(blocks)) == 1
+            and blocks[0] > _COLUMN_KERNEL_MAX_BLOCK)
+
+
+def warm_projections(feasible, v, rng):
+    """The cold projection of v and the one with near, the projection of a
+    perturbed v: both feasible and equal within roundoff, bit for bit where
+    the set ignores near."""
+    cold = feasible.project(v)
+    near = feasible.project(v + 0.2 * (rng.uniform(feasible.dim) - 0.5))
+    warm = feasible.project(v, near)
+    assert feasible.contains(warm, tol=1e-12)
+    assert np.abs(warm - cold).max() <= 1e-12
+    if not uses_near(feasible):
+        assert np.array_equal(warm, cold)
+        assert np.array_equal(np.signbit(warm), np.signbit(cold))
+    return cold, warm
+
+
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)
 def test_projection_idempotent(feasible):
+    """Cold, and with near: a projection projects to itself."""
     rng = StableRng(7)
     for _ in range(1000):
         v = 6.0 * rng.uniform(feasible.dim) - 3.0
-        once = feasible.project(v)
+        once, warm = warm_projections(feasible, v, rng)
         twice = feasible.project(once)
         assert np.linalg.norm(twice - once) <= 1e-12
         assert feasible.contains(once, tol=1e-12)
+        assert np.linalg.norm(feasible.project(warm, warm) - warm) <= 1e-12
 
 
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)
 def test_projection_nonexpansive(feasible):
+    """Cold, and with near for both points."""
     rng = StableRng(13)
     for _ in range(1000):
         u = 6.0 * rng.uniform(feasible.dim) - 3.0
         v = 6.0 * rng.uniform(feasible.dim) - 3.0
-        lhs = np.linalg.norm(feasible.project(u) - feasible.project(v))
-        assert lhs <= np.linalg.norm(u - v) * (1.0 + 1e-12) + 1e-15
+        (pu, wu), (pv, wv) = warm_projections(feasible, u, rng), warm_projections(feasible, v, rng)
+        bound = np.linalg.norm(u - v) * (1.0 + 1e-12) + 1e-15
+        assert np.linalg.norm(pu - pv) <= bound
+        assert np.linalg.norm(wu - wv) <= bound + 2e-12
 
 
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)
 def test_projection_variational_inequality(feasible):
     """<v - Pv, w - Pv> <= tol for every feasible w characterizes the
-    Euclidean projection onto a convex set."""
+    Euclidean projection onto a convex set; cold, and with near."""
     rng = StableRng(29)
     W = feasible.sample(rng, 100)
     for _ in range(100):
         v = 6.0 * rng.uniform(feasible.dim) - 3.0
-        proj = feasible.project(v)
-        inner = (W - proj) @ (v - proj)
-        assert np.all(inner <= 1e-9 * max(1.0, np.linalg.norm(v)))
+        for proj in warm_projections(feasible, v, rng):
+            inner = (W - proj) @ (v - proj)
+            assert np.all(inner <= 1e-9 * max(1.0, np.linalg.norm(v)))
 
 
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)
@@ -186,15 +218,15 @@ def test_support_max_simplex_and_box():
 
 @pytest.mark.parametrize("dims", [[4, 4, 4], [3, 2, 4], [7]], ids=str)
 def test_simplex_blocks_exact(dims):
-    """Whichever kernel the block sizes pick, projection and support function
-    give the bits of the 1-D kernel and of np.max applied block by block."""
+    """Whichever route the block sizes pick, projection and support function
+    give the bits of simplex_project and of np.max applied block by block."""
     feasible = SimplexProduct(dims)
     assert feasible.simplex_blocks == tuple(dims)
     cuts = np.cumsum(dims)[:-1]
     rng = StableRng(17)
     for _ in range(200):
         v = 6.0 * rng.uniform(feasible.dim) - 3.0
-        per_block = np.concatenate([simplex_project(b) for b in np.split(v, cuts)])
+        per_block = np.concatenate([simplex_project(b[None])[0] for b in np.split(v, cuts)])
         assert np.array_equal(feasible.project(v), per_block)
         in_order = 0
         for b in np.split(v, cuts):
@@ -205,8 +237,8 @@ def test_simplex_blocks_exact(dims):
 @pytest.mark.parametrize("h", range(2, _COLUMN_KERNEL_MAX_BLOCK + 2))
 def test_equal_blocks_exact(h):
     """Blocks up to the column kernel's limit and one entry beyond it project
-    to the bits of batch_simplex_project, with ties, signed zeros, tiny and
-    huge magnitudes."""
+    to the bits of simplex_project, with ties, signed zeros, tiny and huge
+    magnitudes."""
     rng = StableRng(23)
     for k in (1, 2, 17, 1024):
         feasible = SimplexProduct([h] * k)
@@ -216,7 +248,7 @@ def test_equal_blocks_exact(h):
                 v[rng.uniform(k * h) < 0.3] = scale     # ties
                 v[rng.uniform(k * h) < 0.2] = 0.0
                 v[rng.uniform(k * h) < 0.2] = -0.0
-                expected = batch_simplex_project(v.reshape(k, h)).ravel()
+                expected = simplex_project(v.reshape(k, h)).ravel()
                 got = feasible.project(v)
                 assert np.array_equal(got, expected)
                 assert np.array_equal(np.signbit(got), np.signbit(expected))
@@ -261,20 +293,22 @@ def test_box_rejects_inverted_bounds():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8))
 def test_simplex_projection_properties(values):
+    """Both kernels: the column kernel up to 3 entries, simplex_project beyond."""
     v = np.array(values)
-    out = simplex_project(v)
+    feasible = Simplex(v.size)
+    out = feasible.project(v)
     assert np.all(out >= 0.0)
     assert abs(out.sum() - 1.0) <= 1e-9
-    assert np.linalg.norm(simplex_project(out) - out) <= 1e-12
+    assert np.linalg.norm(feasible.project(out) - out) <= 1e-12
 
 
 @st.composite
 def warm_cases(draw):
-    """(v, near, h): k = 2 or 3 blocks of h = 4-50 entries, so the batch
-    kernel projects them; |v| <= 1e6 with ties, signed zeros and zeros; near
-    a point of the product of simplexes whose support guess may be right,
-    wrong or a single vertex."""
-    k, h = draw(st.integers(2, 3)), draw(st.integers(4, 50))
+    """(v, near, h): k = 1-3 blocks of h = 4-50 entries, so simplex_project
+    projects them as one matrix; |v| <= 1e6 with ties, signed zeros and
+    zeros; near a point of the product of simplexes whose support guess may
+    be right, wrong or a single vertex."""
+    k, h = draw(st.integers(1, 3)), draw(st.integers(4, 50))
     pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))  # ties
     entry = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, *pool])
     v = np.array(draw(st.lists(entry, min_size=k * h, max_size=k * h))).reshape(k, h)
@@ -289,7 +323,7 @@ def warm_cases(draw):
         near = weights / weights.sum(axis=1, keepdims=True)
     else:
         shift = draw(st.floats(-1.0, 1.0)) if guess == "perturbed" else 0.0
-        near = batch_simplex_project(v + shift * np.linspace(-1.0, 1.0, h))
+        near = simplex_project(v + shift * np.linspace(-1.0, 1.0, h))
     return v, near, h
 
 
@@ -323,19 +357,19 @@ def test_warm_projection_hits_and_misses():
     support, or a row with none, falls back to the sort's bits."""
     rng = StableRng(31)
     v = 2.0 * rng.uniform((2 * 40)).reshape(2, 40) - 1.0
-    cold = batch_simplex_project(v)
+    cold = simplex_project(v)
     hit = _support_projection(v, cold)
     assert hit is not None and np.allclose(hit, cold, rtol=0.0, atol=1e-15)
     assert np.array_equal(hit > 0.0, cold > 0.0)
     for near in (np.full_like(v, 1.0 / 40), np.vstack([cold[0], np.zeros(40)])):
         assert _support_projection(v, near) is None
-        assert np.array_equal(batch_simplex_project(v, near), cold)
+        assert np.array_equal(simplex_project(v, near), cold)
 
 
-@pytest.mark.xfail(strict=True, raises=IndexError,
+@pytest.mark.xfail(strict=True,
                    reason="ROADMAP item 8: css - 1.0 loses the 1 once entries reach about 1e16")
 def test_simplex_project_at_1e17():
-    assert np.array_equal(simplex_project(np.array([1e17, 0.0])), [1.0, 0.0])
+    assert np.array_equal(Simplex(2).project(np.array([1e17, 0.0])), [1.0, 0.0])
 
 
 @pytest.mark.xfail(strict=True,

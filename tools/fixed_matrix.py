@@ -1,19 +1,21 @@
 """Digest the CSVs of a fixed matrix of `visolve` runs.
 
-The matrix runs every applicable algorithm, seeds 0-2, on six instances
+The matrix runs every applicable algorithm, seeds 0-2, on seven instances
 (the 30 x 30 pursuit game with instance seed 1 at budget 3000 and cadence
 60, the 2-D known-segment instance at budget 200 and cadence 10, the 4 x 4
 labeling game with 2 and with 3 regions at budget 4000 and cadence 100, a
 12-dimensional monotone affine VI over a box at budget 1200 and cadence 60,
-and a 2-D affine VI over a box cut by a halfspace at budget 200 and cadence
-10). It runs the pursuit game once more with `--tau-scale 3 --gamma 0.7`,
-so the step multiplier, a parameter override and the order in which a
-multiplier that is not a power of two enters the step are gated too. It
-adds a `compare` with `--q 0,1,2` of every applicable algorithm on the
-pursuit game, written to a named `.csv` file, and on the 2-region labeling
-game and the 2-D known-segment instance, written into a directory, so both
-`--out` rules and a `compare` on an instance with a known solution set are
-gated.
+a 2-D affine VI over a box cut by a halfspace at budget 200 and cadence
+10, and the 5 x 7 uniform game with instance seed 0 at budget 1200 and
+cadence 60, the one game whose two simplexes differ in size and so project
+block by block). It runs the pursuit game once more with `--tau-scale 3
+--gamma 0.7`, so the step multiplier, a parameter override and the order
+in which a multiplier that is not a power of two enters the step are gated
+too. It adds a `compare` with `--q 0,1,2` of every applicable algorithm on
+the pursuit game, written to a named `.csv` file, and on the 2-region
+labeling game and the 2-D known-segment instance, written into a
+directory, so both `--out` rules and a `compare` on an instance with a
+known solution set are gated.
 The two affine VIs are written with `save_instance` and run through
 `--instance`, so the gate covers the instance file format. Unlike the 2-D
 known-segment instance, whose traces are all zero and whose iterates all
@@ -58,6 +60,7 @@ RUNS = (
     ("affine", AFFINE_FILE, {}, 1200, 60),
     ("halfbox", HALFBOX_FILE, {}, 200, 10),
     ("scaled", "pb", {"n": 30, "seed": 1}, 3000, 60),
+    ("uni", "uniform", {"n": 5, "m": 7, "seed": 0}, 1200, 60),
 )
 
 # Flags a run above adds to its `run` command.
