@@ -144,11 +144,12 @@ def run_seeds(problem, algorithm, cfg, known=None):
     its own seed in ``meta``.
     """
     params = _svrg_params(problem, cfg) if algorithm in solvers.VARIANCE_REDUCED else None
+    tau_scale = cfg.tau_scale if algorithm in solvers.STEP_SIZED else 1.0
     eval_every = cfg.resolved_eval_every()
 
     def trace(seed):
         return solvers.run(problem, algorithm, cfg.budget, seed, eval_every,
-                           params=params, tau_scale=cfg.tau_scale, known=known)
+                           params=params, tau_scale=tau_scale, known=known)
 
     if algorithm in solvers.DETERMINISTIC:
         first = trace(cfg.seeds[0])

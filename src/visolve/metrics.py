@@ -10,28 +10,26 @@ import numpy as np
 _GAP_CLIP = 1e-10
 
 
-def duality_gap(problem, x, y):
-    """max_y' f(x, y') - min_x' f(x', y) for a bilinear game, in closed form.
-
-    Needs inner maximizations that are analytically solvable: simplexes,
-    products of simplexes, or boxes on either side.
+def duality_gap_at(problem, z):
+    """max_y' f(x, y') - min_x' f(x', y) at z = (x, y) of a bilinear game:
+    dual.support_max(-F_y) + <bx, x> - (-primal.support_max(-F_x) + <by, y>)
+    with F(z) = (grad_x f, -grad_y f). The support functions are closed-form
+    on simplexes, products of simplexes and boxes.
     """
     if problem.structure is None:
         raise ValueError("duality gap needs a bilinear problem")
     s = problem.structure
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = problem.split(np.asarray(z, dtype=np.float64))
+    F_x, F_y = problem.split(problem.operator(z))
     primal_set, dual_set = problem.set.parts
-    best_response_y = dual_set.support_max(s.A.T @ x + s.by) + float(s.bx @ x)
-    best_response_x = -primal_set.support_max(-(s.A @ y + s.bx)) + float(s.by @ y)
+    best_response_y = dual_set.support_max(-F_y) + float(s.bx @ x)
+    best_response_x = -primal_set.support_max(-F_x) + float(s.by @ y)
     return best_response_y - best_response_x
 
 
-def duality_gap_at(problem, z):
-    if problem.structure is None:
-        raise ValueError("duality gap needs a bilinear problem")
-    x, y = problem.split(np.asarray(z, dtype=np.float64))
-    return duality_gap(problem, x, y)
+def duality_gap(problem, x, y):
+    """:func:`duality_gap_at` at the stacked point (x, y)."""
+    return duality_gap_at(problem, np.concatenate([x, y]))
 
 
 def natural_residual(problem, z, tau):

@@ -47,12 +47,6 @@ class SamplingDistribution:
         return [min(bisect.bisect_right(cdf, rng.uniform()), last)
                 for cdf, last in self._cdf_lists]
 
-    def draw_many(self, rng, count):
-        """``count`` draws as one index array per block; each block takes its
-        ``count`` uniforms before the next block takes any."""
-        return [np.minimum(np.searchsorted(cdf, rng.uniform(count), side="right"), cdf.size - 1)
-                for cdf in self.cdf]
-
 
 def _squared_sums(A, axes):
     """Sums of the squared entries of a dense or sparse matrix along each axis."""

@@ -1,9 +1,10 @@
 """Affine variational inequalities, bilinear saddle-point games, generators.
 
-A problem is the operator F(z) = Mz + q over a feasible set. Bilinear
-min-max games min_x max_y x'Ay + <bx,x> + <by,y> are the special case
-M = [[0, A], [-A', 0]], stored through :class:`BilinearStructure` so F can be
-evaluated without materializing M.
+A problem is the operator F(z) = Mz + q over a feasible set, for every
+instance. A bilinear min-max game min_x max_y f(x, y) = x'Ay + <bx,x> + <by,y>
+is the VI with F = (grad_x f, -grad_y f): M = [[0, A], [-A', 0]], stored
+through :class:`BilinearStructure` so Mz = (Ay, -A'x) is formed without
+materializing M, and q = (bx, -by).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class AffineVI:
         if primal_set.dim != n or dual_set.dim != m:
             raise ValueError("strategy sets must match the payoff dimensions")
         feasible = sets.Product([primal_set, dual_set])
-        q = np.concatenate([structure.bx, structure.by])
+        q = np.concatenate([structure.bx, -structure.by])  # F = (grad_x f, -grad_y f)
         return cls(None, q, feasible, structure=structure)
 
     @property
@@ -140,14 +141,14 @@ class AffineVI:
         return z[:n], z[n:]
 
     def operator(self, z):
-        """F(z) = Mz + q, using the bilinear factorization when present."""
+        """F(z) = Mz + q; a game forms Mz = (Ay, -A'x) from its payoff."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: expected ({self.dim},), got {z.shape}")
         if self.structure is not None:
-            s = self.structure
+            A = self.structure.A
             x, y = self.split(z)
-            return np.concatenate([s.A @ y + s.bx, -(s.A.T @ x) + s.by])
+            return np.concatenate([A @ y, -(A.T @ x)]) + self.q
         return self._M @ z + self.q
 
     def lipschitz_bound(self):

@@ -407,9 +407,10 @@ STEP_SIZED = tuple(tag for tag, cls in _SOLVERS.items() if cls is not RegretMatc
 
 # Baseline step sizes over the spectral norm of the payoff.
 _STEP_OVER_NORM = {"eg": 0.99, "pda": 0.99, "oomd-l2": 0.5}
-# The algorithms that use each make_solver option.
+# The algorithms that use each make_solver option; a tau_scale of 1 is no option.
 _OPTION_USERS = {"params": VARIANCE_REDUCED,
-                 "stepsize": tuple(tag for tag in STEP_SIZED if tag not in VARIANCE_REDUCED)}
+                 "stepsize": tuple(tag for tag in STEP_SIZED if tag not in VARIANCE_REDUCED),
+                 "tau_scale": STEP_SIZED}
 
 
 def unmet_requirement(problem, algorithm):
@@ -430,12 +431,16 @@ def applicable(problem, algorithm):
 
 def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every=None):
     """One message per run rule the settings break; the budget and cadence
-    rules apply when those are given."""
+    rules, and that of a run's baseline step, apply when a budget is given."""
     errors = [reason for algorithm in dict.fromkeys(algorithms)
               if (reason := unmet_requirement(problem, algorithm)) is not None]
     if not tau_scale > 0.0:  # NaN too
         errors.append(f"tau_scale must be positive, got {tau_scale}")
     if budget_evals is not None:
+        errors += [f"{algorithm} cannot run on a zero operator: its baseline step is "
+                   f"{_STEP_OVER_NORM[algorithm]} over the spectral norm, which is 0"
+                   for algorithm in dict.fromkeys(algorithms)
+                   if algorithm in _STEP_OVER_NORM and problem.spectral_norm() == 0.0]
         N = default_components(problem)
         if budget_evals < N:
             errors.append(f"budget {budget_evals} is below one full evaluation ({N})")
@@ -452,13 +457,13 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     Baseline step sizes: 0.99/||A||_2 for the extragradient and primal-dual
     solvers, 0.5/||A||_2 for Euclidean optimistic mirror descent, 1 for the
     entropy variant; tau_scale multiplies every step, given or baseline.
-    ``params`` applies to the variance-reduced solvers and ``stepsize`` to
-    the other step-sized ones; an option the algorithm does not use is an
-    error.
+    ``params`` applies to the variance-reduced solvers, ``stepsize`` to the
+    other step-sized ones and a ``tau_scale`` other than 1 to both; an
+    option the algorithm does not use is an error.
     """
     if errors := setting_errors(problem, [algorithm], tau_scale):
         raise ValueError("; ".join(errors))
-    given = {"params": params, "stepsize": stepsize}
+    given = {"params": params, "stepsize": stepsize, "tau_scale": tau_scale != 1.0 or None}
     if unused := [option for option, value in given.items()
                   if value is not None and algorithm not in _OPTION_USERS[option]]:
         raise ValueError(f"{algorithm} does not use {', '.join(unused)}")

@@ -418,6 +418,28 @@ def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_zero_operator_exit_code(tmp_path, capsys):
+    path = str(tmp_path / "zero.vif")
+    vs.save_instance(path, vs.AffineVI.bilinear(np.zeros((3, 3))))
+    for algo in ("eg", "oomd-l2", "pda"):
+        code = cli.main(["run", "--instance", path, "--algo", algo, "--budget", "60",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{algo} cannot run on a zero operator" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_step_scale_leaves_rm_plus_alone(tmp_path):
+    """rm+ takes no step, so a sweep's --tau-scale scales only the others."""
+    for scale in ("1", "2"):
+        assert cli.main(["run", "--gen", "pb", "--n", "6", "--algo", "rm+,eg", "--budget", "60",
+                         "--tau-scale", scale, "--out", str(tmp_path / scale)]) == 0
+    read = lambda scale, algo: (tmp_path / scale / f"pb6-s0_{algo}_seed0.csv").read_bytes()
+    assert read("1", "rm+") == read("2", "rm+")
+    assert read("1", "eg") != read("2", "eg")
+
+
 def test_cli_unknown_algorithm_named_once(tmp_path, capsys):
     code = cli.main(["run", "--gen", "pb", "--n", "6", "--algo", "sgd,sgd", "--budget", "60",
                      "--out", str(tmp_path / "out")])

@@ -8,7 +8,7 @@ from visolve import solvers
 from visolve.metrics import dist_theta
 from visolve.solvers import NumericalDivergence, SvrgParams, make_solver
 
-from conftest import equilibrium_lp
+from conftest import equilibrium_lp, random_game
 
 
 def test_suggested_params_formulas():
@@ -219,11 +219,31 @@ def test_huge_steps_project_onto_the_ws_solution_segment(ws, tau_scale):
 
 
 @pytest.mark.parametrize("algo, option", [("eg", "params"), ("svrg-eg", "stepsize"),
-                                          ("rm+", "stepsize")])
+                                          ("rm+", "stepsize"), ("rm+", "tau_scale")])
 def test_make_solver_rejects_an_option_its_algorithm_does_not_use(pb8, algo, option):
-    value = {"params": SvrgParams.suggested(8, pb8.lipschitz_bound()), "stepsize": 0.5}[option]
+    value = {"params": SvrgParams.suggested(8, pb8.lipschitz_bound()), "stepsize": 0.5,
+             "tau_scale": 7.0}[option]
     with pytest.raises(ValueError, match=re.escape(f"{algo} does not use {option}")):
         make_solver(pb8, algo, seed=0, **{option: value})
+
+
+def test_rm_plus_takes_no_step_scale(pb8):
+    with pytest.raises(ValueError, match="rm\\+ does not use tau_scale"):
+        vs.run(pb8, "rm+", budget_evals=160, seed=0, eval_every=16, tau_scale=7.0)
+    assert make_solver(pb8, "rm+", seed=0, tau_scale=1.0).name == "rm+"
+
+
+@pytest.mark.parametrize("algo", ["svrg-eg", "dl-svrg-eg", "eg", "pda", "oomd-l2",
+                                  "oomd-entropy"])
+def test_game_with_both_linear_terms_is_solved(algo):
+    """F = (grad_x f, -grad_y f) for f = x'Ay + <bx, x> + <by, y>. An
+    operator whose dual block adds by instead of subtracting it leaves every
+    solver that reads F at a gap of 0.779 on this game; pda reads A, bx and
+    by directly."""
+    problem = random_game(4, 5, seed=3, with_linear=True)
+    trace = vs.run(problem, algo, budget_evals=20_000, seed=0, eval_every=500,
+                   stop_when_gap_below=1e-9)
+    assert trace.gap_last[-1] <= 1e-9
 
 
 def test_variance_reduced_tags():

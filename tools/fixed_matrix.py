@@ -1,32 +1,35 @@
 """Digest the CSVs of a fixed matrix of `visolve` runs.
 
-The matrix runs every applicable algorithm, seeds 0-2, on seven instances
+The matrix runs every applicable algorithm, seeds 0-2, on eight instances
 (the 30 x 30 pursuit game with instance seed 1 at budget 3000 and cadence
 60, the 2-D known-segment instance at budget 200 and cadence 10, the 4 x 4
 labeling game with 2 and with 3 regions at budget 4000 and cadence 100, a
 12-dimensional monotone affine VI over a box at budget 1200 and cadence 60,
-a 2-D affine VI over a box cut by a halfspace at budget 200 and cadence
-10, and the 5 x 7 uniform game with instance seed 0 at budget 1200 and
-cadence 60, the one game whose two simplexes differ in size and so project
-block by block). It runs the pursuit game once more with `--tau-scale 3
---gamma 0.7`, so the step multiplier, a parameter override and the order
-in which a multiplier that is not a power of two enters the step are gated
-too. It adds a `compare` with `--q 0,1,2` of every applicable algorithm on
-the pursuit game, written to a named `.csv` file, and on the 2-region
-labeling game and the 2-D known-segment instance, written into a
-directory, so both `--out` rules and a `compare` on an instance with a
-known solution set are gated.
-The two affine VIs are written with `save_instance` and run through
-`--instance`, so the gate covers the instance file format. Unlike the 2-D
-known-segment instance, whose traces are all zero and whose iterates all
-lie on the diagonal, the 12-dimensional VI's residuals stay above zero at
-the budget, and the 2-D VI's steps leave the halfspace off the diagonal, so
-they gate the active branch of its projection; its last iterates reach the
-solution vertex, but its averaged residuals stay above zero. Every run
-goes through `cli.main` into a temporary directory; the output is one
-`sha256  relative/path` line per CSV, sorted by path, after a header of
-`#` lines that names the numpy and scipy versions, the BLAS build and the
-CPU, because a BLAS kernel can change the order of a sum.
+a 2-D affine VI over a box cut by a halfspace at budget 200 and cadence 10,
+and the 5 x 7 uniform game with instance seed 0 at budget 1200 and cadence
+60, the one game whose two simplexes differ in size and so project block by
+block, and a 5 x 7 game over two simplexes with both linear terms, <bx, x>
+and <by, y>, at budget 1200 and cadence 60, the one instance whose dual
+linear term by is nonzero and so gates its sign in F). It runs the pursuit
+game once more with `--tau-scale 3 --gamma 0.7`, so the step multiplier, a
+parameter override and the order in which a multiplier that is not a power
+of two enters the step are gated too. It adds a `compare` with `--q 0,1,2`
+of every applicable algorithm on the pursuit game, written to a named
+`.csv` file, and on the 2-region labeling game and the 2-D known-segment
+instance, written into a directory, so both `--out` rules and a `compare`
+on an instance with a known solution set are gated.
+The two affine VIs and the game with linear terms are written with
+`save_instance` and run through `--instance`, so the gate covers the
+instance file format. Unlike the 2-D known-segment instance, whose traces
+are all zero and whose iterates all lie on the diagonal, the 12-dimensional
+VI's residuals stay above zero at the budget, and the 2-D VI's steps leave
+the halfspace off the diagonal, so they gate the active branch of its
+projection; its last iterates reach the solution vertex, but its averaged
+residuals stay above zero. Every run goes through `cli.main` into a
+temporary directory; the output is one `sha256  relative/path` line per CSV,
+sorted by path, after a header of `#` lines that names the numpy and scipy
+versions, the BLAS build and the CPU, because a BLAS kernel can change the
+order of a sum.
 
     python3 tools/fixed_matrix.py [SRC_DIR] > digests.txt
 
@@ -50,6 +53,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 AFFINE_FILE = "affine12.vif"
 HALFBOX_FILE = "halfbox2.vif"
+LINEAR_FILE = "linear5x7.vif"
 
 # (output subdirectory, generator or instance file, generator flags, budget, cadence)
 RUNS = (
@@ -61,6 +65,7 @@ RUNS = (
     ("halfbox", HALFBOX_FILE, {}, 200, 10),
     ("scaled", "pb", {"n": 30, "seed": 1}, 3000, 60),
     ("uni", "uniform", {"n": 5, "m": 7, "seed": 0}, 1200, 60),
+    ("linear", LINEAR_FILE, {}, 1200, 60),
 )
 
 # Flags a run above adds to its `run` command.
@@ -92,6 +97,17 @@ def halfspace_box_instance(vs):
     return vs.AffineVI(M, [-2.0, -1.0], vs.HalfspaceBox(0.0, 1.0, [1.0, 2.0], 1.6))
 
 
+def linear_game_instance(vs):
+    """The game min_x max_y x'Ay + <bx, x> + <by, y> over two simplexes,
+    with the 5 x 7 payoff A and the terms bx and by seeded uniform draws on
+    [-1/2, 1/2)."""
+    from visolve.rng import StableRng
+
+    rng = StableRng(11)
+    A = rng.uniform(35).reshape(5, 7) - 0.5
+    return vs.AffineVI.bilinear(A, rng.uniform(5) - 0.5, rng.uniform(7) - 0.5)
+
+
 def environment():
     """Header lines naming what can change the bits of a sum: the numpy and
     scipy versions, the BLAS build numpy reports and the CPU model."""
@@ -120,6 +136,7 @@ def digest_matrix():
     with tempfile.TemporaryDirectory() as out:
         vs.save_instance(os.path.join(out, AFFINE_FILE), affine_box_instance(vs))
         vs.save_instance(os.path.join(out, HALFBOX_FILE), halfspace_box_instance(vs))
+        vs.save_instance(os.path.join(out, LINEAR_FILE), linear_game_instance(vs))
         commands = []
         for sub, name, params, budget, cadence in RUNS:
             is_file = name not in harness.GENERATORS
