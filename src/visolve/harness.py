@@ -212,13 +212,10 @@ def compare_command(cfg):
     modes = ["gap_last"] + [AVERAGE_COLUMNS[q] for q in cfg.q_exponents]
     for algo in cfg.algorithms:
         traces = list(run_seeds(problem, algo, cfg).values())
+        nearest = [np.abs(t.evals[None, :] - grid[:, None]).argmin(axis=1) for t in traces]
         for mode in modes:
-            per_seed = []
-            for t in traces:
-                idx = np.abs(t.evals[None, :] - grid[:, None]).argmin(axis=1)
-                per_seed.append(np.asarray(t.column(mode))[idx])
-            tag = mode.replace("gap_", "")
-            table[f"{algo}_{tag}"] = np.stack(per_seed).mean(axis=0)
+            per_seed = [np.asarray(t.column(mode))[idx] for t, idx in zip(traces, nearest)]
+            table[f"{algo}_{mode.replace('gap_', '')}"] = np.stack(per_seed).mean(axis=0)
     out_path = (cfg.out if cfg.out.endswith(".csv")
                 else os.path.join(cfg.out, f"{label}_compare.csv"))
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)

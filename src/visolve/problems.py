@@ -2,9 +2,9 @@
 
 A problem is the operator F(z) = Mz + q over a feasible set, for every
 instance. A bilinear min-max game min_x max_y f(x, y) = x'Ay + <bx,x> + <by,y>
-is the VI with F = (grad_x f, -grad_y f): M = [[0, A], [-A', 0]], stored
-through :class:`BilinearStructure` so Mz = (Ay, -A'x) is formed without
-materializing M, and q = (bx, -by).
+is the VI with F = (grad_x f, -grad_y f): M = [[0, A], [-A', 0]], stored as
+A and its transpose AT in :class:`BilinearStructure`, so Mz = (Ay, -A'x) is
+formed without materializing M, and q = (bx, -by).
 """
 
 from __future__ import annotations
@@ -26,17 +26,17 @@ _SOLUTION_CHECK_SEED = 0
 
 
 class BilinearStructure:
-    """Payoff matrix plus linear terms of a bilinear saddle-point problem."""
+    """Payoff A, its transpose AT (a view, or A' as CSR when sparse) and linear terms."""
 
     def __init__(self, A, bx=None, by=None):
         if sp.issparse(A):
             # canonical (no duplicate entries), so a scatter of a slice is exact
             self.A = A.tocsr(copy=True)
             self.A.sum_duplicates()
-            self._A_csc = self.A.tocsc()
+            self.AT = self.A.tocsc().T
         else:
             self.A = np.asarray(A, dtype=np.float64)
-            self._A_csc = None
+            self.AT = self.A.T
         n, m = self.A.shape
         self.primal_dim = n
         self.dual_dim = m
@@ -49,15 +49,11 @@ class BilinearStructure:
         """Row i as (index, values), so that ``v[index] += c * values`` adds
         c A_i to v: the whole dense row, or the stored entries of the CSR row,
         read in place."""
-        if self._A_csc is None:
-            return slice(None), self.A[i]
-        return _stored(self.A, i)
+        return _row(self.A, i)
 
     def col(self, j):
-        """Column j as (index, values), like :meth:`row`."""
-        if self._A_csc is None:
-            return slice(None), self.A[:, j]
-        return _stored(self._A_csc, j)
+        """Column j as (index, values), like :meth:`row`: row j of ``AT``."""
+        return _row(self.AT, j)
 
     def frobenius_norm(self):
         if sp.issparse(self.A):
@@ -68,9 +64,10 @@ class BilinearStructure:
         return self.A.toarray() if sp.issparse(self.A) else self.A
 
 
-def _stored(M, k):
-    """Indices and values of the stored entries of row k of a CSR matrix (or
-    column k of a CSC one), as views."""
+def _row(M, k):
+    """Row k of a dense or CSR matrix as (index, values) views."""
+    if not sp.issparse(M):
+        return slice(None), M[k]
     lo, hi = M.indptr[k], M.indptr[k + 1]
     return M.indices[lo:hi], M.data[lo:hi]
 
@@ -146,9 +143,9 @@ class AffineVI:
         if z.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: expected ({self.dim},), got {z.shape}")
         if self.structure is not None:
-            A = self.structure.A
+            s = self.structure
             x, y = self.split(z)
-            return np.concatenate([A @ y, -(A.T @ x)]) + self.q
+            return np.concatenate([s.A @ y, -(s.AT @ x)]) + self.q
         return self._M @ z + self.q
 
     def lipschitz_bound(self):
@@ -309,22 +306,15 @@ def grid_gradient(grid):
     """Forward-difference operator on a grid x grid image, one x- and one
     y-difference row per pixel (2*grid^2 rows); boundary rows are zero."""
     g = int(grid)
-    n = g * g
+    i, j = np.divmod(np.arange(g * g), g)           # pixel p = i * g + j
     rows, cols, vals = [], [], []
-    def pix(i, j):
-        return i * g + j
-    for i in range(g):
-        for j in range(g):
-            r = 2 * pix(i, j)
-            if i + 1 < g:
-                rows += [r, r]
-                cols += [pix(i + 1, j), pix(i, j)]
-                vals += [1.0, -1.0]
-            if j + 1 < g:
-                rows += [r + 1, r + 1]
-                cols += [pix(i, j + 1), pix(i, j)]
-                vals += [1.0, -1.0]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, n))
+    for r, inner, step in ((0, i + 1 < g, g), (1, j + 1 < g, 1)):  # row 2p + r: x, then y
+        p = np.flatnonzero(inner)
+        rows += [2 * p + r] * 2
+        cols += [p + step, p]
+        vals += [np.ones(p.size), -np.ones(p.size)]
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 * g * g, g * g))
 
 
 def synthetic_segmentation(grid, regions, seed):

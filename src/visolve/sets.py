@@ -192,8 +192,9 @@ class SimplexProduct(FeasibleSet):
         if not dims or any(d < 1 for d in dims):
             raise ValueError("simplex dimensions must be positive")
         self.simplex_blocks = dims
+        self._dims = np.array(dims)
         self.dim = sum(dims)
-        self._offsets = np.concatenate([[0], np.cumsum(dims)])
+        self._offsets = np.concatenate([[0], np.cumsum(self._dims)])
         self._project_blocks = _block_projection(dims)
 
     def _project(self, v, near=None):
@@ -212,11 +213,12 @@ class SimplexProduct(FeasibleSet):
         return e
 
     def center(self):
-        return np.concatenate([np.full(d, 1.0 / d) for d in self.simplex_blocks])
+        return np.repeat(1.0 / self._dims, self._dims)
 
     def support_max(self, c):
+        # left to right, as a loop from 0.0 adds; + 0.0 makes a sum of -0.0s +0.0
         block_max = np.maximum.reduceat(np.asarray(c), self._offsets[:-1])
-        return float(sum(block_max.tolist()))
+        return float(np.cumsum(block_max)[-1] + 0.0)
 
     def descriptor(self):
         dims = self.simplex_blocks

@@ -74,6 +74,9 @@ class SvrgParams:
     @classmethod
     def suggested(cls, N, L, p=None, alpha=None, gamma=None):
         """p = 2/N, alpha = 1 - 2/N, K = N/2 (clamped to valid ranges), gamma = 0.99."""
+        if L == 0.0:
+            raise ValueError("svrg-eg and dl-svrg-eg cannot run on a zero operator: their "
+                             "suggested L is ||A||_F (||M||_F for a plain VI), which is 0")
         N = int(N)
         p = min(1.0, 2.0 / N) if p is None else p
         alpha = max(0.0, 1.0 - 2.0 / N) if alpha is None else alpha
@@ -282,7 +285,7 @@ class PrimalDual(_SolverBase):
 
     def step(self):
         s = self.problem.structure
-        self.y = self._proj(self.y + self.tau * (s.A.T @ self.x_bar + s.by), self.dual_set)
+        self.y = self._proj(self.y + self.tau * (s.AT @ self.x_bar + s.by), self.dual_set)
         x_new = self._proj(self.x - self.tau * (s.A @ self.y + s.bx), self.primal_set)
         self.x_bar = 2.0 * x_new - self.x
         self.x = x_new
@@ -386,7 +389,7 @@ class RegretMatchingPlus(_SolverBase):
         loss_x = self._finite(s.A @ self.z[n:] + s.bx)
         for sl in self.primal_blocks:
             self._update_block(sl, float(self.z[sl] @ loss_x[sl]) - loss_x[sl])
-        gain_y = s.A.T @ self.z[:n] + s.by
+        gain_y = s.AT @ self.z[:n] + s.by
         for sl in self.dual_blocks:
             local = gain_y[sl.start - n:sl.stop - n]
             self._update_block(sl, local - float(self.z[sl] @ local))
@@ -429,6 +432,14 @@ def applicable(problem, algorithm):
     return unmet_requirement(problem, algorithm) is None
 
 
+def _zero_step(problem, algorithm):
+    """Why the algorithm's baseline step is undefined (a zero operator), or None."""
+    if algorithm in _STEP_OVER_NORM and problem.spectral_norm() == 0.0:
+        return (f"{algorithm} cannot run on a zero operator: its baseline step is "
+                f"{_STEP_OVER_NORM[algorithm]} over the spectral norm, which is 0")
+    return None
+
+
 def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every=None):
     """One message per run rule the settings break; the budget and cadence
     rules, and that of a run's baseline step, apply when a budget is given."""
@@ -437,10 +448,8 @@ def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every
     if not tau_scale > 0.0:  # NaN too
         errors.append(f"tau_scale must be positive, got {tau_scale}")
     if budget_evals is not None:
-        errors += [f"{algorithm} cannot run on a zero operator: its baseline step is "
-                   f"{_STEP_OVER_NORM[algorithm]} over the spectral norm, which is 0"
-                   for algorithm in dict.fromkeys(algorithms)
-                   if algorithm in _STEP_OVER_NORM and problem.spectral_norm() == 0.0]
+        errors += [reason for algorithm in dict.fromkeys(algorithms)
+                   if (reason := _zero_step(problem, algorithm)) is not None]
         N = default_components(problem)
         if budget_evals < N:
             errors.append(f"budget {budget_evals} is below one full evaluation ({N})")
@@ -458,8 +467,8 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     solvers, 0.5/||A||_2 for Euclidean optimistic mirror descent, 1 for the
     entropy variant; tau_scale multiplies every step, given or baseline.
     ``params`` applies to the variance-reduced solvers, ``stepsize`` to the
-    other step-sized ones and a ``tau_scale`` other than 1 to both; an
-    option the algorithm does not use is an error.
+    other step-sized ones and a ``tau_scale`` other than 1 to both. An unused
+    option is an error, as is a zero operator to derive a step from.
     """
     if errors := setting_errors(problem, [algorithm], tau_scale):
         raise ValueError("; ".join(errors))
@@ -467,6 +476,8 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     if unused := [option for option, value in given.items()
                   if value is not None and algorithm not in _OPTION_USERS[option]]:
         raise ValueError(f"{algorithm} does not use {', '.join(unused)}")
+    if stepsize is None and (reason := _zero_step(problem, algorithm)):
+        raise ValueError(reason)
     N = default_components(problem) if cost_N is None else int(cost_N)
     if N < 1:
         raise ValueError("N must be at least 1")

@@ -421,12 +421,15 @@ def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
 def test_cli_zero_operator_exit_code(tmp_path, capsys):
     path = str(tmp_path / "zero.vif")
     vs.save_instance(path, vs.AffineVI.bilinear(np.zeros((3, 3))))
-    for algo in ("eg", "oomd-l2", "pda"):
-        code = cli.main(["run", "--instance", path, "--algo", algo, "--budget", "60",
-                         "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"{algo} cannot run on a zero operator" in err and "Traceback" not in err
+    for algo in ("eg", "oomd-l2", "pda", "svrg-eg", "dl-svrg-eg"):
+        # the one-house pursuit game is a 1 x 1 zero game
+        for instance in (["--instance", path], ["--gen", "pb", "--n", "1"]):
+            code = cli.main(["run", *instance, "--algo", algo, "--budget", "60",
+                             "--out", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{algo} cannot run on a zero operator" in err
+            assert "Traceback" not in err and "L must be positive" not in err
     assert not (tmp_path / "out").exists()
 
 

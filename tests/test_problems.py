@@ -2,6 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import visolve as vs
 from visolve import problems
@@ -120,6 +123,28 @@ def test_grid_gradient_structure():
     assert np.allclose(G @ np.ones(16), 0.0)
 
 
+@pytest.mark.parametrize("g", [2, 3, 5, 32])
+def test_grid_gradient_matches_the_pixel_loop(g):
+    """The CSR arrays equal those of the matrix built pixel by pixel."""
+    rows, cols, vals = [], [], []
+    for i in range(g):
+        for j in range(g):
+            p = i * g + j
+            if i + 1 < g:
+                rows += [2 * p, 2 * p]
+                cols += [p + g, p]
+                vals += [1.0, -1.0]
+            if j + 1 < g:
+                rows += [2 * p + 1, 2 * p + 1]
+                cols += [p + 1, p]
+                vals += [1.0, -1.0]
+    expected = sp.csr_matrix((vals, (rows, cols)), shape=(2 * g * g, g * g))
+    G = vs.grid_gradient(g)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(G, name), getattr(expected, name))
+        assert getattr(G, name).dtype == getattr(expected, name).dtype
+
+
 def test_segmentation_dimensions_and_bounds():
     problem = vs.synthetic_segmentation(2, 2, 0)
     assert problem.set.parts[0].dim == 8
@@ -171,6 +196,47 @@ def test_bilinear_embedding_matches_dense_operator(problem):
     for _ in range(50):
         z = rng.uniform(problem.dim)
         assert np.allclose(problem.operator(z), M @ z + q, atol=1e-12)
+
+
+def _payoff(draw, sparse):
+    """A random payoff with entries from 1e-6 to 1e6 in magnitude; a sparse
+    one has empty rows and columns and duplicate entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    if not sparse:
+        return rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-6, 6, (n, m))
+    nnz = draw(st.integers(0, 3 * max(n, m)))
+    rows = rng.integers(0, max(1, n // 2), nnz) * 2 % n      # odd rows stay empty
+    cols = rng.integers(0, m, nnz)
+    vals = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-6, 6, nnz)
+    dup = rng.integers(0, max(nnz, 1), nnz // 3)             # entries stored twice
+    return sp.coo_matrix((np.concatenate([vals, vals[dup] / 3.0]),
+                          (np.concatenate([rows, rows[dup]]), np.concatenate([cols, cols[dup]]))),
+                         shape=(n, m)).tocsr()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_stored_transpose_is_exact(data, sparse):
+    """AT @ x gives the bits of A.T @ x, and col(j) reads the indices and
+    values of column j of the CSC form of A."""
+    s = problems.BilinearStructure(_payoff(data.draw, sparse))
+    n, m = s.A.shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(10):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+        got, expected = s.AT @ x, s.A.T @ x
+        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got),
+                                                                np.signbit(expected))
+    csc = sp.csc_matrix(s.A)
+    for j in range(m):
+        idx, vals = s.col(j)
+        if sparse:
+            lo, hi = csc.indptr[j], csc.indptr[j + 1]
+            assert np.array_equal(idx, csc.indices[lo:hi])
+            assert np.array_equal(vals, csc.data[lo:hi])
+        else:
+            assert idx == slice(None) and np.array_equal(vals, s.A[:, j])
 
 
 def test_monotonicity_check_rejects_bad_operator():

@@ -216,22 +216,50 @@ def test_support_max_simplex_and_box():
     assert np.isclose(prod.support_max(c), np.max(c[:2]) + np.max(c[2:]))
 
 
-@pytest.mark.parametrize("dims", [[4, 4, 4], [3, 2, 4], [7]], ids=str)
+@pytest.mark.parametrize("dims", [[4, 4, 4], [3, 2, 4], [7], [3, 5], [2] * 16, [1, 4] * 8,
+                                  [2] * 1024, [3, 1, 2, 5] * 256],
+                         ids=lambda dims: f"{len(dims)}x{sorted(set(dims))}")
 def test_simplex_blocks_exact(dims):
     """Whichever route the block sizes pick, projection and support function
-    give the bits of simplex_project and of np.max applied block by block."""
+    give the bits of simplex_project and of the block maxima added left to
+    right from 0.0, with ties, signed zeros and magnitudes from 1e-300 to
+    1e300."""
     feasible = SimplexProduct(dims)
     assert feasible.simplex_blocks == tuple(dims)
     cuts = np.cumsum(dims)[:-1]
     rng = StableRng(17)
-    for _ in range(200):
+    for _ in range(200 if len(dims) <= 16 else 4):
         v = 6.0 * rng.uniform(feasible.dim) - 3.0
         per_block = np.concatenate([simplex_project(b[None])[0] for b in np.split(v, cuts)])
         assert np.array_equal(feasible.project(v), per_block)
-        in_order = 0
-        for b in np.split(v, cuts):
-            in_order += np.max(b)
-        assert feasible.support_max(v) == in_order
+    for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300, None):
+        for _ in range(10):
+            d = feasible.dim
+            v = 6.0 * rng.uniform(d) - 3.0
+            # None mixes every magnitude in one vector, so the order of the sum shows
+            v *= 10.0 ** (600.0 * rng.uniform(d) - 300.0) if scale is None else scale
+            v[rng.uniform(d) < 0.3] = v[0]                  # ties
+            v[rng.uniform(d) < 0.2] = 0.0
+            v[rng.uniform(d) < 0.2] = -0.0
+            for c in (v, -np.abs(v), np.where(rng.uniform(d) < 0.5, 0.0, -0.0), np.full(d, -0.0)):
+                in_order = 0.0
+                for b in np.split(c, cuts):
+                    in_order += float(np.max(b))
+                got = feasible.support_max(c)
+                assert got == in_order and np.signbit(got) == np.signbit(in_order)
+
+
+_block_lists = st.one_of(
+    st.lists(st.integers(1, 6), min_size=1, max_size=1100),
+    st.builds(lambda d, k: [d] * k, st.integers(1, 40), st.integers(1, 1100)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_lists)
+def test_center_is_the_per_block_uniform_point(dims):
+    """center() gives the bits of 1/d repeated d times, block by block."""
+    expected = np.concatenate([np.full(d, 1.0 / d) for d in dims])
+    assert np.array_equal(SimplexProduct(dims).center(), expected)
 
 
 @pytest.mark.parametrize("h", range(2, _COLUMN_KERNEL_MAX_BLOCK + 2))

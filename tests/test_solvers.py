@@ -227,6 +227,27 @@ def test_make_solver_rejects_an_option_its_algorithm_does_not_use(pb8, algo, opt
         make_solver(pb8, algo, seed=0, **{option: value})
 
 
+@pytest.mark.parametrize("algo, message", [
+    ("eg", "eg cannot run on a zero operator: its baseline step is 0.99 over the spectral norm"),
+    ("pda", "pda cannot run on a zero operator: its baseline step is 0.99 over the spectral norm"),
+    ("oomd-l2", "oomd-l2 cannot run on a zero operator: its baseline step is 0.5 over the "
+                "spectral norm"),
+    ("svrg-eg", "svrg-eg and dl-svrg-eg cannot run on a zero operator: their suggested L is "
+                "||A||_F"),
+    ("dl-svrg-eg", "svrg-eg and dl-svrg-eg cannot run on a zero operator: their suggested L is "
+                   "||A||_F")])
+def test_make_solver_names_a_zero_operator(algo, message):
+    """A step derived from a zero operator is a ValueError naming it; a
+    baseline's is the text of setting_errors, and a given step still
+    builds the baseline."""
+    zero = vs.AffineVI.bilinear(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_solver(zero, algo)
+    if algo not in solvers.VARIANCE_REDUCED:
+        assert solvers.setting_errors(zero, [algo], 1.0, 60) == [message + ", which is 0"]
+        assert make_solver(zero, algo, stepsize=0.1).tau == 0.1
+
+
 def test_rm_plus_takes_no_step_scale(pb8):
     with pytest.raises(ValueError, match="rm\\+ does not use tau_scale"):
         vs.run(pb8, "rm+", budget_evals=160, seed=0, eval_every=16, tau_scale=7.0)

@@ -27,9 +27,10 @@ the halfspace off the diagonal, so they gate the active branch of its
 projection; its last iterates reach the solution vertex, but its averaged
 residuals stay above zero. Every run goes through `cli.main` into a
 temporary directory; the output is one `sha256  relative/path` line per CSV,
-sorted by path, after a header of `#` lines that names the numpy and scipy
-versions, the BLAS build and the CPU, because a BLAS kernel can change the
-order of a sum.
+sorted by path, after a header of `#` lines that names the Python, numpy
+and scipy versions, the BLAS build and the CPU, because each can change the
+order of a sum: a BLAS kernel, or the builtin `sum()` of floats, which is
+compensated from Python 3.12.
 
     python3 tools/fixed_matrix.py [SRC_DIR] > digests.txt
 
@@ -109,8 +110,9 @@ def linear_game_instance(vs):
 
 
 def environment():
-    """Header lines naming what can change the bits of a sum: the numpy and
-    scipy versions, the BLAS build numpy reports and the CPU model."""
+    """Header lines naming what can change the bits of a sum: the Python
+    version (the builtin ``sum()`` of floats is compensated from 3.12), the
+    numpy and scipy versions, the BLAS build numpy reports and the CPU model."""
     import numpy as np
     import scipy
 
@@ -123,7 +125,8 @@ def environment():
     with contextlib.suppress(OSError), open("/proc/cpuinfo") as f:
         cpu = next((line.split(":", 1)[1].strip() for line in f
                     if line.startswith("model name")), cpu)
-    return [f"# numpy {np.__version__}, scipy {scipy.__version__}",
+    return [f"# python {platform.python_version()}",
+            f"# numpy {np.__version__}, scipy {scipy.__version__}",
             f"# blas {build.strip()}", f"# cpu {cpu}"]
 
 
