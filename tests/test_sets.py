@@ -218,7 +218,7 @@ def test_support_max_simplex_and_box():
 
 @pytest.mark.parametrize("dims", [[4, 4, 4], [3, 2, 4], [7], [3, 5], [2] * 16, [1, 4] * 8,
                                   [2] * 1024, [3, 1, 2, 5] * 256],
-                         ids=lambda dims: f"{len(dims)}x{sorted(set(dims))}")
+                         ids=lambda dims: str(dims) if len(dims) <= 3 else f"{len(dims)}x{sorted(set(dims))}")
 def test_simplex_blocks_exact(dims):
     """Whichever route the block sizes pick, projection and support function
     give the bits of simplex_project and of the block maxima added left to
