@@ -10,6 +10,7 @@ formed without materializing M, and q = (bx, -by).
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +24,12 @@ _EIG_CHECK_MAX_DIM = 64
 _EIG_FLOOR = -1e-10
 _SOLUTION_CHECKS = 10_000
 _SOLUTION_CHECK_SEED = 0
+# Stop rule of spectral_norm: the Ritz residual bound relative to the estimate.
+_LANCZOS_RTOL = 1e-6
+# spectral_norm checks the bound after each of its first 8 steps, then at
+# steps 12, 18, 27, ... (each 1.5 times the last): a check at step k costs
+# about 50 passes over k pivots, a step only two products with A.
+_LANCZOS_EVERY_STEP = 8
 
 
 class BilinearStructure:
@@ -157,7 +164,10 @@ class AffineVI:
 
     def spectral_norm(self):
         """Spectral norm of the payoff matrix for games, of M otherwise;
-        computed on the first call and stored."""
+        computed on the first call and stored. :func:`spectral_norm` finds it
+        by Golub-Kahan-Lanczos bidiagonalization, stopped when the Ritz
+        residual bound reaches 1e-6 of the estimate; the estimate agrees with
+        an SVD to a relative 1e-12 on every generator instance."""
         if self._spectral_norm is None:
             A = self._M if self.structure is None else self.structure.A
             self._spectral_norm = spectral_norm(A)
@@ -165,25 +175,96 @@ class AffineVI:
 
 
 def spectral_norm(A):
-    """Largest singular value by power iteration on A'A, seeded start vector;
-    stops when two estimates agree to a relative 1e-8, or at 10 000 steps."""
-    rng = StableRng(0)
-    v = rng.uniform(A.shape[1]) - 0.5
-    v /= np.linalg.norm(v)
-    sigma = 0.0
+    """Largest singular value of a dense or sparse matrix A, by Golub-Kahan-
+    Lanczos bidiagonalization from a seeded start vector, with no
+    reorthogonalization.
+
+    Step k extends A V_k = U_k B_k and A' U_k = V_k B_k' + beta_k v_{k+1} e_k',
+    where B_k is upper bidiagonal with alpha_1..alpha_k on its diagonal and
+    beta_1..beta_{k-1} above it. The estimate is the top singular value
+    sigma_k of B_k; with p its left singular vector, the residual of the Ritz
+    pair is beta_k |p_k|. The run stops when that bound is at most
+    _LANCZOS_RTOL sigma_k, or when the Krylov space is exhausted: alpha_k or
+    beta_k is exactly 0, or k reaches min(A.shape) + 1. A Ritz value's error
+    is of the order of the squared bound over the gap to the next singular
+    value; on every generator instance the result agrees with
+    ``np.linalg.svd`` to a relative 1e-12. The zero matrix gives exactly 0.0.
+    """
+    n, m = A.shape
     At = A.T
-    for _ in range(10_000):
-        u = A @ v
-        v = At @ u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        new_sigma = float(np.sqrt(nv))
-        if abs(new_sigma - sigma) <= 1e-8 * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    v = StableRng(0).uniform(m) - 0.5
+    v /= np.linalg.norm(v)
+    u = np.zeros(n)
+    alphas, betas = [], []
+    beta, check_at = 0.0, 1
+    for k in range(1, min(n, m) + 2):
+        u = A @ v - beta * u
+        alpha = float(np.linalg.norm(u))
+        alphas.append(alpha)
+        if alpha == 0.0:
+            break
+        u /= alpha
+        v = At @ u - alpha * v
+        beta = float(np.linalg.norm(v))
+        betas.append(beta)
+        if beta == 0.0:
+            break
+        if k == check_at:
+            sigma, p_last = _top_singular_pair(alphas, betas)
+            if beta * p_last <= _LANCZOS_RTOL * sigma:
+                return sigma
+            check_at = k + 1 if k < _LANCZOS_EVERY_STEP else k + k // 2
+        v /= beta
+    return _top_singular_pair(alphas, betas)[0]
+
+
+def _top_singular_pair(alphas, betas):
+    """Top singular value sigma of the k x k upper bidiagonal matrix B with
+    the alphas on its diagonal and the first k - 1 betas above it, and |p_k|,
+    the last entry of its left singular vector p.
+
+    sigma^2 is the top eigenvalue of the tridiagonal T = B B', found by
+    bisection: every pivot of the LDL' factorization of T - x I is negative
+    exactly when x lies above every eigenvalue. The bracket ends on two
+    adjacent floats; sigma^2 is the lower one, so an eigenvalue that is a
+    float is returned exactly. p is one step of inverse iteration from e_1 at
+    the upper one. The loops run on
+    Python floats: LAPACK's eigensolvers call threaded BLAS, and on a busy
+    2-core host one eigh of a 90 x 90 matrix took up to 70 ms, against 0.6 ms
+    idle.
+    """
+    k = len(alphas)
+    d = [a * a + b * b for a, b in zip(alphas, betas[:k - 1])] + [alphas[-1] ** 2]
+    e = [b * a for b, a in zip(betas[:k - 1], alphas[1:])]
+    hi = 2.0 * max(map(sum, zip(d, [0.0] + e, e + [0.0])))  # twice Gershgorin's bound
+    if hi == 0.0:
+        return 0.0, 0.0
+    lo = max(d)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _negative_pivots(d, e, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    pivots = _negative_pivots(d, e, hi)
+    multipliers = [ei / qi for ei, qi in zip(e, pivots)]
+    w = [1.0]                                   # solve L y = e_1,
+    for li in multipliers:
+        w.append(-li * w[-1])
+    w = [yi / qi for yi, qi in zip(w, pivots)]  # then D z = y,
+    for i in range(k - 2, -1, -1):              # then L' w = z
+        w[i] -= multipliers[i] * w[i + 1]
+    return math.sqrt(lo), abs(w[-1]) / math.hypot(*w)
+
+
+def _negative_pivots(d, e, x):
+    """Pivots of the LDL' factorization of the tridiagonal T - x I (diagonal
+    d, off-diagonal e), or None as soon as one is not negative."""
+    pivots = [d[0] - x]
+    for di, ei in zip(d[1:], e):
+        if pivots[-1] >= 0.0:
+            return None
+        pivots.append(di - x - ei * ei / pivots[-1])
+    return pivots if pivots[-1] < 0.0 else None
 
 
 class SolutionSet:

@@ -3,13 +3,16 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import visolve as vs
-from visolve import problems
+from visolve import harness, problems
 from visolve.rng import StableRng
 from visolve.solvers import make_solver
+
+from conftest import fixed_matrix
 
 
 def test_operator_pennies_equilibrium(pennies):
@@ -266,10 +269,67 @@ def test_solution_set_rejects_non_solution(pennies):
         vs.SolutionSet.single(np.array([1.0, 0.0, 1.0, 0.0]), problem)
 
 
+def _spectral_norm_cases():
+    """(label, matrix) pairs: the payoffs of the gated games, dense and CSR
+    labeling games, equal top singular values (pennies), a rank-one matrix,
+    whose Krylov space ends after two steps, single rows and columns, a plain
+    VI's M, and each generator's instance at its default size."""
+    seg4, seg8 = (vs.synthetic_segmentation(g, 2, 0).structure.A for g in (4, 8))
+    cases = [("random10x7", StableRng(5).uniform(70).reshape(10, 7) - 0.5),
+             ("seg4", seg4), ("seg4-dense", seg4.toarray()),
+             ("seg8", seg8), ("seg8-dense", seg8.toarray()),
+             ("pb30", vs.policeman_burglar(30, 1).structure.A),
+             ("uni5x7", vs.uniform_random(5, 7, 0).structure.A),
+             ("linear5x7", fixed_matrix.linear_game_instance(vs).structure.A),
+             ("nem2-12", vs.nemirovski(12, 2, 0.5).structure.A),
+             ("pennies", vs.matching_pennies()[0].structure.A),
+             ("rank-one", np.outer(np.arange(1.0, 6.0), np.arange(-3.0, 4.0))),
+             ("1x7", np.arange(1.0, 8.0)[None, :]),
+             ("7x1", np.arange(1.0, 8.0)[:, None]),
+             ("affine12", fixed_matrix.affine_box_instance(vs).M)]
+    for name in harness.GENERATORS:
+        problem, _, label = harness.build_instance(name)
+        A = problem.M if problem.structure is None else problem.structure.A
+        cases.append((label, A))
+    return cases
+
+
 def test_spectral_norm_matches_svd():
-    rng = StableRng(5)
-    A = rng.uniform(70).reshape(10, 7) - 0.5
-    assert np.isclose(vs.spectral_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-6)
+    for label, A in _spectral_norm_cases():
+        dense = A.toarray() if sp.issparse(A) else A
+        expected = np.linalg.svd(dense, compute_uv=False)[0]
+        assert np.isclose(vs.spectral_norm(A), expected, rtol=1e-12, atol=0.0), label
+
+
+@pytest.mark.parametrize("A", [np.zeros((3, 4)), np.zeros((1, 1)), sp.csr_matrix((6, 2))],
+                         ids=["dense", "1x1", "sparse"])
+def test_spectral_norm_of_zero_matrix_is_exactly_zero(A):
+    assert vs.spectral_norm(A) == 0.0
+
+
+class _CountedProducts:
+    """A matrix that counts its products with vectors, through A or A'."""
+
+    def __init__(self, A, count=None):
+        self.A, self.shape = A, A.shape
+        self.count = [0] if count is None else count
+
+    @property
+    def T(self):
+        return _CountedProducts(self.A.T, self.count)
+
+    def __matmul__(self, x):
+        self.count[0] += 1
+        return self.A @ x
+
+
+def test_spectral_norm_products_on_seg32():
+    A = vs.synthetic_segmentation(32, 2, 0).structure.A
+    counted = _CountedProducts(A)
+    sigma = vs.spectral_norm(counted)
+    assert counted.count[0] <= 250
+    expected = spla.svds(A, k=1, tol=0, return_singular_vectors=False)[0]
+    assert np.isclose(sigma, expected, rtol=1e-12, atol=0.0)
 
 
 def test_spectral_norm_computed_once_per_problem(monkeypatch):
