@@ -285,8 +285,10 @@ class PrimalDual(_SolverBase):
 
     def step(self):
         s = self.problem.structure
-        self.y = self._proj(self.y + self.tau * (s.AT @ self.x_bar + s.by), self.dual_set)
-        x_new = self._proj(self.x - self.tau * (s.A @ self.y + s.bx), self.primal_set)
+        self.y = self._proj(self.y + self.tau * (s.AT @ self.x_bar + s.by), self.dual_set,
+                            near=self.y)
+        x_new = self._proj(self.x - self.tau * (s.A @ self.y + s.bx), self.primal_set,
+                           near=self.x)
         self.x_bar = 2.0 * x_new - self.x
         self.x = x_new
         self.z = np.concatenate([self.x, self.y])
@@ -299,8 +301,9 @@ class _OptimisticMirrorDescent(_SolverBase):
     """Optimistic mirror descent with one operator evaluation per iteration:
     the played point uses the previous operator value as prediction, the
     ledger point uses the fresh one. Subclasses supply the mirror step
-    ``_mirror(base, g)``. The first prediction costs N, and so does each
-    iteration."""
+    ``_mirror(base, g, near)``; ``near`` guesses the support of a Euclidean
+    projection: the ledger for the played point, the point just played for
+    the ledger. The first prediction costs N, and so does each iteration."""
 
     draws = False
 
@@ -312,9 +315,9 @@ class _OptimisticMirrorDescent(_SolverBase):
         self.evals += self.N  # prediction for the first step
 
     def _optimistic_step(self):
-        self.z = self._mirror(self.ledger, self.g_prev)
+        self.z = self._mirror(self.ledger, self.g_prev, near=self.ledger)
         g = self.problem.operator(self.z)
-        self.ledger = self._mirror(self.ledger, g)
+        self.ledger = self._mirror(self.ledger, g, near=self.z)
         self.g_prev = g
         self.evals += self.N
         self.iteration += 1
@@ -326,8 +329,8 @@ class OptimisticMDL2(_OptimisticMirrorDescent):
 
     name = "oomd-l2"
 
-    def _mirror(self, base, g):
-        return self._proj(base - self.tau * g, near=base)
+    def _mirror(self, base, g, near):
+        return self._proj(base - self.tau * g, near=near)
 
     def step(self):
         return self._optimistic_step()
@@ -345,7 +348,7 @@ class OptimisticMDEntropy(_OptimisticMirrorDescent):
     def blocks(self):
         return _block_slices(self.problem.set)
 
-    def _mirror(self, base, g):
+    def _mirror(self, base, g, near):
         out = np.empty_like(base)
         for sl in self.blocks:
             u = np.log(np.maximum(base[sl], 1e-300)) - self.tau * g[sl]
