@@ -228,24 +228,26 @@ def _top_singular_pair(alphas, betas):
     exactly when x lies above every eigenvalue. The bracket ends on two
     adjacent floats; sigma^2 is the lower one, so an eigenvalue that is a
     float is returned exactly. p is one step of inverse iteration from e_1 at
-    the upper one. The loops run on
-    Python floats: LAPACK's eigensolvers call threaded BLAS, and on a busy
-    2-core host one eigh of a 90 x 90 matrix took up to 70 ms, against 0.6 ms
-    idle.
+    the upper one. The loops run on Python floats: LAPACK's eigensolvers call
+    threaded BLAS, and on a busy 2-core host one eigh of a 90 x 90 matrix
+    took up to 70 ms, against 0.6 ms idle.
     """
     k = len(alphas)
+    if k == 1:                                  # B = (alpha_1), p = (1)
+        return alphas[0], 1.0
     d = [a * a + b * b for a, b in zip(alphas, betas[:k - 1])] + [alphas[-1] ** 2]
     e = [b * a for b, a in zip(betas[:k - 1], alphas[1:])]
+    e2 = [ei * ei for ei in e]
     hi = 2.0 * max(map(sum, zip(d, [0.0] + e, e + [0.0])))  # twice Gershgorin's bound
-    if hi == 0.0:
-        return 0.0, 0.0
     lo = max(d)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _negative_pivots(d, e, mid) is None:
-            lo = mid
-        else:
+        if _above_spectrum(d, e2, mid):
             hi = mid
-    pivots = _negative_pivots(d, e, hi)
+        else:
+            lo = mid
+    pivots = [d[0] - hi]                        # T - hi I = L D L', D = diag(pivots)
+    for di, ei2 in zip(d[1:], e2):
+        pivots.append(di - hi - ei2 / pivots[-1])
     multipliers = [ei / qi for ei, qi in zip(e, pivots)]
     w = [1.0]                                   # solve L y = e_1,
     for li in multipliers:
@@ -256,15 +258,16 @@ def _top_singular_pair(alphas, betas):
     return math.sqrt(lo), abs(w[-1]) / math.hypot(*w)
 
 
-def _negative_pivots(d, e, x):
-    """Pivots of the LDL' factorization of the tridiagonal T - x I (diagonal
-    d, off-diagonal e), or None as soon as one is not negative."""
-    pivots = [d[0] - x]
-    for di, ei in zip(d[1:], e):
-        if pivots[-1] >= 0.0:
-            return None
-        pivots.append(di - x - ei * ei / pivots[-1])
-    return pivots if pivots[-1] < 0.0 else None
+def _above_spectrum(d, e2, x):
+    """Whether x exceeds every eigenvalue of the symmetric tridiagonal matrix
+    with diagonal d and squared off-diagonal e2, that is, whether every pivot
+    of the LDL' factorization of T - x I is negative."""
+    q = d[0] - x
+    for di, ei2 in zip(d[1:], e2):
+        if q >= 0.0:
+            return False
+        q = di - x - ei2 / q
+    return q < 0.0
 
 
 class SolutionSet:
