@@ -10,6 +10,7 @@ from visolve.rng import StableRng
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools"))
 import fixed_matrix  # noqa: E402  (the fixed matrix's instances and digests)
+import spectral_norm_bench  # noqa: E402  (its product-counting matrix)
 
 
 def random_game(n, m, seed, lo=-1.0, hi=1.0, with_linear=False):

@@ -12,7 +12,7 @@ from visolve import harness, problems
 from visolve.rng import StableRng
 from visolve.solvers import make_solver
 
-from conftest import fixed_matrix
+from conftest import fixed_matrix, spectral_norm_bench
 
 
 def test_operator_pennies_equilibrium(pennies):
@@ -307,25 +307,9 @@ def test_spectral_norm_of_zero_matrix_is_exactly_zero(A):
     assert vs.spectral_norm(A) == 0.0
 
 
-class _CountedProducts:
-    """A matrix that counts its products with vectors, through A or A'."""
-
-    def __init__(self, A, count=None):
-        self.A, self.shape = A, A.shape
-        self.count = [0] if count is None else count
-
-    @property
-    def T(self):
-        return _CountedProducts(self.A.T, self.count)
-
-    def __matmul__(self, x):
-        self.count[0] += 1
-        return self.A @ x
-
-
 def test_spectral_norm_products_on_seg32():
     A = vs.synthetic_segmentation(32, 2, 0).structure.A
-    counted = _CountedProducts(A)
+    counted = spectral_norm_bench.CountedProducts(A)
     sigma = vs.spectral_norm(counted)
     assert counted.count[0] <= 250
     expected = spla.svds(A, k=1, tol=0, return_singular_vectors=False)[0]
