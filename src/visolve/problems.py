@@ -188,7 +188,8 @@ def spectral_norm(A):
     beta_k is exactly 0, or k reaches min(A.shape) + 1. A Ritz value's error
     is of the order of the squared bound over the gap to the next singular
     value; on every generator instance the result agrees with
-    ``np.linalg.svd`` to a relative 1e-12. The zero matrix gives exactly 0.0.
+    ``np.linalg.svd`` to a relative 1e-12, and so it does for those matrices
+    scaled by 1e-150 or 1e150. The zero matrix gives exactly 0.0.
     """
     n, m = A.shape
     At = A.T
@@ -235,18 +236,26 @@ def _top_singular_pair(alphas, betas):
     k = len(alphas)
     if k == 1:                                  # B = (alpha_1), p = (1)
         return alphas[0], 1.0
-    d = [a * a + b * b for a, b in zip(alphas, betas[:k - 1])] + [alphas[-1] ** 2]
-    e = [b * a for b, a in zip(betas[:k - 1], alphas[1:])]
-    e2 = [ei * ei for ei in e]
-    hi = 2.0 * max(map(sum, zip(d, [0.0] + e, e + [0.0])))  # twice Gershgorin's bound
+    # B / scale has entries below 1, so no square over- or underflows; a power
+    # of two scales every product and sum exactly, and so keeps their bits.
+    scale = 2.0 ** math.frexp(max(alphas + betas[:k - 1]))[1]
+    alphas = [a / scale for a in alphas]
+    betas = [b / scale for b in betas[:k - 1]]
+    d = [a * a + b * b for a, b in zip(alphas, betas)] + [alphas[-1] ** 2]
+    e = [b * a for b, a in zip(betas, alphas[1:])]
+    rows = list(zip(d[1:], [ei * ei for ei in e]))
+    # hi starts strictly above every eigenvalue: at the trace of T (the sum of
+    # its eigenvalues, all >= 0), raised by 2^-40, or at twice Gershgorin's bound
+    hi = min(math.fsum(d) * (1.0 + 2.0 ** -40),
+             2.0 * max(map(sum, zip(d, [0.0] + e, e + [0.0]))))
     lo = max(d)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _above_spectrum(d, e2, mid):
+        if _above_spectrum(d[0], rows, mid):
             hi = mid
         else:
             lo = mid
     pivots = [d[0] - hi]                        # T - hi I = L D L', D = diag(pivots)
-    for di, ei2 in zip(d[1:], e2):
+    for di, ei2 in rows:
         pivots.append(di - hi - ei2 / pivots[-1])
     multipliers = [ei / qi for ei, qi in zip(e, pivots)]
     w = [1.0]                                   # solve L y = e_1,
@@ -255,15 +264,16 @@ def _top_singular_pair(alphas, betas):
     w = [yi / qi for yi, qi in zip(w, pivots)]  # then D z = y,
     for i in range(k - 2, -1, -1):              # then L' w = z
         w[i] -= multipliers[i] * w[i + 1]
-    return math.sqrt(lo), abs(w[-1]) / math.hypot(*w)
+    return math.sqrt(lo) * scale, abs(w[-1]) / math.hypot(*w)
 
 
-def _above_spectrum(d, e2, x):
+def _above_spectrum(d0, rows, x):
     """Whether x exceeds every eigenvalue of the symmetric tridiagonal matrix
-    with diagonal d and squared off-diagonal e2, that is, whether every pivot
-    of the LDL' factorization of T - x I is negative."""
-    q = d[0] - x
-    for di, ei2 in zip(d[1:], e2):
+    T with first diagonal entry d0 and (d_i, e_{i-1}^2) pairs ``rows`` for the
+    rest, that is, whether every pivot of the LDL' factorization of T - x I
+    is negative."""
+    q = d0 - x
+    for di, ei2 in rows:
         if q >= 0.0:
             return False
         q = di - x - ei2 / q

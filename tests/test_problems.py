@@ -301,6 +301,14 @@ def test_spectral_norm_matches_svd():
         assert np.isclose(vs.spectral_norm(A), expected, rtol=1e-12, atol=0.0), label
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_spectral_norm_at_extreme_magnitudes(scale):
+    for A in (vs.uniform_random(5, 7, 0).structure.A, vs.synthetic_segmentation(4, 2, 0).structure.A):
+        dense = A.toarray() if sp.issparse(A) else A
+        expected = np.linalg.svd(dense, compute_uv=False)[0] * scale
+        assert np.isclose(vs.spectral_norm(A * scale), expected, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("A", [np.zeros((3, 4)), np.zeros((1, 1)), sp.csr_matrix((6, 2))],
                          ids=["dense", "1x1", "sparse"])
 def test_spectral_norm_of_zero_matrix_is_exactly_zero(A):
