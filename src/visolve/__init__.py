@@ -4,7 +4,7 @@ classical first-order baselines, polynomially weighted iterate averaging,
 and closed-form convergence diagnostics."""
 
 from .averaging import AveragingAccumulator
-from .metrics import GapTrace, dist_theta, duality_gap, duality_gap_at, natural_residual, ws_ratio
+from .metrics import GapTrace, dist_theta, duality_gap_at, natural_residual, ws_ratio
 from .oracles import (MatrixGameOracle, SamplingDistribution, SnapshotCache, default_components,
                       pair_second_moment, stochastic_operator, vr_conditional_variance)
 from .problems import (AffineVI, BilinearStructure, SolutionSet, grid_gradient, load_instance,

@@ -18,8 +18,10 @@ def _parse_seeds(text):
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(t) for t in part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"reversed seed range {part}")
+            seeds.extend(range(lo, hi + 1))
         elif part:
             seeds.append(int(part))
     return seeds

@@ -109,7 +109,8 @@ class RunConfig:
             errors.append("seed list is empty")
         if negative := sorted({seed for seed in self.seeds if seed < 0}):
             errors.append(f"--seeds must be non-negative, got {', '.join(map(str, negative))}")
-        for what, items in (("algorithm", self.algorithms), ("seed", self.seeds)):
+        for what, items in (("algorithm", self.algorithms), ("seed", self.seeds),
+                            ("averaging exponent", self.q_exponents)):
             if repeated := sorted(item for item, n in Counter(items).items() if n > 1):
                 errors.append(f"{what} list repeats {', '.join(map(str, repeated))}")
         overrides = [k for k in ("p", "alpha", "gamma") if getattr(self, k) is not None]

@@ -27,11 +27,6 @@ def duality_gap_at(problem, z):
     return best_response_y - best_response_x
 
 
-def duality_gap(problem, x, y):
-    """:func:`duality_gap_at` at the stacked point (x, y)."""
-    return duality_gap_at(problem, np.concatenate([x, y]))
-
-
 def natural_residual(problem, z, tau):
     """||z - proj(z - tau F(z))|| / tau; zero exactly at solutions."""
     if tau <= 0.0:

@@ -67,9 +67,6 @@ class BilinearStructure:
             return float(np.sqrt(self.A.multiply(self.A).sum()))
         return float(np.linalg.norm(self.A))
 
-    def dense_A(self):
-        return self.A.toarray() if sp.issparse(self.A) else self.A
-
 
 def _row(M, k):
     """Row k of a dense or CSR matrix as (index, values) views."""
@@ -131,11 +128,10 @@ class AffineVI:
     def M(self):
         """Dense operator matrix; materialized on demand for bilinear instances."""
         if self._M is None:
-            A = self.structure.dense_A()
-            n, m = A.shape
-            M = np.zeros((n + m, n + m))
-            M[:n, n:] = A
-            M[n:, :n] = -A.T
+            A, n = self.structure.A, self.structure.primal_dim
+            M = np.zeros((self.dim, self.dim))
+            M[:n, n:] = A.toarray() if sp.issparse(A) else A
+            M[n:, :n] = -M[:n, n:].T
             self._M = M
         return self._M
 
@@ -441,46 +437,41 @@ def synthetic_segmentation(grid, regions, seed):
 # instance files
 # ---------------------------------------------------------------------------
 
-# How each magic turns the payload after the header into float64 values.
-_PAYLOAD_READERS = {
-    "vif1": lambda f: np.array(f.read().decode("ascii").split(), dtype=np.float64),
-    "vif2": lambda f: np.fromfile(f, dtype="<f8"),
-}
-
-
 def save_instance(path, problem):
     """Write an instance file: a one-line text header
     ``vif2 <n> <m> <set-descriptor>``, then the values as raw little-endian
-    float64 (``<f8``), so a file reads the same on every machine and loads
-    bit for bit.
+    float64 (``<f8``), so a file loads bit for bit on every machine.
 
     Bilinear instances store the coupling matrix A row-major, then bx, then
-    by; plain affine instances store M row-major, then q (and nothing after).
+    by; plain affine instances store M row-major, then q. A sparse A is
+    stored as the CSR arrays the game runs on instead: the header ends in
+    ``csr <nnz>``, and indptr and indices come first, as ``<i8``.
     """
-    if problem.structure is not None:
-        s = problem.structure
-        n, m, parts = s.primal_dim, s.dual_dim, (s.dense_A(), s.bx, s.by)
-    else:
+    s, csr = problem.structure, ""
+    if s is None:
         n = m = problem.dim
         parts = (problem.M, problem.q)
+    elif sp.issparse(s.A):
+        n, m, csr = s.primal_dim, s.dual_dim, f" csr {s.A.nnz}"
+        parts = (s.A.indptr, s.A.indices, s.A.data, s.bx, s.by)
+    else:
+        n, m, parts = s.primal_dim, s.dual_dim, (s.A, s.bx, s.by)
     with open(path, "wb") as f:
-        f.write(f"vif2 {n} {m} {problem.set.descriptor()}\n".encode("ascii"))
+        f.write(f"vif2 {n} {m} {problem.set.descriptor()}{csr}\n".encode("ascii"))
         for part in parts:
-            np.ascontiguousarray(part, dtype="<f8").tofile(f)
+            np.ascontiguousarray(part, dtype="<i8" if part.dtype.kind == "i" else "<f8").tofile(f)
 
 
 def load_instance(path):
     """Read an instance file written by :func:`save_instance`.
 
-    The raw ``vif2`` payload is read with one ``np.fromfile`` (2-5 ms for the
-    million values of a 1000 x 1000 game, against 0.45-0.75 s to parse them
-    as decimals). Files of the older ``vif1`` text format, the same header with
-    the values as 17-digit decimals, still load. The two layouts are told
-    apart by the value count: n*m + n + m for a bilinear instance versus
-    d*d + d for a plain affine one. Every ``ValueError`` raised here (a
-    malformed header, a payload that is not a whole number of 8-byte values,
-    a NaN or infinite value, a count that fits neither layout, a bad set or
-    operator) names the file.
+    The payload is read with one ``np.fromfile`` (2-5 ms for the million
+    values of a 1000 x 1000 game). A dense game and a plain affine instance
+    are told apart by their value counts, n*m + n + m and d*d + d. Every
+    ``ValueError`` raised here (a malformed header, a payload that is not a
+    whole number of 8-byte values or fits no layout, a NaN or infinite value,
+    CSR arrays out of range or out of order, a bad set or operator) names
+    the file.
     """
     try:
         return _read_instance(path)
@@ -491,28 +482,38 @@ def load_instance(path):
 def _read_instance(path):
     with open(path, "rb") as f:
         header = f.readline().decode("ascii", "replace").split()
-        if (len(header) != 4 or header[0] not in _PAYLOAD_READERS
-                or not (header[1].isdigit() and header[2].isdigit())):
-            raise ValueError("malformed header; expected 'vif2 <n> <m> <set-descriptor>'")
+        sparse = header[4:5] == ["csr"]
+        if (len(header) != 4 + 2 * sparse or header[0] != "vif2"
+                or not all(t.isdigit() for t in header[1:3] + header[5:])):
+            raise ValueError("malformed header, not 'vif2 <n> <m> <set-descriptor> [csr <nnz>]'")
         n, m, descriptor = int(header[1]), int(header[2]), header[3]
-        values = _PAYLOAD_READERS[header[0]](f)
+        nnz = int(header[5]) if sparse else n * m  # stored entries of a game's payoff
+        values = np.fromfile(f, dtype="<f8")
         stray = len(f.read())
     if stray:
         raise ValueError(f"{stray} bytes after {values.size} values; "
                          "a raw payload is a whole number of 8-byte values")
+    if sparse:  # indptr and indices come first, as int64
+        if values.size != 2 * (n + nnz) + m + 1:
+            raise ValueError(f"a csr payload of {nnz} entries for n={n}, m={m} has "
+                             f"{2 * (n + nnz) + m + 1} values, not {values.size}")
+        index, values = values[:n + 1 + nnz].view("<i8"), values[n + 1 + nnz:]
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite value among the {values.size} values")
     feasible = sets.from_descriptor(descriptor)
-    if values.size == n * m + n + m:
-        A = values[:n * m].reshape(n, m)
-        bx = values[n * m:n * m + n]
-        by = values[n * m + n:]
-        if not isinstance(feasible, sets.Product) or len(feasible.parts) != 2:
-            raise ValueError("bilinear layout needs a primal*dual set descriptor")
-        return AffineVI.bilinear(A, bx, by, primal_set=feasible.parts[0],
-                                 dual_set=feasible.parts[1])
-    if n == m and values.size == n * n + n:
-        M = values[:n * n].reshape(n, n)
-        return AffineVI(M, values[n * n:], feasible)
-    raise ValueError(f"value count {values.size} matches neither layout for n={n}, m={m}: "
-                     f"a game has {n * m + n + m} values, an affine instance {n * n + n}")
+    if sparse:
+        if index[n] != nnz:
+            raise ValueError(f"indptr ends at {index[n]}, not at the {nnz} stored entries")
+        A = sp.csr_matrix((values[:nnz], index[n + 1:], index[:n + 1]), shape=(n, m))
+        A.check_format(full_check=True)
+    elif values.size == nnz + n + m:
+        A = values[:nnz].reshape(n, m)
+    elif n == m and values.size == n * n + n:
+        return AffineVI(values[:n * n].reshape(n, n), values[n * n:], feasible)
+    else:
+        raise ValueError(f"value count {values.size} matches neither layout for n={n}, m={m}: "
+                         f"a game has {n * m + n + m} values, an affine instance {n * n + n}")
+    if not isinstance(feasible, sets.Product) or len(feasible.parts) != 2:
+        raise ValueError("bilinear layout needs a primal*dual set descriptor")
+    return AffineVI.bilinear(A, values[nnz:nnz + n], values[nnz + n:],
+                             primal_set=feasible.parts[0], dual_set=feasible.parts[1])

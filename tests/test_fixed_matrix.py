@@ -31,3 +31,15 @@ def test_fixed_matrix_digests_match_the_committed_file():
         "committed environment:", *committed_env,
         "this environment:", *fixed_matrix.environment()])
     assert not differing, report
+
+
+def test_labeling_game_from_file_matches_generator():
+    """The labeling game run from its CSR instance file (`segfile/`) writes
+    the bytes of its run from the generator (`seg/`)."""
+    with open(COMMITTED) as f:
+        digests = split_digests(f.read().splitlines())[1]
+    from_file = {path.split("/", 1)[1]: digest for path, digest in digests.items()
+                 if path.startswith("segfile/")}
+    from_gen = {path.split("/", 1)[1]: digest for path, digest in digests.items()
+                if path.startswith("seg/")}
+    assert from_file == from_gen and len(from_file) == 20

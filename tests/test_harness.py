@@ -206,8 +206,8 @@ def test_cli_config_error_exit_code(capsys):
     assert "budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--seeds", "abc"], ["--seeds", "1-x"], ["--q", "x"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("flags", [["--seeds", "abc"], ["--seeds", "1-x"], ["--seeds", "0,5-3"],
+                                   ["--q", "x"]], ids=" ".join)
 def test_cli_bad_seeds_or_q(tmp_path, capsys, flags):
     out = tmp_path / "out"
     code = cli.main(["run", "--instance", "matching-pennies", "--algo", "eg",
@@ -216,6 +216,15 @@ def test_cli_bad_seeds_or_q(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert f"bad value {flags[1]!r} for {flags[0]}" in err
     assert "compare only" not in err
+    assert not out.exists()
+
+
+def test_cli_compare_repeated_q_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["compare", "--gen", "pb", "--n", "6", "--algo", "eg", "--budget", "60",
+                     "--q", "1,1,0", "--out", str(out)])
+    assert code == 2
+    assert "averaging exponent list repeats 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -340,19 +349,44 @@ def test_cli_config_file_missing(tmp_path, capsys):
     assert f"cannot read config file {missing}" in capsys.readouterr().err
 
 
+def _csv_without_dist_theta(path):
+    """The rows of a CSV with its dist_theta columns dropped."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [k for k, name in enumerate(rows[0]) if not name.startswith("dist_theta")]
+    return [[row[k] for k in keep] for row in rows]
+
+
+# small parameters for each generator; a generator left out runs with its defaults
+_SMALL = {"pb": {"n": 6, "seed": 1}, "nemirovski": {"n": 5, "family": 2},
+          "uniform": {"n": 4, "m": 5, "seed": 2}, "segmentation": {"grid": 3}}
+
+
 def test_cli_run_from_gen_file_matches_gen(tmp_path):
-    inst = tmp_path / "pb6-s1.vif"  # the label --gen pb gives, so file names match too
-    assert cli.main(["gen", "pb", "--n", "6", "--seed", "1", "--out", str(inst)]) == 0
-    sweep = ["--algo", "svrg-eg,dl-svrg-eg,eg", "--seeds", "0-1", "--budget", "360",
-             "--eval-every", "36"]
-    from_file, from_gen = tmp_path / "file", tmp_path / "gen"
-    assert cli.main(["run", "--instance", str(inst), *sweep, "--out", str(from_file)]) == 0
-    assert cli.main(["run", "--gen", "pb", "--n", "6", "--seed", "1", *sweep,
-                     "--out", str(from_gen)]) == 0
-    names = sorted(os.listdir(from_gen))
-    assert sorted(os.listdir(from_file)) == names and len(names) == 9
-    for name in names:
-        assert (from_file / name).read_bytes() == (from_gen / name).read_bytes()
+    """Every generator's instance, saved and run from the file, writes the
+    CSVs of the same run from the generator. A file carries no known
+    solution set, so for ws-example and matching-pennies the generator's
+    runs add a dist_theta column that the file's lack; every other column
+    matches byte for byte."""
+    for name in harness.GENERATORS:
+        params = _SMALL.get(name, {})
+        problem, known, label = harness.build_instance(name, **params)
+        flags = [f for k, v in params.items() for f in (f"--{k.replace('_', '-')}", str(v))]
+        inst = tmp_path / f"{label}.vif"  # the label --gen gives, so file names match too
+        assert cli.main(["gen", name, *flags, "--out", str(inst)]) == 0
+        algos = [a for a in vs.ALGORITHMS if vs.applicable(problem, a)]
+        sweep = ["--algo", ",".join(algos), "--seeds", "0-1", "--budget", "360",
+                 "--eval-every", "36"]
+        from_file, from_gen = tmp_path / name / "file", tmp_path / name / "gen"
+        assert cli.main(["run", "--instance", str(inst), *sweep, "--out", str(from_file)]) == 0
+        assert cli.main(["run", "--gen", name, *flags, *sweep, "--out", str(from_gen)]) == 0
+        names = sorted(os.listdir(from_gen))
+        assert sorted(os.listdir(from_file)) == names and len(names) == 3 * len(algos)
+        for csv in names:
+            if known is None:
+                assert (from_file / csv).read_bytes() == (from_gen / csv).read_bytes(), csv
+            else:
+                assert (_csv_without_dist_theta(from_file / csv)
+                        == _csv_without_dist_theta(from_gen / csv)), csv
 
 
 def test_cli_malformed_instance_file_exit_code(tmp_path, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import visolve as vs
-from visolve.metrics import (GapTrace, dist_theta, duality_gap, duality_gap_at, natural_residual,
-                             write_table, ws_ratio)
+from visolve.metrics import (GapTrace, dist_theta, duality_gap_at, natural_residual, write_table,
+                             ws_ratio)
 from visolve.rng import StableRng
 
 from conftest import random_game
@@ -22,12 +22,12 @@ def vertex_enumeration_gap(problem, x, y):
 
 def test_gap_zero_at_equilibrium(pennies):
     problem, _ = pennies
-    assert abs(duality_gap(problem, np.array([0.5, 0.5]), np.array([0.5, 0.5]))) <= 1e-12
+    assert abs(duality_gap_at(problem, np.array([0.5, 0.5, 0.5, 0.5]))) <= 1e-12
 
 
 def test_gap_pure_versus_uniform(pennies):
     problem, _ = pennies
-    assert np.isclose(duality_gap(problem, np.array([1.0, 0.0]), np.array([0.5, 0.5])), 1.0)
+    assert np.isclose(duality_gap_at(problem, np.array([1.0, 0.0, 0.5, 0.5])), 1.0)
 
 
 def test_gap_matches_vertex_enumeration():
@@ -36,7 +36,7 @@ def test_gap_matches_vertex_enumeration():
         problem = random_game(4, 4, seed=seed, with_linear=True)
         x = problem.set.parts[0].sample(rng, 1)[0]
         y = problem.set.parts[1].sample(rng, 1)[0]
-        assert np.isclose(duality_gap(problem, x, y),
+        assert np.isclose(duality_gap_at(problem, np.concatenate([x, y])),
                           vertex_enumeration_gap(problem, x, y), atol=1e-10)
 
 
@@ -55,7 +55,7 @@ def test_gap_on_box_dual_closed_form():
     expected_dual = 0.5 * np.abs(s.A.T @ x).sum() + float(s.bx @ x)
     blocks = (s.A @ y + s.bx).reshape(-1, 2)
     expected_primal = float(blocks.min(axis=1).sum())
-    assert np.isclose(duality_gap(problem, x, y), expected_dual - expected_primal, atol=1e-12)
+    assert np.isclose(duality_gap_at(problem, z), expected_dual - expected_primal, atol=1e-12)
 
 
 def test_natural_residual_at_solution(pennies):

@@ -341,38 +341,26 @@ def test_spectral_norm_computed_once_per_problem(monkeypatch):
     assert [b.tau for b in built] == [0.99 / expected] * 4
 
 
-def save_vif1(path, problem):
-    """The text writer of the older `vif1` format: the same header and value
-    order, values as 17-significant-digit decimals, 8 to a line."""
-    if problem.structure is not None:
-        s = problem.structure
-        n, m, parts = s.primal_dim, s.dual_dim, (s.dense_A(), s.bx, s.by)
-    else:
-        n = m = problem.dim
-        parts = (problem.M, problem.q)
-    values = np.concatenate([np.ravel(part) for part in parts])
-    with open(path, "w") as f:
-        f.write(f"vif1 {n} {m} {problem.set.descriptor()}\n")
-        for start in range(0, values.size, 8):
-            f.write(" ".join(f"{v:.17g}" for v in values[start:start + 8]) + "\n")
-
-
 _FILE_INSTANCES = {"pb": vs.policeman_burglar(5, 3), "uniform": vs.uniform_random(3, 4, 2),
                    "nem": vs.nemirovski(4, 2, 1.0), "ws": vs.ws_example()[0],
                    "segmentation": vs.synthetic_segmentation(2, 2, 0)}
 
 
-@pytest.mark.parametrize(
-    "problem, save",
-    [pytest.param(p, vs.save_instance, id=name) for name, p in _FILE_INSTANCES.items()]
-    + [pytest.param(p, save_vif1, id=f"{name}-vif1") for name, p in _FILE_INSTANCES.items()])
-def test_instance_file_roundtrip(tmp_path, problem, save):
+@pytest.mark.parametrize("problem", [pytest.param(p, id=name)
+                                     for name, p in _FILE_INSTANCES.items()])
+def test_instance_file_roundtrip(tmp_path, problem):
     path = tmp_path / "inst.vif"
-    save(path, problem)
+    vs.save_instance(path, problem)
     loaded = vs.load_instance(path)
     assert loaded.set == problem.set
     if problem.structure is not None:
-        assert np.array_equal(loaded.structure.A, problem.structure.dense_A())
+        A, loaded_A = problem.structure.A, loaded.structure.A
+        assert sp.issparse(loaded_A) == sp.issparse(A)
+        if sp.issparse(A):  # the same canonical CSR arrays, so products sum in the same order
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(loaded_A, name), getattr(A, name))
+        else:
+            assert np.array_equal(loaded_A, A)
         assert np.array_equal(loaded.structure.bx, problem.structure.bx)
         assert np.array_equal(loaded.structure.by, problem.structure.by)
     else:
@@ -389,14 +377,41 @@ def test_load_rejects_malformed(tmp_path):
         vs.load_instance(path)
 
 
-@pytest.mark.parametrize("damage, match", [
-    (lambda raw: raw[:-3], "5 bytes after 34 values"),
-    (lambda raw: raw + bytes(8), "value count 36 matches neither layout"),
-    (lambda raw: raw.replace(b"vif2", b"vif9", 1), "header"),
-], ids=["cut-3-bytes", "extra-8-bytes", "unknown-magic"])
-def test_load_rejects_damaged_vif2(tmp_path, damage, match):
-    path = tmp_path / "pb5.vif"
-    vs.save_instance(path, vs.policeman_burglar(5, 3))
+def test_load_rejects_vif1(tmp_path):
+    """The retired text format: the same header under the magic vif1, then
+    the values as decimals."""
+    path = tmp_path / "pennies.vif"
+    path.write_text("vif1 2 2 simplex:2*simplex:2\n1 -1 -1 1 0 0 0 0\n")
+    with pytest.raises(ValueError, match="malformed header") as err:
+        vs.load_instance(path)
+    assert str(path) in str(err.value)
+
+
+def _set_index(position, value):
+    """A damage that sets entry ``position`` of the int64 arrays of a CSR
+    instance file (indptr, then indices) to ``value``."""
+    def damage(raw):
+        start = raw.index(b"\n") + 1 + 8 * position
+        return raw[:start] + np.array([value], dtype="<i8").tobytes() + raw[start + 8:]
+    return damage
+
+
+# seg2's payoff is 8 x 16 with 16 stored entries: indptr is int64 0-8 of the
+# payload, indices 9-24, then come 16 + 8 + 16 float64 values
+@pytest.mark.parametrize("instance, damage, match", [
+    ("pb", lambda raw: raw[:-3], "5 bytes after 34 values"),
+    ("pb", lambda raw: raw + bytes(8), "value count 36 matches neither layout"),
+    ("pb", lambda raw: raw.replace(b"vif2", b"vif9", 1), "header"),
+    ("seg", lambda raw: raw[:-8 * 30], "csr payload of 16 entries for n=8, m=16 has 65 values, not 35"),
+    ("seg", _set_index(9, 16), "indices must be < 16"),
+    ("seg", _set_index(2, 1), "indptr must be a non-decreasing sequence"),
+    ("seg", _set_index(8, 15), "indptr ends at 15, not at the 16 stored entries"),
+], ids=["cut-3-bytes", "extra-8-bytes", "unknown-magic", "csr-cut-payload",
+        "csr-index-out-of-range", "csr-decreasing-indptr", "csr-indptr-end"])
+def test_load_rejects_damaged_vif2(tmp_path, instance, damage, match):
+    path = tmp_path / f"{instance}.vif"
+    problem = vs.policeman_burglar(5, 3) if instance == "pb" else vs.synthetic_segmentation(2, 2, 0)
+    vs.save_instance(path, problem)
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(ValueError, match=match) as err:
         vs.load_instance(path)

@@ -20,7 +20,9 @@ instance, written into a directory, so both `--out` rules and a `compare`
 on an instance with a known solution set are gated.
 The two affine VIs and the game with linear terms are written with
 `save_instance` and run through `--instance`, so the gate covers the
-instance file format. Unlike the 2-D known-segment instance, whose traces
+instance file format. So is the 2-region labeling game, whose sparse payoff
+a file stores as CSR arrays: its run from the file, into `segfile/`, must
+write the same bytes as its run from the generator, into `seg/`. Unlike the 2-D known-segment instance, whose traces
 are all zero and whose iterates all lie on the diagonal, the 12-dimensional
 VI's residuals stay above zero at the budget, and the 2-D VI's steps leave
 the halfspace off the diagonal, so they gate the active branch of its
@@ -55,6 +57,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 AFFINE_FILE = "affine12.vif"
 HALFBOX_FILE = "halfbox2.vif"
 LINEAR_FILE = "linear5x7.vif"
+SEG_FILE = "seg4x4h2-s0.vif"  # the label of the `seg` run, so the CSV names match
 
 # (output subdirectory, generator or instance file, generator flags, budget, cadence)
 RUNS = (
@@ -67,6 +70,7 @@ RUNS = (
     ("scaled", "pb", {"n": 30, "seed": 1}, 3000, 60),
     ("uni", "uniform", {"n": 5, "m": 7, "seed": 0}, 1200, 60),
     ("linear", LINEAR_FILE, {}, 1200, 60),
+    ("segfile", SEG_FILE, {}, 4000, 100),
 )
 
 # Flags a run above adds to its `run` command.
@@ -140,6 +144,7 @@ def digest_matrix():
         vs.save_instance(os.path.join(out, AFFINE_FILE), affine_box_instance(vs))
         vs.save_instance(os.path.join(out, HALFBOX_FILE), halfspace_box_instance(vs))
         vs.save_instance(os.path.join(out, LINEAR_FILE), linear_game_instance(vs))
+        vs.save_instance(os.path.join(out, SEG_FILE), vs.synthetic_segmentation(4, 2, 0))
         commands = []
         for sub, name, params, budget, cadence in RUNS:
             is_file = name not in harness.GENERATORS
