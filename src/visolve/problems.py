@@ -79,13 +79,16 @@ def _row(M, k):
 class AffineVI:
     """Monotone affine VI: find z* feasible with <F(z*), z - z*> >= 0 for all z.
 
-    Monotonicity (M + M' positive semidefinite) is verified at construction
-    for dimension <= 64; above that the eigenvalue check is skipped with a
-    logged warning. Bilinear instances are skew-symmetric by construction and
-    need no check.
+    F(z) = Mz + q, with M given as exactly one of a matrix and, for a game
+    from ``bilinear``, a bilinear structure. Monotonicity (M + M' positive
+    semidefinite) is verified at construction for dimension <= 64; above
+    that the eigenvalue check is skipped with a logged warning. Bilinear
+    instances are skew-symmetric by construction and need no check.
     """
 
     def __init__(self, M, q, feasible_set, structure=None):
+        if (M is None) == (structure is None):
+            raise ValueError("need exactly one of M and a bilinear structure")
         self.set = feasible_set
         self.structure = structure
         self.q = np.asarray(q, dtype=np.float64)
@@ -104,8 +107,6 @@ class AffineVI:
             else:
                 log.warning("monotonicity eigencheck skipped for dimension %d > %d",
                             d, _EIG_CHECK_MAX_DIM)
-        elif structure is None:
-            raise ValueError("need M, a bilinear structure, or both")
 
     @classmethod
     def bilinear(cls, A, bx=None, by=None, primal_set=None, dual_set=None):

@@ -58,8 +58,8 @@ class SvrgParams:
             raise ValueError("alpha must lie in [0, 1)")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.L <= 0.0:
-            raise ValueError("L must be positive")
+        if not 0.0 < self.L < np.inf:  # NaN too
+            raise ValueError("L must be positive and finite")
         if self.K is not None and self.K < 1:
             raise ValueError("inner length K must be at least 1")
 
@@ -91,22 +91,28 @@ class _SolverBase:
     units; each ``step`` adds its own closed-form charge to ``evals``.
     ``requires`` names what the instance must offer, or None. ``draws`` is
     False for a solver that never draws from its ``rng``: from the set's
-    center, every seed retraces its iterates bit for bit. Every tagged
-    class defines its own ``step``, so a step of each algorithm can be told
-    apart where the method is looked up (perfbench traces it there).
+    center, every seed retraces its iterates bit for bit. ``options`` names
+    the :func:`make_solver` options it reads (without ``tau_scale`` it takes
+    no step, and ``tau`` is None); ``step_over_norm`` times the inverse
+    spectral norm is its baseline step, which is 1 when it is None. Every
+    tagged class defines its own ``step``, so a step of each algorithm can
+    be told apart where the method is looked up (perfbench traces it there).
     """
 
     name = "?"
     requires = None
     draws = True
+    options = ("stepsize", "tau_scale")
+    step_over_norm = None
 
-    def __init__(self, problem, N, seed=0, z0=None):
+    def __init__(self, problem, N, seed, z0, tau):
         reason = unmet_requirement(problem, self.name)
         if reason is not None:
             raise ValueError(reason)
         self.problem = problem
         self.N = int(N)
         self.seed = seed
+        self.tau = float(tau) if "tau_scale" in self.options else None
         self.rng = StableRng(seed)
         start = problem.set.center() if z0 is None else np.asarray(z0, dtype=np.float64)
         self.z = problem.set.project(start)
@@ -150,10 +156,11 @@ class _AnchoredExtragradient(_SolverBase):
     from zbar (Alacaoglu & Malitsky 2022).
     """
 
-    def __init__(self, problem, params, tau, N, seed=0, z0=None):
-        super().__init__(problem, N, seed, z0)
+    options = ("params", "tau_scale")
+
+    def __init__(self, problem, N, seed, z0, tau, params):
+        super().__init__(problem, N, seed, z0, tau)
         self.params = params
-        self.tau = float(tau)
         self.oracle = MatrixGameOracle(problem)
         self._snapshot(self.z)
         self.evals += self.N  # full operator at the initial snapshot
@@ -210,10 +217,10 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
 
     name = "dl-svrg-eg"
 
-    def __init__(self, problem, params, tau, N, seed=0, z0=None):
+    def __init__(self, problem, N, seed, z0, tau, params):
         if params.K is None:
             raise ValueError("double-loop solver needs the inner length K")
-        super().__init__(problem, params, tau, N, seed, z0)
+        super().__init__(problem, N, seed, z0, tau, params)
         self.epoch = 0
 
     @property
@@ -240,10 +247,7 @@ class Extragradient(_SolverBase):
 
     name = "eg"
     draws = False
-
-    def __init__(self, problem, tau, N, seed=0, z0=None):
-        super().__init__(problem, N, seed, z0)
-        self.tau = float(tau)
+    step_over_norm = 0.99
 
     def step(self):
         z_half = self._proj(self.z - self.tau * self.problem.operator(self.z), near=self.z)
@@ -275,10 +279,10 @@ class PrimalDual(_SolverBase):
     name = "pda"
     requires = _BILINEAR
     draws = False
+    step_over_norm = 0.99
 
-    def __init__(self, problem, tau, N, seed=0, z0=None):
-        super().__init__(problem, N, seed, z0)
-        self.tau = float(tau)
+    def __init__(self, problem, N, seed, z0, tau):
+        super().__init__(problem, N, seed, z0, tau)
         self.primal_set, self.dual_set = problem.set.parts
         self.x, self.y = (b.copy() for b in problem.split(self.z))
         self.x_bar = self.x.copy()
@@ -307,9 +311,8 @@ class _OptimisticMirrorDescent(_SolverBase):
 
     draws = False
 
-    def __init__(self, problem, tau, N, seed=0, z0=None):
-        super().__init__(problem, N, seed, z0)
-        self.tau = float(tau)
+    def __init__(self, problem, N, seed, z0, tau):
+        super().__init__(problem, N, seed, z0, tau)
         self.ledger = self.z.copy()
         self.g_prev = problem.operator(self.z)
         self.evals += self.N  # prediction for the first step
@@ -328,6 +331,7 @@ class OptimisticMDL2(_OptimisticMirrorDescent):
     """Optimistic mirror descent in the Euclidean geometry."""
 
     name = "oomd-l2"
+    step_over_norm = 0.5
 
     def _mirror(self, base, g, near):
         return self._proj(base - self.tau * g, near=near)
@@ -370,9 +374,10 @@ class RegretMatchingPlus(_SolverBase):
     name = "rm+"
     requires = _SIMPLEX_STRATEGIES
     draws = False
+    options = ()
 
-    def __init__(self, problem, N, seed=0, z0=None):
-        super().__init__(problem, N, seed, z0)
+    def __init__(self, problem, N, seed, z0, tau):
+        super().__init__(problem, N, seed, z0, tau)
         n = problem.structure.primal_dim
         blocks = _block_slices(problem.set)
         self.primal_blocks = [sl for sl in blocks if sl.stop <= n]
@@ -405,18 +410,10 @@ _SOLVERS = {cls.name: cls for cls in (LooplessSvrgEG, DoubleLoopSvrgEG, Extragra
                                       PrimalDual, OptimisticMDL2, OptimisticMDEntropy,
                                       RegretMatchingPlus)}
 ALGORITHMS = tuple(_SOLVERS)
-VARIANCE_REDUCED = tuple(tag for tag, cls in _SOLVERS.items()
-                         if issubclass(cls, _AnchoredExtragradient))
+VARIANCE_REDUCED = tuple(tag for tag, cls in _SOLVERS.items() if "params" in cls.options)
 DETERMINISTIC = tuple(tag for tag, cls in _SOLVERS.items() if not cls.draws)
 # The algorithms with a step size for tau_scale to multiply; rm+ takes no step.
-STEP_SIZED = tuple(tag for tag, cls in _SOLVERS.items() if cls is not RegretMatchingPlus)
-
-# Baseline step sizes over the spectral norm of the payoff.
-_STEP_OVER_NORM = {"eg": 0.99, "pda": 0.99, "oomd-l2": 0.5}
-# The algorithms that use each make_solver option; a tau_scale of 1 is no option.
-_OPTION_USERS = {"params": VARIANCE_REDUCED,
-                 "stepsize": tuple(tag for tag in STEP_SIZED if tag not in VARIANCE_REDUCED),
-                 "tau_scale": STEP_SIZED}
+STEP_SIZED = tuple(tag for tag, cls in _SOLVERS.items() if "tau_scale" in cls.options)
 
 
 def unmet_requirement(problem, algorithm):
@@ -435,24 +432,30 @@ def applicable(problem, algorithm):
     return unmet_requirement(problem, algorithm) is None
 
 
-def _zero_step(problem, algorithm):
-    """Why the algorithm's baseline step is undefined (a zero operator), or None."""
-    if algorithm in _STEP_OVER_NORM and problem.spectral_norm() == 0.0:
-        return (f"{algorithm} cannot run on a zero operator: its baseline step is "
-                f"{_STEP_OVER_NORM[algorithm]} over the spectral norm, which is 0")
-    return None
-
-
-def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every=None):
-    """One message per run rule the settings break; the budget and cadence
-    rules, and that of a run's baseline step, apply when a budget is given."""
-    errors = [reason for algorithm in dict.fromkeys(algorithms)
-              if (reason := unmet_requirement(problem, algorithm)) is not None]
-    if not tau_scale > 0.0:  # NaN too
-        errors.append(f"tau_scale must be positive, got {tau_scale}")
+def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every=None, *,
+                   given=None):
+    """One message per rule the settings break. ``given`` maps each option of
+    :func:`make_solver` to None when it was not given (a tau_scale of 1 is
+    not); without it, as in ``run`` and the CLI, every algorithm takes its
+    baseline step. The budget and cadence rules apply when a budget is given."""
+    given = {} if given is None else given
+    errors = []
+    for algorithm in dict.fromkeys(algorithms):
+        if (reason := unmet_requirement(problem, algorithm)) is not None:
+            errors.append(reason)
+            continue
+        cls = _SOLVERS[algorithm]
+        if unused := [option for option, value in given.items()
+                      if value is not None and option not in cls.options]:
+            errors.append(f"{algorithm} does not use {', '.join(unused)}")
+        if (cls.step_over_norm is not None and given.get("stepsize") is None
+                and problem.spectral_norm() == 0.0):
+            errors.append(f"{algorithm} cannot run on a zero operator: its baseline step is "
+                          f"{cls.step_over_norm} over the spectral norm, which is 0")
+    for option, value in (("tau_scale", tau_scale), ("stepsize", given.get("stepsize"))):
+        if value is not None and not 0.0 < value < np.inf:  # NaN too
+            errors.append(f"{option} must be positive and finite, got {value}")
     if budget_evals is not None:
-        errors += [reason for algorithm in dict.fromkeys(algorithms)
-                   if (reason := _zero_step(problem, algorithm)) is not None]
         N = default_components(problem)
         if budget_evals < N:
             errors.append(f"budget {budget_evals} is below one full evaluation ({N})")
@@ -469,32 +472,23 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     Baseline step sizes: 0.99/||A||_2 for the extragradient and primal-dual
     solvers, 0.5/||A||_2 for Euclidean optimistic mirror descent, 1 for the
     entropy variant; tau_scale multiplies every step, given or baseline.
-    ``params`` applies to the variance-reduced solvers, ``stepsize`` to the
-    other step-sized ones and a ``tau_scale`` other than 1 to both. An unused
-    option is an error, as is a zero operator to derive a step from.
+    The settings must pass :func:`setting_errors`, which rejects an option,
+    or a tau_scale other than 1, that the algorithm's ``options`` omit.
     """
-    if errors := setting_errors(problem, [algorithm], tau_scale):
-        raise ValueError("; ".join(errors))
     given = {"params": params, "stepsize": stepsize, "tau_scale": tau_scale != 1.0 or None}
-    if unused := [option for option, value in given.items()
-                  if value is not None and algorithm not in _OPTION_USERS[option]]:
-        raise ValueError(f"{algorithm} does not use {', '.join(unused)}")
-    if stepsize is None and (reason := _zero_step(problem, algorithm)):
-        raise ValueError(reason)
+    if errors := setting_errors(problem, [algorithm], tau_scale, given=given):
+        raise ValueError("; ".join(errors))
     N = default_components(problem) if cost_N is None else int(cost_N)
     if N < 1:
         raise ValueError("N must be at least 1")
     cls = _SOLVERS[algorithm]
-    if issubclass(cls, _AnchoredExtragradient):
-        if params is None:
-            params = SvrgParams.suggested(N, problem.lipschitz_bound())
-        return cls(problem, params, params.scaled_tau(tau_scale), N, seed, z0)
-    if cls is RegretMatchingPlus:
-        return cls(problem, N, seed, z0)
+    if "params" in cls.options:
+        params = SvrgParams.suggested(N, problem.lipschitz_bound()) if params is None else params
+        return cls(problem, N, seed, z0, params.scaled_tau(tau_scale), params)
     if stepsize is None:
-        stepsize = (_STEP_OVER_NORM[algorithm] / problem.spectral_norm()
-                    if algorithm in _STEP_OVER_NORM else 1.0)
-    return cls(problem, tau_scale * stepsize, N, seed, z0)
+        stepsize = (1.0 if cls.step_over_norm is None
+                    else cls.step_over_norm / problem.spectral_norm())
+    return cls(problem, N, seed, z0, tau_scale * stepsize)
 
 
 def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,

@@ -439,10 +439,12 @@ def test_cli_compare_out_file_or_directory(tmp_path, capsys, out):
     (["--algo", "svrg-eg", "--seeds", "0,0,1"], "seed list repeats 0"),
     (["--algo", "eg", "--seeds=-1"], "--seeds must be non-negative, got -1"),
     (["--algo", "rm+", "--tau-scale", "5"], "tau-scale given without svrg-eg"),
+    (["--algo", "eg", "--tau-scale", "inf"], "tau_scale must be positive and finite, got inf"),
     (["--algo", "eg,pda,eg"], "algorithm list repeats eg"),
     (["--algo", "eg", "--q", "1"], "--q applies to compare only"),
 ], ids=["eval-every", "p", "alpha", "gamma", "p-without-svrg-eg", "repeated-seed",
-        "negative-seed", "tau-scale-with-only-rm+", "algo-repeated", "q-on-run"])
+        "negative-seed", "tau-scale-with-only-rm+", "tau-scale-inf", "algo-repeated",
+        "q-on-run"])
 def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
     for command in ("run",) if "--q" in flags else ("run", "compare"):  # --q is a compare flag
         code = cli.main([command, "--gen", "pb", "--n", "6", "--budget", "60", *flags,

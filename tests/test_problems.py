@@ -247,6 +247,15 @@ def test_monotonicity_check_rejects_bad_operator():
         vs.AffineVI(-np.eye(3), np.zeros(3), vs.Box(-1.0, 1.0, dim=3))
 
 
+def test_affine_vi_takes_exactly_one_of_M_and_a_structure():
+    """F and the norms read a structure when there is one, so an M beside it
+    would be ignored."""
+    game = vs.AffineVI.bilinear(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    for M, structure in ((game.M, game.structure), (None, None)):
+        with pytest.raises(ValueError, match="need exactly one of M and a bilinear structure"):
+            vs.AffineVI(M, game.q, game.set, structure=structure)
+
+
 def test_monotonicity_check_skipped_with_warning(caplog):
     d = 70
     with caplog.at_level(logging.WARNING, logger="visolve.problems"):

@@ -24,7 +24,8 @@ def test_suggested_params_formulas():
 
 
 @pytest.mark.parametrize("bad", [dict(p=0.0), dict(p=1.5), dict(alpha=1.0), dict(alpha=-0.1),
-                                 dict(gamma=0.0), dict(gamma=1.0), dict(L=0.0), dict(K=0)])
+                                 dict(gamma=0.0), dict(gamma=1.0), dict(L=0.0), dict(K=0),
+                                 dict(L=np.inf), dict(L=np.nan)])
 def test_params_validation(bad):
     kw = dict(p=0.5, alpha=0.5, gamma=0.99, L=1.0, K=4)
     kw.update(bad)
@@ -218,13 +219,31 @@ def test_huge_steps_project_onto_the_ws_solution_segment(ws, tau_scale):
     assert trace.dist_theta[-1] == 0
 
 
-@pytest.mark.parametrize("algo, option", [("eg", "params"), ("svrg-eg", "stepsize"),
-                                          ("rm+", "stepsize"), ("rm+", "tau_scale")])
+# The make_solver options each algorithm reads, written out rather than read
+# from the classes, so that a changed declaration fails the test below.
+_OPTIONS_READ = {
+    "svrg-eg": ("params", "tau_scale"),
+    "dl-svrg-eg": ("params", "tau_scale"),
+    "eg": ("stepsize", "tau_scale"),
+    "pda": ("stepsize", "tau_scale"),
+    "oomd-l2": ("stepsize", "tau_scale"),
+    "oomd-entropy": ("stepsize", "tau_scale"),
+    "rm+": (),
+}
+
+
+@pytest.mark.parametrize("algo, option", [(algo, option) for algo in _OPTIONS_READ
+                                          for option in ("params", "stepsize", "tau_scale")])
 def test_make_solver_rejects_an_option_its_algorithm_does_not_use(pb8, algo, option):
+    """Every (algorithm, option) pair: an option the algorithm reads builds
+    the solver, any other is a ValueError naming both."""
     value = {"params": SvrgParams.suggested(8, pb8.lipschitz_bound()), "stepsize": 0.5,
              "tau_scale": 7.0}[option]
-    with pytest.raises(ValueError, match=re.escape(f"{algo} does not use {option}")):
-        make_solver(pb8, algo, seed=0, **{option: value})
+    if option in _OPTIONS_READ[algo]:
+        assert make_solver(pb8, algo, seed=0, **{option: value}).name == algo
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"{algo} does not use {option}")):
+            make_solver(pb8, algo, seed=0, **{option: value})
 
 
 @pytest.mark.parametrize("algo, message", [
@@ -282,12 +301,21 @@ def test_tau_scale_multiplies_a_given_step(pb8, algo):
 
 
 @pytest.mark.parametrize("algo", vs.ALGORITHMS)
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_nonpositive_tau_scale_rejected(pb8, algo, bad):
-    with pytest.raises(ValueError, match="tau_scale must be positive"):
+    message = re.escape(f"tau_scale must be positive and finite, got {bad}")
+    with pytest.raises(ValueError, match=message):
         make_solver(pb8, algo, seed=0, tau_scale=bad)
-    with pytest.raises(ValueError, match="tau_scale must be positive"):
+    with pytest.raises(ValueError, match=message):
         vs.run(pb8, algo, budget_evals=160, seed=0, eval_every=16, tau_scale=bad)
+
+
+@pytest.mark.parametrize("algo", ["eg", "pda", "oomd-l2", "oomd-entropy"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_nonpositive_stepsize_rejected(pb8, algo, bad):
+    with pytest.raises(ValueError, match=re.escape(f"stepsize must be positive and finite, "
+                                                   f"got {bad}")):
+        make_solver(pb8, algo, seed=0, stepsize=bad)
 
 
 def test_simplex_only_algorithms_rejected_elsewhere(ws):

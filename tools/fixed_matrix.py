@@ -13,7 +13,11 @@ and <by, y>, at budget 1200 and cadence 60, the one instance whose dual
 linear term by is nonzero and so gates its sign in F). It runs the pursuit
 game once more with `--tau-scale 3 --gamma 0.7`, so the step multiplier, a
 parameter override and the order in which a multiplier that is not a power
-of two enters the step are gated too. It adds a `compare` with `--q 0,1,2`
+of two enters the step are gated too, and the 2-D VI over the cut box once
+more with `--p 0.5 --alpha 0.5`, into `halfboxvr/`: at the suggested p = 1
+and alpha = 0 of d = 2 the variance-reduced runs refresh the snapshot every
+step and some seeds write the same bytes, so this run is the one that gates
+the p and alpha overrides on a plain VI. It adds a `compare` with `--q 0,1,2`
 of every applicable algorithm on the pursuit game, written to a named
 `.csv` file, and on the 2-region labeling game and the 2-D known-segment
 instance, written into a directory, so both `--out` rules and a `compare`
@@ -71,10 +75,12 @@ RUNS = (
     ("uni", "uniform", {"n": 5, "m": 7, "seed": 0}, 1200, 60),
     ("linear", LINEAR_FILE, {}, 1200, 60),
     ("segfile", SEG_FILE, {}, 4000, 100),
+    ("halfboxvr", HALFBOX_FILE, {}, 200, 10),
 )
 
 # Flags a run above adds to its `run` command.
-EXTRA_FLAGS = {"scaled": ["--tau-scale", "3", "--gamma", "0.7"]}
+EXTRA_FLAGS = {"scaled": ["--tau-scale", "3", "--gamma", "0.7"],
+               "halfboxvr": ["--p", "0.5", "--alpha", "0.5"]}
 
 # `compare --out` of a run above: a file when it ends in .csv, else a directory.
 COMPARE_OUT = {"pb": os.path.join("cmp", "pb30_compare.csv"), "seg": "cmp", "ws": "cmp"}
