@@ -10,29 +10,31 @@ import numpy as np
 _GAP_CLIP = 1e-10
 
 
-def duality_gap_at(problem, z):
+def duality_gap_at(problem, z, F=None):
     """max_y' f(x, y') - min_x' f(x', y) at z = (x, y) of a bilinear game:
     dual.support_max(-F_y) + <bx, x> - (-primal.support_max(-F_x) + <by, y>)
     with F(z) = (grad_x f, -grad_y f). The support functions are closed-form
-    on simplexes, products of simplexes and boxes.
+    on simplexes, products of simplexes and boxes. ``F``, when given, stands
+    for F(z) and saves the operator call.
     """
     if problem.structure is None:
         raise ValueError("duality gap needs a bilinear problem")
     s = problem.structure
     x, y = problem.split(np.asarray(z, dtype=np.float64))
-    F_x, F_y = problem.split(problem.operator(z))
+    F_x, F_y = problem.split(problem.operator(z) if F is None else F)
     primal_set, dual_set = problem.set.parts
     best_response_y = dual_set.support_max(-F_y) + float(s.bx @ x)
     best_response_x = -primal_set.support_max(-F_x) + float(s.by @ y)
     return best_response_y - best_response_x
 
 
-def natural_residual(problem, z, tau):
-    """||z - proj(z - tau F(z))|| / tau; zero exactly at solutions."""
+def natural_residual(problem, z, tau, F=None):
+    """||z - proj(z - tau F(z))|| / tau; zero exactly at solutions. ``F``,
+    when given, stands for F(z) and saves the operator call."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     z = np.asarray(z, dtype=np.float64)
-    step = problem.set.project(z - tau * problem.operator(z))
+    step = problem.set.project(z - tau * (problem.operator(z) if F is None else F))
     return float(np.linalg.norm(z - step) / tau)
 
 

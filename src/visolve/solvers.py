@@ -1,10 +1,7 @@
 """The iterative algorithms behind one stepping interface.
 
-Solvers expose ``step() -> StepResult`` where the result carries the
-iterates to feed the averaging accumulators (half-step iterates for the
-extragradient family, the played strategies for the regret and mirror
-methods) plus an optional epoch index for epoch-weighted averaging. Every
-solver tracks its cumulative cost in sampled-evaluation units.
+Solvers expose ``step() -> StepResult``, and every solver tracks its
+cumulative cost in sampled-evaluation units.
 """
 
 from __future__ import annotations
@@ -21,7 +18,13 @@ from .oracles import MatrixGameOracle, SnapshotCache, default_components
 from .rng import StableRng
 from .sets import NonFiniteInput
 
-StepResult = namedtuple("StepResult", ["iterates", "epoch"])
+StepResult = namedtuple("StepResult", ["iterates", "epoch", "values"], defaults=[None])
+StepResult.__doc__ = """What a step hands the averaging accumulators: the iterates
+to push (half-step iterates for the extragradient family, the played
+strategies for the regret and mirror methods), the epoch index of
+epoch-weighted averaging or None, and, from a solver that supplies F, F at
+each pushed iterate (None otherwise). ``run`` averages those values with
+the iterates' weights and measures the averages from them, uncharged."""
 
 
 class NumericalDivergence(RuntimeError):
@@ -94,9 +97,13 @@ class _SolverBase:
     center, every seed retraces its iterates bit for bit. ``options`` names
     the :func:`make_solver` options it reads (without ``tau_scale`` it takes
     no step, and ``tau`` is None); ``step_over_norm`` times the inverse
-    spectral norm is its baseline step, which is 1 when it is None. Every
-    tagged class defines its own ``step``, so a step of each algorithm can
-    be told apart where the method is looked up (perfbench traces it there).
+    spectral norm is its baseline step, which is 1 when it is None.
+    ``supplies_F`` is True for a solver that evaluates F at every iterate it
+    pushes: its ``StepResult.values`` carries those values, and ``F_z`` is
+    F at its current iterate or None until :meth:`operator_at_z` computes
+    it. Every tagged class defines its own ``step``, so a step of each
+    algorithm can be told apart where the method is looked up (perfbench
+    traces it there).
     """
 
     name = "?"
@@ -104,6 +111,8 @@ class _SolverBase:
     draws = True
     options = ("stepsize", "tau_scale")
     step_over_norm = None
+    supplies_F = False
+    F_z = None
 
     def __init__(self, problem, N, seed, z0, tau):
         reason = unmet_requirement(problem, self.name)
@@ -126,6 +135,13 @@ class _SolverBase:
     @property
     def w_point(self):
         return self.z
+
+    def operator_at_z(self):
+        """F at the current iterate of a solver that supplies F: the value it
+        holds, or a fresh one that it keeps for its next step."""
+        if self.F_z is None:
+            self.F_z = self.problem.operator(self.z)
+        return self.F_z
 
     def _finite(self, v):
         if not np.all(np.isfinite(v)):
@@ -243,18 +259,22 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
 
 class Extragradient(_SolverBase):
     """Two projected steps per iteration with the fresh full operator; an
-    iteration costs 2N."""
+    iteration costs 2N. The half step reads F(z) from ``F_z`` when a
+    checkpoint has computed it."""
 
     name = "eg"
     draws = False
     step_over_norm = 0.99
+    supplies_F = True
 
     def step(self):
-        z_half = self._proj(self.z - self.tau * self.problem.operator(self.z), near=self.z)
-        self.z = self._proj(self.z - self.tau * self.problem.operator(z_half), near=z_half)
+        z_half = self._proj(self.z - self.tau * self.operator_at_z(), near=self.z)
+        F_half = self.problem.operator(z_half)
+        self.z = self._proj(self.z - self.tau * F_half, near=z_half)
+        self.F_z = None
         self.evals += 2 * self.N
         self.iteration += 1
-        return StepResult([z_half], None)
+        return StepResult([z_half], None, [F_half])
 
 
 def _block_slices(feasible):
@@ -304,27 +324,28 @@ class PrimalDual(_SolverBase):
 class _OptimisticMirrorDescent(_SolverBase):
     """Optimistic mirror descent with one operator evaluation per iteration:
     the played point uses the previous operator value as prediction, the
-    ledger point uses the fresh one. Subclasses supply the mirror step
-    ``_mirror(base, g, near)``; ``near`` guesses the support of a Euclidean
-    projection: the ledger for the played point, the point just played for
-    the ledger. The first prediction costs N, and so does each iteration."""
+    ledger point uses the fresh one, F at the played point, which it keeps
+    as ``F_z``. Subclasses supply the mirror step ``_mirror(base, g, near)``;
+    ``near`` guesses the support of a Euclidean projection: the ledger for
+    the played point, the point just played for the ledger. The first
+    prediction costs N, and so does each iteration."""
 
     draws = False
+    supplies_F = True
 
     def __init__(self, problem, N, seed, z0, tau):
         super().__init__(problem, N, seed, z0, tau)
         self.ledger = self.z.copy()
-        self.g_prev = problem.operator(self.z)
+        self.F_z = problem.operator(self.z)
         self.evals += self.N  # prediction for the first step
 
     def _optimistic_step(self):
-        self.z = self._mirror(self.ledger, self.g_prev, near=self.ledger)
-        g = self.problem.operator(self.z)
-        self.ledger = self._mirror(self.ledger, g, near=self.z)
-        self.g_prev = g
+        self.z = self._mirror(self.ledger, self.F_z, near=self.ledger)
+        self.F_z = self.problem.operator(self.z)
+        self.ledger = self._mirror(self.ledger, self.F_z, near=self.z)
         self.evals += self.N
         self.iteration += 1
-        return StepResult([self.z.copy()], None)
+        return StepResult([self.z.copy()], None, [self.F_z])
 
 
 class OptimisticMDL2(_OptimisticMirrorDescent):
@@ -445,8 +466,8 @@ def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every
             errors.append(reason)
             continue
         cls = _SOLVERS[algorithm]
-        if unused := [option for option, value in given.items()
-                      if value is not None and option not in cls.options]:
+        if unused := [option for option, value in given.items()  # every solver reads cost_N
+                      if value is not None and option not in ("cost_N", *cls.options)]:
             errors.append(f"{algorithm} does not use {', '.join(unused)}")
         if (cls.step_over_norm is not None and given.get("stepsize") is None
                 and problem.spectral_norm() == 0.0):
@@ -455,6 +476,9 @@ def setting_errors(problem, algorithms, tau_scale, budget_evals=None, eval_every
     for option, value in (("tau_scale", tau_scale), ("stepsize", given.get("stepsize"))):
         if value is not None and not 0.0 < value < np.inf:  # NaN too
             errors.append(f"{option} must be positive and finite, got {value}")
+    cost_N = given.get("cost_N")
+    if cost_N is not None and not (1 <= cost_N < np.inf and float(cost_N).is_integer()):
+        errors.append(f"N (cost_N) must be a finite integer of at least 1, got {cost_N}")
     if budget_evals is not None:
         N = default_components(problem)
         if budget_evals < N:
@@ -475,12 +499,11 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     The settings must pass :func:`setting_errors`, which rejects an option,
     or a tau_scale other than 1, that the algorithm's ``options`` omit.
     """
-    given = {"params": params, "stepsize": stepsize, "tau_scale": tau_scale != 1.0 or None}
+    given = {"params": params, "stepsize": stepsize, "tau_scale": tau_scale != 1.0 or None,
+             "cost_N": cost_N}
     if errors := setting_errors(problem, [algorithm], tau_scale, given=given):
         raise ValueError("; ".join(errors))
     N = default_components(problem) if cost_N is None else int(cost_N)
-    if N < 1:
-        raise ValueError("N must be at least 1")
     cls = _SOLVERS[algorithm]
     if "params" in cls.options:
         params = SvrgParams.suggested(N, problem.lipschitz_bound()) if params is None else params
@@ -507,6 +530,11 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
     one is known. For bilinear instances the measure is the closed-form
     duality gap; otherwise it is the proximal residual at the solver's own
     step size. Measurement is diagnostic and never charged to the budget.
+    A solver that supplies F is measured from its own values of F: the one
+    it holds at the last iterate, and averages of the values it pushes,
+    weighted like the iterates (F is affine, so these equal F at the
+    averages up to roundoff). Any other solver's measure evaluates F at
+    each of the four points.
     """
     budget_evals = int(budget_evals)
     eval_every = int(eval_every)
@@ -515,29 +543,37 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
     solver = make_solver(problem, algorithm, seed, params=params, tau_scale=tau_scale)
 
     if problem.structure is not None:
-        measure = lambda z: duality_gap_at(problem, z)
+        measure = lambda z, F=None: duality_gap_at(problem, z, F)
     else:
-        measure = lambda z: natural_residual(problem, z, solver.tau)
+        measure = lambda z, F=None: natural_residual(problem, z, solver.tau, F)
 
     accumulators = {q: AveragingAccumulator(q) for q in AVERAGE_COLUMNS}
     rows = {name: [] for name in ("evals", "gap_last", *AVERAGE_COLUMNS.values())}
     if known is not None:
         rows["dist_theta"] = []
+    # A solver that supplies F pushes each iterate with its F as one (2, d)
+    # pair, so one average carries both.
+    paired = solver.supplies_F
     next_mark = eval_every
     while solver.evals < budget_evals:
         result = solver.step()
-        for z_half in result.iterates:
+        points = map(np.stack, zip(result.iterates, result.values)) if paired \
+            else result.iterates
+        for point in points:
             for q, acc in accumulators.items():
                 weight = None if result.epoch is None else float(result.epoch) ** q
-                acc.push(z_half, weight=weight)
+                acc.push(point, weight=weight)
         if solver.evals < next_mark:
             continue
-        gap_last = measure(solver.z)
+        gap_last = measure(solver.z, solver.operator_at_z() if paired else None)
         rows["evals"].append(solver.evals)
         rows["gap_last"].append(gap_last)
         for q, name in AVERAGE_COLUMNS.items():
             avg = accumulators[q].current()
-            rows[name].append(gap_last if avg is None else measure(avg))
+            if avg is None:
+                rows[name].append(gap_last)
+            else:
+                rows[name].append(measure(*avg) if paired else measure(avg))
         if known is not None:
             rows["dist_theta"].append(dist_theta(known, solver.z, solver.w_point, solver.theta))
         next_mark = eval_every * (solver.evals // eval_every + 1)

@@ -304,8 +304,18 @@ def test_charge_closed_forms(pb8):
         assert charges(tag) == [100]
     with pytest.raises(ValueError, match="unknown"):
         vs.make_solver(pb8, "sgd", seed=0)
-    with pytest.raises(ValueError):
-        vs.make_solver(pb8, "eg", seed=0, cost_N=0)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.5, 2.7, 0])
+def test_cost_N_must_be_a_finite_integer_of_at_least_one(pb8, bad):
+    with pytest.raises(ValueError, match=r"^N \(cost_N\) must be a finite integer of at least "
+                                         rf"1, got {bad}$"):
+        vs.make_solver(pb8, "eg", seed=0, cost_N=bad)
+
+
+@pytest.mark.parametrize("algo", vs.ALGORITHMS)
+def test_every_algorithm_takes_an_integral_cost_N(pb8, algo):
+    assert vs.make_solver(pb8, algo, seed=0, cost_N=5.0).N == 5
 
 
 def test_cumulative_charge_monotone_and_deterministic(pb8):
@@ -372,3 +382,53 @@ def test_charges_match_the_work_done(make, algo):
         solver.step()  # not run: its measurement evaluates F too
         assert solver.evals == solver.N * full[0] + 2 * estimates[0]
     assert full[0] > 0 and (estimates[0] > 0) == (algo in vs.solvers.VARIANCE_REDUCED)
+
+
+def run_audited_pairs():
+    """(instance, algorithm) for every applicable algorithm on a game, a
+    labeling game and a plain affine VI."""
+    instances = {"pb8": lambda: vs.policeman_burglar(8, 1),
+                 "seg4": lambda: vs.synthetic_segmentation(4, 2, 0),
+                 "affine12": lambda: plain_affine_vis()["affine12"]}
+    return [pytest.param(make, algo, id=f"{name}-{algo}") for name, make in instances.items()
+            for algo in vs.ALGORITHMS if vs.applicable(make(), algo)]
+
+
+@pytest.mark.parametrize("make, algo", run_audited_pairs())
+def test_whole_runs_measure_from_the_operator_values_they_hold(monkeypatch, make, algo):
+    """Count full operator calls over a whole run, and the measures and the
+    calls they make. oomd-l2 and oomd-entropy measure every checkpoint from
+    the values of F their steps computed, so a run makes evals / N calls;
+    eg's checkpoint computes F at the last iterate and its next step uses
+    it, so only the last checkpoint adds a call. Every other algorithm's
+    measure evaluates F once, at the last iterate and at each average (four
+    per checkpoint). dl-svrg-eg weights its first epoch's iterates by
+    0 ** q, so at its first checkpoint the last iterate's measure stands in
+    for the linear and quadratic averages."""
+    problem = make()
+    calls, measures, measured = [0], [0], [0]
+    operator = problem.operator
+
+    def counted_operator(z):
+        calls[0] += 1
+        return operator(z)
+
+    problem.operator = counted_operator
+    for name in ("duality_gap_at", "natural_residual"):
+        def counted_measure(*args, measure=getattr(vs.solvers, name)):
+            before = calls[0]
+            out = measure(*args)
+            measures[0] += 1
+            measured[0] += calls[0] - before
+            return out
+
+        monkeypatch.setattr(vs.solvers, name, counted_measure)
+    N = default_components(problem)
+    trace = vs.run(problem, algo, 36 * N, seed=0, eval_every=3 * N)
+    full_calls, rest = divmod(int(trace.evals[-1]), N)
+    if algo in ("eg", "oomd-l2", "oomd-entropy"):
+        assert measures[0] == 4 * len(trace) and measured[0] == 0
+        assert rest == 0 and calls[0] == full_calls + (algo == "eg")
+    else:
+        assert measures[0] == 4 * len(trace) - 2 * (algo == "dl-svrg-eg")
+        assert measured[0] == measures[0]

@@ -2,10 +2,14 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import visolve as vs
 from visolve import solvers
-from visolve.metrics import dist_theta
+from visolve.metrics import AVERAGE_COLUMNS, dist_theta
+from visolve.rng import StableRng
 from visolve.solvers import NumericalDivergence, SvrgParams, make_solver
 
 from conftest import equilibrium_lp, random_game
@@ -398,3 +402,65 @@ def test_simplex_strategy_applicability(algo, instance, primal, dual):
     for _ in range(5):
         solver.step()
     assert problem.set.contains(solver.z, tol=1e-9)
+
+
+@st.composite
+def measured_instances(draw):
+    """A small game, dense or sparse, with both linear terms and simplex
+    blocks of unequal sizes, or a monotone affine VI M = B'B + (C - C') over
+    the box [-1, 1]^d; the payoff is scaled by 1 or 1000."""
+    rng = StableRng(draw(st.integers(0, 2 ** 16)))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    kind = draw(st.sampled_from(["dense", "sparse", "plain"]))
+    if kind == "plain":
+        d = draw(st.integers(2, 8))
+        B, C = (rng.uniform(d * d).reshape(d, d) - 0.5 for _ in range(2))
+        return vs.AffineVI(scale * (B.T @ B + C - C.T), rng.uniform(d) - 0.5,
+                           vs.Box(-1.0, 1.0, dim=d))
+    primal, dual = (draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)) for _ in range(2))
+    n, m = sum(primal), sum(dual)
+    A = scale * (rng.uniform(n * m).reshape(n, m) - 0.5)
+    if kind == "sparse":
+        A[rng.uniform(n * m).reshape(n, m) < 0.6] = 0.0
+        A[0, 0] = scale
+        A = sp.csr_matrix(A)
+    return vs.AffineVI.bilinear(A, rng.uniform(n) - 0.5, rng.uniform(m) - 0.5,
+                                vs.SimplexProduct(primal), vs.SimplexProduct(dual))
+
+
+@settings(max_examples=30, deadline=None)
+@given(measured_instances())
+def test_checkpoints_measured_from_held_operator_values(problem):
+    """A solver that supplies F is measured from its own values of F. Replay
+    each run step by step and measure afresh: the last iterate's measure is
+    the same bits, and each average's is within a roundoff bound. F_avg and
+    F(avg) each differ from the exact weighted average of F by about
+    (pushes + d) eps |F|, and a measure moves by at most ||dF||_2 times the
+    set's radius sqrt(d) (the residual by at most ||dF||_2). The trace
+    clips roundoff below zero to 0, and so does the fresh measure."""
+    d = problem.dim
+    game = problem.structure is not None
+    F_bound = np.linalg.norm(problem.M) * np.sqrt(d) + np.max(np.abs(problem.q))
+    N = vs.default_components(problem)
+    for algo in ("eg", "oomd-l2", "oomd-entropy"):
+        if not vs.applicable(problem, algo):
+            continue
+        trace = vs.run(problem, algo, 30 * N, seed=0, eval_every=3 * N)
+        solver = make_solver(problem, algo, seed=0)
+        if game:
+            measure = lambda z: max(vs.duality_gap_at(problem, z), 0.0)
+        else:
+            measure = lambda z: max(vs.natural_residual(problem, z, solver.tau), 0.0)
+        averages = {q: vs.AveragingAccumulator(q) for q in AVERAGE_COLUMNS}
+        for k, evals in enumerate(trace.evals):
+            while solver.evals < evals:
+                for z in solver.step().iterates:
+                    for acc in averages.values():
+                        acc.push(z)
+            assert trace.gap_last[k] == measure(solver.z)
+            pushes = averages[0].count
+            tol = 4 * np.finfo(float).eps * (pushes + 2 * d + 2) * d * F_bound
+            for q, name in AVERAGE_COLUMNS.items():
+                avg = averages[q].current()
+                expect = trace.gap_last[k] if avg is None else measure(avg)
+                assert abs(trace.column(name)[k] - expect) <= tol, (algo, name, k)
