@@ -163,7 +163,10 @@ def aggregate(traces):
     """Per-checkpoint mean and sample standard deviation across seeds.
 
     Traces are aligned by checkpoint index on their common prefix; every
-    column of the per-seed files gets a _mean and _std counterpart.
+    column of the per-seed files gets a _mean and _std counterpart. Where
+    every seed holds the same value, as every seed of a deterministic
+    algorithm does, the mean is that value and the std is 0: the mean of
+    equal floats is not always that float.
     """
     traces = list(traces)
     rows = min(len(t) for t in traces)
@@ -171,8 +174,10 @@ def aggregate(traces):
     out = {}
     for name in columns:
         stack = np.stack([np.asarray(t.column(name), dtype=np.float64)[:rows] for t in traces])
-        out[f"{name}_mean"] = stack.mean(axis=0)
-        out[f"{name}_std"] = stack.std(axis=0, ddof=1) if len(traces) > 1 else np.zeros(rows)
+        same = (stack == stack[0]).all(axis=0)
+        out[f"{name}_mean"] = np.where(same, stack[0], stack.mean(axis=0))
+        out[f"{name}_std"] = (np.where(same, 0.0, stack.std(axis=0, ddof=1)) if len(traces) > 1
+                              else np.zeros(rows))
     return out
 
 

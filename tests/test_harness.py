@@ -8,6 +8,7 @@ import visolve as vs
 from visolve import cli, harness, solvers
 from visolve.harness import ConfigError, RunConfig
 from visolve.metrics import GapTrace
+from visolve.rng import StableRng
 
 
 def _pennies_config(tmp_path, **overrides):
@@ -43,6 +44,28 @@ def test_aggregate_recomputable_from_per_seed_files(tmp_path):
     assert np.allclose(table["gap_last_mean"], stack.mean(axis=0), atol=1e-12)
     assert np.allclose(table["gap_last_std"], stack.std(axis=0, ddof=1), atol=1e-12)
     assert np.allclose(table["evals_mean"], np.stack([t.evals for t in traces]).mean(axis=0))
+
+
+def test_aggregate_of_equal_seeds_is_exact():
+    """Where every seed holds the same value, the mean is that value and the
+    std is 0, although numpy's mean of three equal floats is sometimes not
+    that float; where the seeds differ, numpy's mean and std stand."""
+    values = StableRng(3).uniform(200)
+    equal = np.stack([values] * 3)
+    assert np.any(equal.mean(axis=0) != values)  # the case the rule is for
+    trace = lambda gaps: GapTrace(np.arange(1, 201), *[gaps] * 4)
+    out = harness.aggregate([trace(values)] * 3)
+    for name in ("evals", "gap_last", "gap_uniform", "gap_linear", "gap_quadratic"):
+        assert out[f"{name}_mean"].tobytes() == trace(values).column(name).astype(float).tobytes()
+        assert not out[f"{name}_std"].any()
+    moved = values.copy()
+    moved[::2] += 1.0
+    stack = np.stack([values, values, moved])
+    out = harness.aggregate([trace(row) for row in stack])
+    assert np.array_equal(out["gap_last_mean"][::2], stack.mean(axis=0)[::2])
+    assert np.array_equal(out["gap_last_std"][::2], stack.std(axis=0, ddof=1)[::2])
+    assert np.array_equal(out["gap_last_mean"][1::2], values[1::2])
+    assert not out["gap_last_std"][1::2].any()
 
 
 def test_end_to_end_determinism(tmp_path):
