@@ -98,10 +98,12 @@ class _SolverBase:
     the :func:`make_solver` options it reads (without ``tau_scale`` it takes
     no step, and ``tau`` is None); ``step_over_norm`` times the inverse
     spectral norm is its baseline step, which is 1 when it is None.
-    ``supplies_F`` is True for a solver that evaluates F at every iterate it
-    pushes: its ``StepResult.values`` carries those values, and ``F_z`` is
-    F at its current iterate or None until :meth:`operator_at_z` computes
-    it. Every tagged class defines its own ``step``, so a step of each
+    ``supplies_F`` is True for a solver whose step yields F at every
+    iterate it pushes, from an operator call or from the products with A
+    and A' the step makes anyway: its ``StepResult.values`` carries those
+    values, and ``F_z`` is F at its current iterate or None until a step or
+    :meth:`operator_at_z` computes it. Every deterministic solver supplies
+    F. Every tagged class defines its own ``step``, so a step of each
     algorithm can be told apart where the method is looked up (perfbench
     traces it there).
     """
@@ -294,31 +296,42 @@ _SIMPLEX_STRATEGIES = _Requirement(
 
 class PrimalDual(_SolverBase):
     """Primal-dual splitting with primal extrapolation parameter 1 and equal
-    step sizes on both sides; an iteration costs N."""
+    step sizes on both sides (Chambolle & Pock 2011); an iteration costs N.
+
+    The extrapolation is formed on A'x: the step keeps A'x of its primal
+    iterate and reads A'x_bar as 2 A'x_new - A'x_old, so an iteration makes
+    one product with A and one with A'. Both products are F at the new
+    point up to the linear terms, which the step keeps as ``F_z``. The
+    first A'x is computed by the first step."""
 
     name = "pda"
     requires = _BILINEAR
     draws = False
     step_over_norm = 0.99
+    supplies_F = True
 
     def __init__(self, problem, N, seed, z0, tau):
         super().__init__(problem, N, seed, z0, tau)
         self.primal_set, self.dual_set = problem.set.parts
         self.x, self.y = (b.copy() for b in problem.split(self.z))
-        self.x_bar = self.x.copy()
+        self.ATx = self.ATx_bar = None
 
     def step(self):
         s = self.problem.structure
-        self.y = self._proj(self.y + self.tau * (s.AT @ self.x_bar + s.by), self.dual_set,
+        if self.ATx is None:
+            self.ATx = self.ATx_bar = s.AT @ self.x
+        self.y = self._proj(self.y + self.tau * (self.ATx_bar + s.by), self.dual_set,
                             near=self.y)
-        x_new = self._proj(self.x - self.tau * (s.A @ self.y + s.bx), self.primal_set,
-                           near=self.x)
-        self.x_bar = 2.0 * x_new - self.x
-        self.x = x_new
+        F_x = s.A @ self.y + s.bx
+        self.x = self._proj(self.x - self.tau * F_x, self.primal_set, near=self.x)
+        ATx = s.AT @ self.x
+        self.ATx_bar = 2.0 * ATx - self.ATx
+        self.ATx = ATx
         self.z = np.concatenate([self.x, self.y])
+        self.F_z = np.concatenate([F_x, -(ATx + s.by)])
         self.evals += self.N
         self.iteration += 1
-        return StepResult([self.z.copy()], None)
+        return StepResult([self.z], None, [self.F_z])
 
 
 class _OptimisticMirrorDescent(_SolverBase):
@@ -388,14 +401,20 @@ class OptimisticMDEntropy(_OptimisticMirrorDescent):
 
 class RegretMatchingPlus(_SolverBase):
     """Regret matching with nonnegative clipped regrets and alternation:
-    the maximizer responds to the already-updated minimizer strategy. A
-    block with zero accumulated regret keeps its current strategy. An
-    iteration costs N."""
+    the maximizer responds to the already-updated minimizer strategy
+    (Tammelin 2014). A block with zero accumulated regret keeps its current
+    strategy. An iteration costs N.
+
+    The maximizer's gains are -F_y at the played point, and the minimizer's
+    losses of the next step, A y + bx, are its F_x: the step computes them
+    at its end, keeps both as ``F_z`` and starts the next step from F_x.
+    The first losses are computed by the first step."""
 
     name = "rm+"
     requires = _SIMPLEX_STRATEGIES
     draws = False
     options = ()
+    supplies_F = True
 
     def __init__(self, problem, N, seed, z0, tau):
         super().__init__(problem, N, seed, z0, tau)
@@ -415,16 +434,17 @@ class RegretMatchingPlus(_SolverBase):
     def step(self):
         s = self.problem.structure
         n = s.primal_dim
-        loss_x = self._finite(s.A @ self.z[n:] + s.bx)
+        loss_x = self._finite(s.A @ self.z[n:] + s.bx if self.F_z is None else self.F_z[:n])
         for sl in self.primal_blocks:
             self._update_block(sl, float(self.z[sl] @ loss_x[sl]) - loss_x[sl])
         gain_y = s.AT @ self.z[:n] + s.by
         for sl in self.dual_blocks:
             local = gain_y[sl.start - n:sl.stop - n]
             self._update_block(sl, local - float(self.z[sl] @ local))
+        self.F_z = np.concatenate([s.A @ self.z[n:] + s.bx, -gain_y])
         self.evals += self.N
         self.iteration += 1
-        return StepResult([self.z.copy()], None)
+        return StepResult([self.z.copy()], None, [self.F_z])
 
 
 _SOLVERS = {cls.name: cls for cls in (LooplessSvrgEG, DoubleLoopSvrgEG, Extragradient,
@@ -521,8 +541,9 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
     ``stop_when_gap_below``.
 
     Records a row at the first step whose cumulative charge meets each
-    multiple of the cadence; the stored ``evals`` is the actual cumulative
-    charge. The settings must pass :func:`setting_errors`.
+    multiple of the cadence, and at the step that meets the budget when the
+    budget is not such a multiple; the stored ``evals`` is the actual
+    cumulative charge. The settings must pass :func:`setting_errors`.
     Each row holds the convergence measure of the last iterate and of the
     uniform, linear, and quadratic running averages of the half-step
     iterates (the last iterate stands in while an average is still
@@ -551,19 +572,20 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
     rows = {name: [] for name in ("evals", "gap_last", *AVERAGE_COLUMNS.values())}
     if known is not None:
         rows["dist_theta"] = []
-    # A solver that supplies F pushes each iterate with its F as one (2, d)
-    # pair, so one average carries both.
+    # A solver that supplies F pushes each iterate and its F as one flat
+    # vector of length 2d, so one average carries both.
     paired = solver.supplies_F
+    d = problem.dim
     next_mark = eval_every
     while solver.evals < budget_evals:
         result = solver.step()
-        points = map(np.stack, zip(result.iterates, result.values)) if paired \
+        points = map(np.concatenate, zip(result.iterates, result.values)) if paired \
             else result.iterates
         for point in points:
             for q, acc in accumulators.items():
                 weight = None if result.epoch is None else float(result.epoch) ** q
                 acc.push(point, weight=weight)
-        if solver.evals < next_mark:
+        if solver.evals < min(next_mark, budget_evals):
             continue
         gap_last = measure(solver.z, solver.operator_at_z() if paired else None)
         rows["evals"].append(solver.evals)
@@ -573,7 +595,7 @@ def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
             if avg is None:
                 rows[name].append(gap_last)
             else:
-                rows[name].append(measure(*avg) if paired else measure(avg))
+                rows[name].append(measure(avg[:d], avg[d:]) if paired else measure(avg))
         if known is not None:
             rows["dist_theta"].append(dist_theta(known, solver.z, solver.w_point, solver.theta))
         next_mark = eval_every * (solver.evals // eval_every + 1)

@@ -400,11 +400,13 @@ def test_whole_runs_measure_from_the_operator_values_they_hold(monkeypatch, make
     calls they make. oomd-l2 and oomd-entropy measure every checkpoint from
     the values of F their steps computed, so a run makes evals / N calls;
     eg's checkpoint computes F at the last iterate and its next step uses
-    it, so only the last checkpoint adds a call. Every other algorithm's
-    measure evaluates F once, at the last iterate and at each average (four
-    per checkpoint). dl-svrg-eg weights its first epoch's iterates by
-    0 ** q, so at its first checkpoint the last iterate's measure stands in
-    for the linear and quadratic averages."""
+    it, so only the last checkpoint adds a call. pda and rm+ form F from
+    their own products with A and A', so neither their steps nor their
+    measures call the operator. The variance-reduced algorithms' measure
+    evaluates F once, at the last iterate and at each average (four per
+    checkpoint). dl-svrg-eg weights its first epoch's iterates by 0 ** q,
+    so at its first checkpoint the last iterate's measure stands in for the
+    linear and quadratic averages."""
     problem = make()
     calls, measures, measured = [0], [0], [0]
     operator = problem.operator
@@ -426,7 +428,10 @@ def test_whole_runs_measure_from_the_operator_values_they_hold(monkeypatch, make
     N = default_components(problem)
     trace = vs.run(problem, algo, 36 * N, seed=0, eval_every=3 * N)
     full_calls, rest = divmod(int(trace.evals[-1]), N)
-    if algo in ("eg", "oomd-l2", "oomd-entropy"):
+    if algo in ("pda", "rm+"):
+        assert measures[0] == 4 * len(trace) and measured[0] == 0
+        assert rest == 0 and calls[0] == 0
+    elif algo in ("eg", "oomd-l2", "oomd-entropy"):
         assert measures[0] == 4 * len(trace) and measured[0] == 0
         assert rest == 0 and calls[0] == full_calls + (algo == "eg")
     else:

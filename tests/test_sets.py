@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from visolve.rng import StableRng
 from visolve.sets import (_COLUMN_KERNEL_MAX_BLOCK, Box, HalfspaceBox, Product, Simplex,
-                          SimplexProduct, _support_projection, from_descriptor,
-                          simplex_project)
+                          SimplexProduct, _column_maxima, _support_projection,
+                          from_descriptor, simplex_project)
 
 
 def simplex_projection_oracle(v):
@@ -247,6 +247,25 @@ def test_simplex_blocks_exact(dims):
                     in_order += float(np.max(b))
                 got = feasible.support_max(c)
                 assert got == in_order and np.signbit(got) == np.signbit(in_order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2048), st.integers(0, 2 ** 16), st.floats(0.0, 1.0))
+def test_column_maxima_route_matches_reduceat(h, k, seed, ties):
+    """Equal blocks of at most 3 entries take their maxima from h strided
+    columns: the bits of np.maximum.reduceat, and so of support_max by
+    reduceat. A share ``ties`` of the entries is drawn from 0.0, -0.0, 1 and
+    -1, so blocks hold ties and signed zeros; the others span 1e-300 to
+    1e300 in size, of both signs."""
+    rng = StableRng(seed)
+    c = (2.0 * rng.uniform(h * k) - 1.0) * 10.0 ** (600.0 * rng.uniform(h * k) - 300.0)
+    tied = rng.uniform(h * k) < ties
+    c[tied] = np.array([0.0, -0.0, 1.0, -1.0])[(4.0 * rng.uniform(int(tied.sum()))).astype(int)]
+    by_reduceat = np.maximum.reduceat(c, np.arange(0, h * k, h))
+    assert _column_maxima(c, h).tobytes() == by_reduceat.tobytes()
+    got = SimplexProduct([h] * k).support_max(c)
+    expect = float(np.cumsum(by_reduceat)[-1] + 0.0)
+    assert got == expect and np.signbit(got) == np.signbit(expect)
 
 
 _block_lists = st.one_of(

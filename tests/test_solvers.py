@@ -192,6 +192,69 @@ def test_oomd_constant_operator_is_projected_gradient():
         assert np.allclose(solver.z, ledger, atol=1e-15)
 
 
+def rm_plus_games():
+    return {"pb8": vs.policeman_burglar(8, 1), "pennies": vs.matching_pennies()[0],
+            "uni5x7": vs.uniform_random(5, 7, 0),
+            "linear5x7": random_game(5, 7, 3, with_linear=True)}
+
+
+@pytest.mark.parametrize("name", rm_plus_games())
+def test_rm_plus_holds_F_at_its_iterate(name):
+    """rm+ keeps F at the strategies it plays: its gains are -F_y and the
+    next step's losses are F_x. After every step F_z has the bits of a fresh
+    operator call at z, though no step calls the operator."""
+    problem = rm_plus_games()[name]
+    solver = make_solver(problem, "rm+", seed=0)
+    operator = problem.operator
+    problem.operator = lambda z: pytest.fail("rm+ called the full operator")
+    for _ in range(200):
+        solver.step()
+        assert solver.F_z.tobytes() == operator(solver.z).tobytes()
+
+
+@pytest.mark.parametrize("problem", [vs.policeman_burglar(30, 1), vs.uniform_random(5, 7, 0),
+                                     random_game(5, 7, 3, with_linear=True),
+                                     vs.synthetic_segmentation(4, 3, 0)],
+                         ids=["pb30", "uni5x7", "linear5x7", "seg4h3"])
+def test_pda_follows_the_extrapolated_primal_recurrence(problem):
+    """pda forms A'x_bar as 2 A'x_new - A'x_old. Its iterates stay within
+    roundoff of the recurrence on x_bar = 2 x_new - x_old itself. Each step
+    perturbs A'x_bar by a few ulps of max |A_ij| (x lies on simplexes), which
+    moves y by tau times that; the step is nonexpansive in the method's own
+    metric, within a factor of about 14 of the max norm at tau ||A|| = 0.99,
+    so after k steps the iterates differ by at most about k 64 eps
+    max(1, tau max |A_ij|). F_z equals a fresh operator call at the new
+    point: A y + bx is the product the primal step uses, and -(A'x + by)
+    rounds to the value of -A'x - by."""
+    s = problem.structure
+    solver = make_solver(problem, "pda", seed=0)
+    primal, dual = problem.set.parts
+    x, y = problem.split(solver.z)
+    x_bar = x
+    scale = max(1.0, solver.tau * float(abs(s.A).max()))
+    for k in range(1, 301):
+        y = dual.project(y + solver.tau * (s.AT @ x_bar + s.by))
+        x_new = primal.project(x - solver.tau * (s.A @ y + s.bx))
+        x_bar, x = 2.0 * x_new - x, x_new
+        solver.step()
+        tol = 64 * k * np.finfo(float).eps * scale
+        assert np.abs(solver.x - x).max() <= tol and np.abs(solver.y - y).max() <= tol
+        assert np.array_equal(solver.F_z, problem.operator(solver.z))
+
+
+def test_run_records_the_step_that_meets_the_budget():
+    """A budget that is not a multiple of the cadence still ends in a row:
+    the step that meets the budget is paid for, so it is measured."""
+    problem = vs.policeman_burglar(8, 1)
+    trace = vs.run(problem, "oomd-l2", 320, 0, 24)
+    assert list(trace.evals) == [*range(24, 320, 24), 320]
+    solver = make_solver(problem, "oomd-l2", seed=0)
+    while solver.evals < 320:
+        solver.step()
+    assert trace.gap_last[-1] == max(vs.duality_gap_at(problem, solver.z), 0.0)
+    assert list(vs.run(problem, "oomd-l2", 312, 0, 24).evals) == list(range(24, 313, 24))
+
+
 def test_pda_iterates_stay_feasible_on_segmentation():
     problem = vs.synthetic_segmentation(3, 2, 0)
     primal, dual = problem.set.parts
@@ -437,12 +500,14 @@ def test_checkpoints_measured_from_held_operator_values(problem):
     F(avg) each differ from the exact weighted average of F by about
     (pushes + d) eps |F|, and a measure moves by at most ||dF||_2 times the
     set's radius sqrt(d) (the residual by at most ||dF||_2). The trace
-    clips roundoff below zero to 0, and so does the fresh measure."""
+    clips roundoff below zero to 0, and so does the fresh measure. pda and
+    rm+ run on the games: they form F from their own products with A and
+    A', and their last iterate's measure keeps its bits too."""
     d = problem.dim
     game = problem.structure is not None
     F_bound = np.linalg.norm(problem.M) * np.sqrt(d) + np.max(np.abs(problem.q))
     N = vs.default_components(problem)
-    for algo in ("eg", "oomd-l2", "oomd-entropy"):
+    for algo in ("eg", "oomd-l2", "oomd-entropy", "pda", "rm+"):
         if not vs.applicable(problem, algo):
             continue
         trace = vs.run(problem, algo, 30 * N, seed=0, eval_every=3 * N)
