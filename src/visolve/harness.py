@@ -159,25 +159,25 @@ def run_seeds(problem, algorithm, cfg, known=None):
     return {seed: trace(seed) for seed in cfg.seeds}
 
 
-def aggregate(traces):
-    """Per-checkpoint mean and sample standard deviation across seeds.
+def _seed_mean_std(stack):
+    """Mean and sample std over the seeds (rows) of a stack; where every seed
+    holds the same value they are that value and 0, as the mean of equal
+    floats is not always that float."""
+    same = (stack == stack[0]).all(axis=0)
+    std = stack.std(axis=0, ddof=1) if len(stack) > 1 else 0.0
+    return np.where(same, stack[0], stack.mean(axis=0)), np.where(same, 0.0, std)
 
+
+def aggregate(traces):
+    """Per-checkpoint mean and sample std across seeds (:func:`_seed_mean_std`).
     Traces are aligned by checkpoint index on their common prefix; every
-    column of the per-seed files gets a _mean and _std counterpart. Where
-    every seed holds the same value, as every seed of a deterministic
-    algorithm does, the mean is that value and the std is 0: the mean of
-    equal floats is not always that float.
-    """
+    column of the per-seed files gets a _mean and _std counterpart."""
     traces = list(traces)
     rows = min(len(t) for t in traces)
-    columns = traces[0].columns
     out = {}
-    for name in columns:
+    for name in traces[0].columns:
         stack = np.stack([np.asarray(t.column(name), dtype=np.float64)[:rows] for t in traces])
-        same = (stack == stack[0]).all(axis=0)
-        out[f"{name}_mean"] = np.where(same, stack[0], stack.mean(axis=0))
-        out[f"{name}_std"] = (np.where(same, 0.0, stack.std(axis=0, ddof=1)) if len(traces) > 1
-                              else np.zeros(rows))
+        out[f"{name}_mean"], out[f"{name}_std"] = _seed_mean_std(stack)
     return out
 
 
@@ -221,7 +221,7 @@ def compare_command(cfg):
         nearest = [np.abs(t.evals[None, :] - grid[:, None]).argmin(axis=1) for t in traces]
         for mode in modes:
             per_seed = [np.asarray(t.column(mode))[idx] for t, idx in zip(traces, nearest)]
-            table[f"{algo}_{mode.replace('gap_', '')}"] = np.stack(per_seed).mean(axis=0)
+            table[f"{algo}_{mode.replace('gap_', '')}"] = _seed_mean_std(np.stack(per_seed))[0]
     out_path = (cfg.out if cfg.out.endswith(".csv")
                 else os.path.join(cfg.out, f"{label}_compare.csv"))
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)

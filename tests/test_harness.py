@@ -150,6 +150,28 @@ def test_compare_wide_csv(tmp_path):
             assert f"{algo}_{mode}" in header
 
 
+def test_compare_of_a_deterministic_algorithm_is_its_trace(tmp_path):
+    """Every seed of a deterministic algorithm holds the same trace, so each
+    compare column is that trace at the nearest checkpoint, bit for bit, as
+    its aggregate is; numpy's mean of the three equal seeds is not."""
+    cfg = RunConfig(instance="pb", instance_params={"n": 30, "seed": 1}, algorithms=["eg", "pda"],
+                    seeds=[0, 1, 2], budget=3000, eval_every=60, out=str(tmp_path / "c.csv"))
+    path, = harness.compare_command(cfg)
+    with open(path) as f:
+        names = f.readline().strip().split(",")
+        table = dict(zip(names, np.array([line.split(",") for line in f], dtype=float).T))
+    problem = vs.policeman_burglar(30, 1)
+    moved = 0
+    for algo in cfg.algorithms:
+        trace = solvers.run(problem, algo, cfg.budget, 0, cfg.eval_every)
+        nearest = np.abs(trace.evals[None, :] - table["evals"][:, None]).argmin(axis=1)
+        for mode in ("last", "uniform", "linear", "quadratic"):
+            column = trace.column(f"gap_{mode}")[nearest]
+            assert table[f"{algo}_{mode}"].tobytes() == column.tobytes(), (algo, mode)
+            moved += np.count_nonzero(np.stack([column] * 3).mean(axis=0) != column)
+    assert moved  # the case the rule is for
+
+
 def test_compare_rejects_inapplicable_algorithm(tmp_path):
     cfg = RunConfig(instance="segmentation", instance_params={"grid": 2, "regions": 2, "seed": 0},
                     algorithms=["rm+"], seeds=[0], budget=2000, eval_every=500,
