@@ -2,9 +2,10 @@
 
 The k-th pushed iterate gets weight k^q (with 0^0 = 1, so q = 0 is the plain
 uniform average including the first iterate, while q >= 1 gives zero weight
-to the first push). An explicit weight can override the count-based one;
-epoch-structured solvers use this to weight every inner iterate of epoch s
-by s^q.
+to the first push). An explicit weight can override the count-based one:
+``dl-svrg-eg`` pushes the mean of epoch s's K inner iterates with weight
+s^q, which weights each of them by s^q, as every epoch has K; its
+``count`` counts epochs.
 """
 
 from __future__ import annotations
@@ -35,13 +36,9 @@ class AveragingAccumulator:
         self.total_weight += w
         self.count += 1
 
-    @property
-    def defined(self):
-        return self.total_weight > 0.0
-
     def current(self):
         """Weighted average so far, or None while the total weight is zero
         (for q >= 1 the first push carries weight zero)."""
-        if not self.defined:
+        if not self.total_weight > 0.0:
             return None
         return self.weighted_sum / self.total_weight

@@ -20,11 +20,12 @@ from .sets import NonFiniteInput
 
 StepResult = namedtuple("StepResult", ["iterates", "epoch", "values"], defaults=[None])
 StepResult.__doc__ = """What a step hands the averaging accumulators: the iterates
-to push (half-step iterates for the extragradient family, the played
-strategies for the regret and mirror methods), the epoch index of
-epoch-weighted averaging or None, and, from a solver that supplies F, F at
-each pushed iterate (None otherwise). ``run`` averages those values with
-the iterates' weights and measures the averages from them, uncharged."""
+to push (half-step iterates for the extragradient family, an epoch's mean of
+them for ``dl-svrg-eg``, the played strategies for the regret and mirror
+methods), the epoch s that weights a push by s^q or None, and, from a solver
+that supplies F, F at each pushed iterate (None otherwise). ``run`` averages
+those values with the iterates' weights and measures the averages from them,
+uncharged."""
 
 
 class NumericalDivergence(RuntimeError):
@@ -231,7 +232,8 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
     """Epoch-structured variance reduction: K inner anchored steps against a
     fixed snapshot, then the snapshot moves to the average of the K inner
     iterates and the full operator is recomputed there. An epoch costs
-    N + 2K."""
+    N + 2K and pushes the mean of its K half-step iterates with weight index
+    s, the epoch: each of them is weighted by s^q."""
 
     name = "dl-svrg-eg"
 
@@ -248,15 +250,15 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
 
     def step(self):
         K = self.params.K
-        halves = []
+        half_sum = np.zeros_like(self.z)
         inner_sum = np.zeros_like(self.z)
         for _ in range(K):
-            halves.append(self._anchored_step())
+            half_sum += self._anchored_step()
             inner_sum += self.z
         self._snapshot(inner_sum / K)
         self.evals += self.N + 2 * K
         self.epoch += 1
-        return StepResult(halves, self.epoch - 1)
+        return StepResult([half_sum / K], self.epoch - 1)
 
 
 class Extragradient(_SolverBase):

@@ -83,7 +83,9 @@ def test_convex_combination_stays_feasible():
 
 def test_epoch_weighted_flattening():
     """Pushing each of an epoch's inner iterates with the epoch weight s^q
-    reproduces the nested weighted average (1/(K Q_S)) sum_s s^q sum_k z."""
+    reproduces the nested weighted average (1/(K Q_S)) sum_s s^q sum_k z, and
+    so does pushing each epoch's mean once with that weight, as dl-svrg-eg
+    does."""
     rng = StableRng(9)
     S, K, q = 6, 4, 2
     epochs = [[rng.uniform(3) for _ in range(K)] for _ in range(S)]
@@ -95,6 +97,10 @@ def test_epoch_weighted_flattening():
     nested = sum((float(s) ** q) * np.sum(inner, axis=0)
                  for s, inner in enumerate(epochs)) / (K * Q)
     assert np.allclose(acc.current(), nested, rtol=1e-13)
+    per_epoch = AveragingAccumulator(q)
+    for s, inner in enumerate(epochs):
+        per_epoch.push(np.sum(inner, axis=0) / K, weight=float(s) ** q)
+    assert np.allclose(per_epoch.current(), nested, rtol=1e-13)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from visolve.metrics import AVERAGE_COLUMNS, dist_theta
 from visolve.rng import StableRng
 from visolve.solvers import NumericalDivergence, SvrgParams, make_solver
 
-from conftest import equilibrium_lp, random_game
+from conftest import equilibrium_lp, plain_affine_vis, random_game
 
 
 def test_suggested_params_formulas():
@@ -529,3 +530,68 @@ def test_checkpoints_measured_from_held_operator_values(problem):
                 avg = averages[q].current()
                 expect = trace.gap_last[k] if avg is None else measure(avg)
                 assert abs(trace.column(name)[k] - expect) <= tol, (algo, name, k)
+
+
+def test_double_loop_epoch_keeps_no_buffer_of_its_iterates():
+    """A dl-svrg-eg epoch sums its half-step iterates as they come. On pb200
+    (K = 100 inner steps, d = 400) the traced peak of one step stays below
+    half of the K d floats that keeping its iterates would take."""
+    solver = make_solver(vs.policeman_burglar(200, 1), "dl-svrg-eg", seed=0)
+    K, d = solver.params.K, solver.problem.dim
+    assert (K, d) == (100, 400)
+    tracemalloc.start()
+    try:
+        solver.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < K * d * 8 / 2, peak
+
+
+@pytest.mark.parametrize("problem, budget, cadence", [
+    (vs.policeman_burglar(30, 1), 3000, 60), (vs.synthetic_segmentation(4, 2, 0), 4000, 100),
+    (plain_affine_vis()["affine12"], 1200, 60)], ids=["pb30", "seg4", "affine12"])
+def test_double_loop_averages_weight_every_half_step_iterate(monkeypatch, problem, budget,
+                                                             cadence):
+    """dl-svrg-eg pushes each epoch's mean once, with weight s^q. Replay its run
+    with every inner half-step iterate recorded: each checkpoint's evals and
+    last-iterate measure are the bits that the epochs' charges and last
+    iterates give, and each average's measure is within the roundoff bound
+    of test_checkpoints_measured_from_held_operator_values of the measure at
+    the s^q-weighted average of all the half-step iterates so far."""
+    halves, lasts, solvers_made = [], [], []
+    make = solvers.make_solver
+
+    def recording_solver(*args, **kwargs):
+        solver = make(*args, **kwargs)
+        anchored_step = solver._anchored_step
+
+        def recorded():
+            halves.append(anchored_step())
+            lasts.append(solver.z)
+            return halves[-1]
+
+        solver._anchored_step = recorded
+        solvers_made.append(solver)
+        return solver
+
+    monkeypatch.setattr(solvers, "make_solver", recording_solver)
+    trace = vs.run(problem, "dl-svrg-eg", budget, 0, cadence)
+    solver, = solvers_made
+    N, K, d = solver.N, solver.params.K, problem.dim
+    if problem.structure is not None:
+        measure = lambda z: max(vs.duality_gap_at(problem, z), 0.0)
+    else:
+        measure = lambda z: max(vs.natural_residual(problem, z, solver.tau), 0.0)
+    F_bound = np.linalg.norm(problem.M) * np.sqrt(d) + np.max(np.abs(problem.q))
+    epochs = (trace.evals - N) // (N + 2 * K)
+    assert np.array_equal(trace.evals, N + epochs * (N + 2 * K))
+    assert len(halves) == epochs[-1] * K
+    for k, e in enumerate(epochs):
+        assert trace.gap_last[k] == measure(lasts[e * K - 1])
+        tol = 4 * np.finfo(float).eps * (e * K + 2 * d + 2) * d * F_bound
+        for q, name in AVERAGE_COLUMNS.items():
+            weights = np.repeat(np.arange(e, dtype=float) ** q, K)
+            expect = (trace.gap_last[k] if not weights.sum() > 0.0 else
+                      measure(weights @ np.array(halves[:e * K]) / weights.sum()))
+            assert abs(trace.column(name)[k] - expect) <= tol, (name, k)
