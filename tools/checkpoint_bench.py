@@ -4,12 +4,13 @@
 
 Each SRC_DIR is the `src` directory of a checkout, so a parent and a change
 are measured by the same script on the same machine. Every round runs one
-child process per checkout, in alternating order from round to round. For
-every applicable algorithm on the 1000 x 1000 pursuit game of the benchmark
-(instance seed 2023) and the 32 x 32 labeling game with 2 regions, a child
-runs `visolve.run` (seed 0) twice at the same budget: once with about 20
-checkpoints and once with a single checkpoint at the budget. The
-checkpoints the first run adds cost the difference of the two runs:
+child process per checkout, in alternating order from round to round
+(`alternating.py`). For every applicable algorithm on the 1000 x 1000
+pursuit game of the benchmark (instance seed 2023) and the 32 x 32
+labeling game with 2 regions, a child runs `visolve.run` (seed 0) twice at
+the same budget: once with about 20 checkpoints and once with a single
+checkpoint at the budget. The checkpoints the first run adds cost the
+difference of the two runs:
 
 * `us_per_checkpoint`: the difference of the wall times (each the fastest
   of 5 runs) over the difference of the row counts, so it is the net cost
@@ -37,12 +38,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import statistics
-import subprocess
 import sys
 import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+import alternating
+
 ROUNDS = 10
 REPEATS = 5
 CHECKPOINTS = 20
@@ -127,20 +127,9 @@ def child(src):
 
 
 def main(argv):
-    sys.path.insert(0, HERE)
-    from fixed_matrix import environment
-
-    checkouts = dict(arg.split("=", 1) for arg in argv[1:])
-    rounds = {label: [] for label in checkouts}
-    for r in range(ROUNDS):
-        order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-        for label in order:
-            done = subprocess.run([sys.executable, __file__, "--child", checkouts[label]],
-                                  capture_output=True, text=True, check=True)
-            rounds[label].append(json.loads(done.stdout))
-    report = {"environment": [line[2:] for line in environment()]
-              + [f"cores {os.cpu_count()}"],
-              "rounds": ROUNDS, "repeats": REPEATS, "checkouts": {}}
+    rounds = alternating.run_rounds(__file__, alternating.checkouts(argv), ROUNDS)
+    report = {"environment": alternating.environment(), "rounds": ROUNDS, "repeats": REPEATS,
+              "checkouts": {}}
     for label, runs in rounds.items():
         table = {}
         for name, algos in runs[0].items():
@@ -149,9 +138,7 @@ def main(argv):
                 row = {"checkpoints": first["checkpoints"],
                        "calls_per_checkpoint": first["calls_per_checkpoint"]}
                 for key in ("us_per_checkpoint", "us_per_iteration"):
-                    q1, median, q3 = statistics.quantiles([run[name][algo][key] for run in runs],
-                                                          n=4)
-                    row.update({f"{key}_median": median, f"{key}_q1": q1, f"{key}_q3": q3})
+                    row.update(alternating.spread([run[name][algo][key] for run in runs], key))
                 table[name][algo] = row
         report["checkouts"][label] = table
     print(json.dumps(report, indent=1))

@@ -4,29 +4,28 @@
 
 Each SRC_DIR is the `src` directory of a checkout, so a parent and a change
 are measured by the same script on the same machine. Every round runs one
-child process per checkout, in alternating order from round to round; a
-child times each instance's `spectral_norm(A)` call 5 times. The output is
-one JSON object: the environment (as the byte gate's header names it) and,
-per checkout and instance, the products with A or A' of one call, the
-median and quartiles in ms of the per-round minima, the estimate and its
-relative error against the largest singular value from numpy's SVD (scipy's
-`svds` with tol=0 for the 32 x 32 labeling game, whose dense SVD takes
-seconds). The instances are the labeling games on 4 x 4, 8 x 8 and
-32 x 32 grids with 2 regions, the 30 x 30 pursuit game of the byte gate
-(instance seed 1) and the 1000 x 1000 pursuit game of the benchmark
-(instance seed 2023).
+child process per checkout, in alternating order from round to round
+(`alternating.py`); a child times each instance's `spectral_norm(A)` call 5
+times. The output is one JSON object: the environment (as the byte gate's
+header names it, plus the core count) and, per checkout and instance, the
+products with A or A' of one call, the median and quartiles in ms of the
+per-round minima, the estimate and its relative error against the largest
+singular value from numpy's SVD (scipy's `svds` with tol=0 for the 32 x 32
+labeling game, whose dense SVD takes seconds). The instances are the
+labeling games on 4 x 4, 8 x 8 and 32 x 32 grids with 2 regions, the
+30 x 30 pursuit game of the byte gate (instance seed 1) and the
+1000 x 1000 pursuit game of the benchmark (instance seed 2023).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import statistics
-import subprocess
 import sys
 import timeit
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+import alternating
+
 ROUNDS = 6
 CALLS = 5
 
@@ -88,25 +87,14 @@ def child(src, with_reference):
 
 
 def main(argv):
-    sys.path.insert(0, HERE)
-    from fixed_matrix import environment
-
-    checkouts = dict(arg.split("=", 1) for arg in argv[1:])
-    rounds = {label: [] for label in checkouts}
-    for r in range(ROUNDS):
-        order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-        for label in order:
-            done = subprocess.run([sys.executable, __file__, "--child", checkouts[label],
-                                   str(int(r == 0))], capture_output=True, text=True, check=True)
-            rounds[label].append(json.loads(done.stdout))
-    report = {"environment": [line[2:] for line in environment()], "rounds": ROUNDS,
-              "checkouts": {}}
+    rounds = alternating.run_rounds(__file__, alternating.checkouts(argv), ROUNDS,
+                                    lambda r: [str(int(r == 0))])
+    report = {"environment": alternating.environment(), "rounds": ROUNDS, "checkouts": {}}
     for label, runs in rounds.items():
         rows = {}
         for name, first in runs[0].items():
-            q1, median, q3 = statistics.quantiles([run[name]["ms"] for run in runs], n=4)
             rows[name] = {**{k: v for k, v in first.items() if k != "ms"},
-                          "ms_median": median, "ms_q1": q1, "ms_q3": q3}
+                          **alternating.spread([run[name]["ms"] for run in runs], "ms")}
         report["checkouts"][label] = rows
     print(json.dumps(report, indent=1))
 
