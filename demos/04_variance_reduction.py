@@ -24,7 +24,7 @@ next_mark = 250
 while solver.evals < 20_000:
     result = solver.step()
     if solver.evals >= next_mark:
-        var = vr_conditional_variance(solver.oracle, result.iterates[0], solver.cache.w)
+        var = vr_conditional_variance(solver.oracle, result.iterate, solver.cache.w)
         gap = vs.duality_gap_at(problem, solver.z)
         print(f"{solver.evals:8d} {var:16.6e} {gap:12.4e}")
         next_mark *= 2

@@ -1,11 +1,9 @@
 """Polynomially weighted running averages of half-step iterates.
 
-The k-th pushed iterate gets weight k^q (with 0^0 = 1, so q = 0 is the plain
-uniform average including the first iterate, while q >= 1 gives zero weight
-to the first push). An explicit weight can override the count-based one:
-``dl-svrg-eg`` pushes the mean of epoch s's K inner iterates with weight
-s^q, which weights each of them by s^q, as every epoch has K; its
-``count`` counts epochs.
+The k-th push gets weight k^q (with 0^0 = 1, so q = 0 is the plain uniform
+average including the first iterate, while q >= 1 gives zero weight to the
+first push). ``dl-svrg-eg`` pushes the mean of epoch s's K inner iterates as
+its s-th push, which weights each of them by s^q, as every epoch has K.
 """
 
 from __future__ import annotations
@@ -25,13 +23,13 @@ class AveragingAccumulator:
         self.total_weight = 0.0
         self.count = 0
 
-    def push(self, z, weight=None):
+    def push(self, z):
         z = np.asarray(z, dtype=np.float64)
         if self.weighted_sum is None:
             self.weighted_sum = np.zeros_like(z)
         elif z.shape != self.weighted_sum.shape:
             raise ValueError("dimension mismatch with earlier pushes")
-        w = float(self.count ** self.q) if weight is None else float(weight)
+        w = float(self.count ** self.q)
         self.weighted_sum += w * z
         self.total_weight += w
         self.count += 1

@@ -6,6 +6,7 @@ cumulative cost in sampled-evaluation units.
 
 from __future__ import annotations
 
+import contextlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,18 +19,17 @@ from .oracles import MatrixGameOracle, SnapshotCache, default_components
 from .rng import StableRng
 from .sets import NonFiniteInput
 
-StepResult = namedtuple("StepResult", ["iterates", "epoch", "values"], defaults=[None])
-StepResult.__doc__ = """What a step hands the averaging accumulators: the iterates
-to push (half-step iterates for the extragradient family, an epoch's mean of
-them for ``dl-svrg-eg``, the played strategies for the regret and mirror
-methods), the epoch s that weights a push by s^q or None, and, from a solver
-that supplies F, F at each pushed iterate (None otherwise). ``run`` averages
-those values with the iterates' weights and measures the averages from them,
-uncharged."""
+StepResult = namedtuple("StepResult", ["iterate", "F"], defaults=[None])
+StepResult.__doc__ = """The one point a step pushes to the averages (its half-step
+iterate in the extragradient family, its epoch's mean of them for
+``dl-svrg-eg``, the played strategies in the regret and mirror methods), and
+F there from a solver that supplies F, None otherwise."""
 
 
 class NumericalDivergence(RuntimeError):
-    """Raised when an iterate or operator value turns non-finite."""
+    """Raised when an iterate or operator value turns non-finite. Raised
+    through :func:`run`, its ``trace`` is the GapTrace of the rows recorded
+    before it, or None when they fail GapTrace's checks."""
 
     def __init__(self, algorithm, iteration, seed):
         super().__init__(f"non-finite value in {algorithm} at iteration {iteration} "
@@ -37,6 +37,7 @@ class NumericalDivergence(RuntimeError):
         self.algorithm = algorithm
         self.iteration = iteration
         self.seed = seed
+        self.trace = None
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ class _SolverBase:
     spectral norm is its baseline step, which is 1 when it is None.
     ``supplies_F`` is True for a solver whose step yields F at every
     iterate it pushes, from an operator call or from the products with A
-    and A' the step makes anyway: its ``StepResult.values`` carries those
-    values, and ``F_z`` is F at its current iterate or None until a step or
+    and A' the step makes anyway: its ``StepResult.F`` carries that value,
+    and ``F_z`` is F at its current iterate or None until a step or
     :meth:`operator_at_z` computes it. Every deterministic solver supplies
     F. Every tagged class defines its own ``step``, so a step of each
     algorithm can be told apart where the method is looked up (perfbench
@@ -225,15 +226,15 @@ class LooplessSvrgEG(_AnchoredExtragradient):
         if updated:
             self._snapshot(self.z)
         self.evals += 2 + (self.N if updated else 0)
-        return StepResult([z_half], None)
+        return StepResult(z_half)
 
 
 class DoubleLoopSvrgEG(_AnchoredExtragradient):
     """Epoch-structured variance reduction: K inner anchored steps against a
     fixed snapshot, then the snapshot moves to the average of the K inner
     iterates and the full operator is recomputed there. An epoch costs
-    N + 2K and pushes the mean of its K half-step iterates with weight index
-    s, the epoch: each of them is weighted by s^q."""
+    N + 2K and pushes the mean of its K half-step iterates: epoch s is the
+    s-th push, so each of them is weighted by s^q."""
 
     name = "dl-svrg-eg"
 
@@ -241,7 +242,6 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
         if params.K is None:
             raise ValueError("double-loop solver needs the inner length K")
         super().__init__(problem, N, seed, z0, tau, params)
-        self.epoch = 0
 
     @property
     def theta(self):
@@ -257,8 +257,7 @@ class DoubleLoopSvrgEG(_AnchoredExtragradient):
             inner_sum += self.z
         self._snapshot(inner_sum / K)
         self.evals += self.N + 2 * K
-        self.epoch += 1
-        return StepResult([half_sum / K], self.epoch - 1)
+        return StepResult(half_sum / K)
 
 
 class Extragradient(_SolverBase):
@@ -278,7 +277,7 @@ class Extragradient(_SolverBase):
         self.F_z = None
         self.evals += 2 * self.N
         self.iteration += 1
-        return StepResult([z_half], None, [F_half])
+        return StepResult(z_half, F_half)
 
 
 def _block_slices(feasible):
@@ -333,7 +332,7 @@ class PrimalDual(_SolverBase):
         self.F_z = np.concatenate([F_x, -(ATx + s.by)])
         self.evals += self.N
         self.iteration += 1
-        return StepResult([self.z], None, [self.F_z])
+        return StepResult(self.z, self.F_z)
 
 
 class _OptimisticMirrorDescent(_SolverBase):
@@ -360,7 +359,7 @@ class _OptimisticMirrorDescent(_SolverBase):
         self.ledger = self._mirror(self.ledger, self.F_z, near=self.z)
         self.evals += self.N
         self.iteration += 1
-        return StepResult([self.z.copy()], None, [self.F_z])
+        return StepResult(self.z.copy(), self.F_z)
 
 
 class OptimisticMDL2(_OptimisticMirrorDescent):
@@ -446,7 +445,7 @@ class RegretMatchingPlus(_SolverBase):
         self.F_z = np.concatenate([s.A @ self.z[n:] + s.bx, -gain_y])
         self.evals += self.N
         self.iteration += 1
-        return StepResult([self.z.copy()], None, [self.F_z])
+        return StepResult(self.z.copy(), self.F_z)
 
 
 _SOLVERS = {cls.name: cls for cls in (LooplessSvrgEG, DoubleLoopSvrgEG, Extragradient,
@@ -536,72 +535,73 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
     return cls(problem, N, seed, z0, tau_scale * stepsize)
 
 
+def checkpoints(solver, budget_evals, eval_every, known=None):
+    """Step the solver until its cumulative charge reaches the budget, and
+    yield a row (evals, gap_last, gap_uniform, gap_linear, gap_quadratic, and
+    dist_theta when the solution set is ``known``) at the first step whose
+    charge meets each multiple of the cadence, and at the step that meets
+    the budget; ``evals`` is the actual cumulative charge.
+
+    Each gap is the measure, never charged, of the last iterate or of a
+    running average of the pushed points (the last iterate stands in while
+    an average is undefined): the closed-form duality gap of a bilinear
+    instance, otherwise the proximal residual at the solver's own step. A
+    solver that supplies F is measured from the F it holds at the last
+    iterate and the averages of the F it pushes (F is affine, so these equal
+    F at the averages up to roundoff); any other evaluates F at each point.
+    """
+    problem, d = solver.problem, solver.problem.dim
+    if problem.structure is not None:
+        measure = lambda z, F: duality_gap_at(problem, z, F)
+    else:
+        measure = lambda z, F: natural_residual(problem, z, solver.tau, F)
+    accumulators = [AveragingAccumulator(q) for q in AVERAGE_COLUMNS]
+    # A solver that supplies F pushes each iterate and its F as one flat
+    # vector of length 2d, so one average carries both.
+    paired = solver.supplies_F
+    next_mark = eval_every
+    while solver.evals < budget_evals:
+        iterate, F = solver.step()
+        point = np.concatenate([iterate, F]) if paired else iterate
+        for acc in accumulators:
+            acc.push(point)
+        if solver.evals < min(next_mark, budget_evals):
+            continue
+        row = [solver.evals, measure(solver.z, solver.operator_at_z() if paired else None)]
+        for acc in accumulators:
+            avg = acc.current()
+            row.append(row[1] if avg is None else measure(avg[:d], avg[d:] if paired else None))
+        if known is not None:
+            row.append(dist_theta(known, solver.z, solver.w_point, solver.theta))
+        yield row
+        next_mark = eval_every * (solver.evals // eval_every + 1)
+
+
 def run(problem, algorithm, budget_evals, seed, eval_every, *, params=None,
         tau_scale=1.0, known=None, stop_when_gap_below=None):
-    """Drive a solver from :func:`make_solver` until the cumulative charge
-    reaches the budget, or until the last-iterate measure reaches
-    ``stop_when_gap_below``.
-
-    Records a row at the first step whose cumulative charge meets each
-    multiple of the cadence, and at the step that meets the budget when the
-    budget is not such a multiple; the stored ``evals`` is the actual
-    cumulative charge. The settings must pass :func:`setting_errors`.
-    Each row holds the convergence measure of the last iterate and of the
-    uniform, linear, and quadratic running averages of the half-step
-    iterates (the last iterate stands in while an average is still
-    undefined), plus the weighted squared distance to the solution set when
-    one is known. For bilinear instances the measure is the closed-form
-    duality gap; otherwise it is the proximal residual at the solver's own
-    step size. Measurement is diagnostic and never charged to the budget.
-    A solver that supplies F is measured from its own values of F: the one
-    it holds at the last iterate, and averages of the values it pushes,
-    weighted like the iterates (F is affine, so these equal F at the
-    averages up to roundoff). Any other solver's measure evaluates F at
-    each of the four points.
+    """The GapTrace of the :func:`checkpoints` of a solver from
+    :func:`make_solver`, up to the budget or to the first row whose
+    last-iterate measure reaches ``stop_when_gap_below``. The settings must
+    pass :func:`setting_errors`. A NumericalDivergence keeps the rows
+    recorded before it as its ``trace``.
     """
     budget_evals = int(budget_evals)
     eval_every = int(eval_every)
     if errors := setting_errors(problem, [algorithm], tau_scale, budget_evals, eval_every):
         raise ValueError("; ".join(errors))
     solver = make_solver(problem, algorithm, seed, params=params, tau_scale=tau_scale)
-
-    if problem.structure is not None:
-        measure = lambda z, F=None: duality_gap_at(problem, z, F)
-    else:
-        measure = lambda z, F=None: natural_residual(problem, z, solver.tau, F)
-
-    accumulators = {q: AveragingAccumulator(q) for q in AVERAGE_COLUMNS}
-    rows = {name: [] for name in ("evals", "gap_last", *AVERAGE_COLUMNS.values())}
-    if known is not None:
-        rows["dist_theta"] = []
-    # A solver that supplies F pushes each iterate and its F as one flat
-    # vector of length 2d, so one average carries both.
-    paired = solver.supplies_F
-    d = problem.dim
-    next_mark = eval_every
-    while solver.evals < budget_evals:
-        result = solver.step()
-        points = map(np.concatenate, zip(result.iterates, result.values)) if paired \
-            else result.iterates
-        for point in points:
-            for q, acc in accumulators.items():
-                weight = None if result.epoch is None else float(result.epoch) ** q
-                acc.push(point, weight=weight)
-        if solver.evals < min(next_mark, budget_evals):
-            continue
-        gap_last = measure(solver.z, solver.operator_at_z() if paired else None)
-        rows["evals"].append(solver.evals)
-        rows["gap_last"].append(gap_last)
-        for q, name in AVERAGE_COLUMNS.items():
-            avg = accumulators[q].current()
-            if avg is None:
-                rows[name].append(gap_last)
-            else:
-                rows[name].append(measure(avg[:d], avg[d:]) if paired else measure(avg))
-        if known is not None:
-            rows["dist_theta"].append(dist_theta(known, solver.z, solver.w_point, solver.theta))
-        next_mark = eval_every * (solver.evals // eval_every + 1)
-        if stop_when_gap_below is not None and gap_last <= stop_when_gap_below:
-            break
-    return GapTrace(**rows, meta={"algorithm": algorithm, "seed": seed, "budget": budget_evals,
-                                  "eval_every": eval_every, "N": solver.N})
+    rows = []
+    width = 2 + len(AVERAGE_COLUMNS) + (known is not None)
+    trace = lambda: GapTrace(*np.reshape(rows, (-1, width)).T,
+                             meta={"algorithm": algorithm, "seed": seed, "budget": budget_evals,
+                                   "eval_every": eval_every, "N": solver.N})
+    try:
+        for row in checkpoints(solver, budget_evals, eval_every, known):
+            rows.append(row)
+            if stop_when_gap_below is not None and row[1] <= stop_when_gap_below:
+                break
+    except NumericalDivergence as err:
+        with contextlib.suppress(ValueError):  # rows that fail GapTrace's checks
+            err.trace = trace()
+        raise
+    return trace()

@@ -70,7 +70,7 @@ def _windowed_variance(problem, seed, mark):
     vals = []
     for _ in range(window):
         res = solver.step()
-        vals.append(vr_conditional_variance(solver.oracle, res.iterates[0], solver.cache.w))
+        vals.append(vr_conditional_variance(solver.oracle, res.iterate, solver.cache.w))
     return float(np.mean(vals))
 
 

@@ -82,24 +82,19 @@ def test_convex_combination_stays_feasible():
 
 
 def test_epoch_weighted_flattening():
-    """Pushing each of an epoch's inner iterates with the epoch weight s^q
-    reproduces the nested weighted average (1/(K Q_S)) sum_s s^q sum_k z, and
-    so does pushing each epoch's mean once with that weight, as dl-svrg-eg
-    does."""
+    """Pushing each epoch's mean of its K inner iterates once, as dl-svrg-eg
+    does, makes epoch s the s-th push: its count weight s^q reproduces the
+    nested weighted average (1/(K Q_S)) sum_s s^q sum_k z."""
     rng = StableRng(9)
     S, K, q = 6, 4, 2
     epochs = [[rng.uniform(3) for _ in range(K)] for _ in range(S)]
-    acc = AveragingAccumulator(q)
-    for s, inner in enumerate(epochs):
-        for z in inner:
-            acc.push(z, weight=float(s) ** q)
+    per_epoch = AveragingAccumulator(q)
+    for inner in epochs:
+        per_epoch.push(np.sum(inner, axis=0) / K)
+    assert per_epoch.count == S
     Q = sum(float(s) ** q for s in range(S))
     nested = sum((float(s) ** q) * np.sum(inner, axis=0)
                  for s, inner in enumerate(epochs)) / (K * Q)
-    assert np.allclose(acc.current(), nested, rtol=1e-13)
-    per_epoch = AveragingAccumulator(q)
-    for s, inner in enumerate(epochs):
-        per_epoch.push(np.sum(inner, axis=0) / K, weight=float(s) ** q)
     assert np.allclose(per_epoch.current(), nested, rtol=1e-13)
 
 

@@ -274,14 +274,18 @@ def test_cli_compare_repeated_q_exit_code(tmp_path, capsys):
 
 
 def test_cli_numerical_abort_exit_code(tmp_path, capsys):
-    with np.errstate(over="ignore"):
-        code = cli.main(["run", "--gen", "uniform", "--n", "4", "--seed", "0",
-                         "--algo", "eg", "--seeds", "0", "--budget", "80",
-                         "--eval-every", "8", "--tau-scale", "1e300",
-                         "--out", str(tmp_path)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "non-finite" in err and "of seed 0" in err
+    """A divergence exits 3, also the svrg-eg one whose earlier rows fail
+    GapTrace's checks."""
+    for algo, budget, cadence, tau_scale in (("eg", "80", "8", "1e300"),
+                                             ("svrg-eg", "160", "4", "1e17")):
+        with np.errstate(over="ignore"):
+            code = cli.main(["run", "--gen", "uniform", "--n", "4", "--seed", "0",
+                             "--algo", algo, "--seeds", "0", "--budget", budget,
+                             "--eval-every", cadence, "--tau-scale", tau_scale,
+                             "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"non-finite value in {algo}" in err and "of seed 0" in err
 
 
 def test_cli_solver_parameter_overrides(tmp_path):

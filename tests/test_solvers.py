@@ -162,11 +162,10 @@ def test_recorded_iterates_feasible(pb8):
     solver = make_solver(pb8, "svrg-eg", seed=1)
     accs = [AveragingAccumulator(q) for q in (0, 1, 2)]
     for _ in range(200):
-        res = solver.step()
-        for z_half in res.iterates:
-            assert pb8.set.contains(z_half, tol=1e-10)
-            for acc in accs:
-                acc.push(z_half)
+        z_half = solver.step().iterate
+        assert pb8.set.contains(z_half, tol=1e-10)
+        for acc in accs:
+            acc.push(z_half)
     assert pb8.set.contains(solver.z, tol=1e-12)
     assert pb8.set.contains(solver.w_point, tol=1e-12)
     for acc in accs:
@@ -276,6 +275,33 @@ def test_nonfinite_values_abort_with_diagnostic(interior_box_problem):
         assert err.value.algorithm == algo
         assert err.value.iteration >= 0
         assert err.value.seed == 0
+
+
+def test_divergence_keeps_the_rows_recorded_before_it():
+    """pda on the 4 x 4 uniform game at tau_scale 1e17 diverges at iteration
+    9. The error keeps its nine rows (evals 4..36) as a trace whose every
+    column holds the bits of the same run with budget 36."""
+    problem = vs.uniform_random(4, 4, 0)
+    with pytest.raises(NumericalDivergence) as err, np.errstate(over="ignore"):
+        vs.run(problem, "pda", 160, 0, 4, tau_scale=1e17)
+    assert err.value.iteration == 9
+    kept = err.value.trace
+    assert np.array_equal(kept.evals, np.arange(4, 37, 4))
+    whole = vs.run(problem, "pda", 36, 0, 4, tau_scale=1e17)
+    assert kept.columns == whole.columns
+    for name in whole.columns:
+        assert kept.column(name).tobytes() == whole.column(name).tobytes(), name
+
+
+def test_divergence_after_rows_that_fail_the_trace_checks():
+    """svrg-eg on the same run diverges at iteration 21, after rows whose
+    gaps are far below zero (the off-simplex projections of ROADMAP item 8):
+    GapTrace rejects them, and the error still surfaces, with no trace."""
+    problem = vs.uniform_random(4, 4, 0)
+    with pytest.raises(NumericalDivergence) as err, np.errstate(over="ignore"):
+        vs.run(problem, "svrg-eg", 160, 0, 4, tau_scale=1e17)
+    assert err.value.iteration == 21
+    assert err.value.trace is None
 
 
 @pytest.mark.parametrize("tau_scale", [1e150, 1e300])
@@ -520,9 +546,9 @@ def test_checkpoints_measured_from_held_operator_values(problem):
         averages = {q: vs.AveragingAccumulator(q) for q in AVERAGE_COLUMNS}
         for k, evals in enumerate(trace.evals):
             while solver.evals < evals:
-                for z in solver.step().iterates:
-                    for acc in averages.values():
-                        acc.push(z)
+                z = solver.step().iterate
+                for acc in averages.values():
+                    acc.push(z)
             assert trace.gap_last[k] == measure(solver.z)
             pushes = averages[0].count
             tol = 4 * np.finfo(float).eps * (pushes + 2 * d + 2) * d * F_bound
