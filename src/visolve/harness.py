@@ -204,7 +204,8 @@ def run_command(cfg):
 
 def compare_command(cfg):
     """The `compare` entry: seed-mean gaps of every (algorithm, mode) pair in
-    one wide CSV aligned on the cadence grid by nearest checkpoint.
+    one wide CSV aligned by nearest checkpoint on the cadence grid, which
+    ends at the budget.
 
     ``cfg.out`` names the CSV itself when it ends in ``.csv``; otherwise it
     is the directory of ``<label>_compare.csv``. Returns the list of files
@@ -213,7 +214,7 @@ def compare_command(cfg):
     problem, _, label = build_instance(cfg.instance, **cfg.instance_params)
     cfg.validate(problem)
     eval_every = cfg.resolved_eval_every()
-    grid = np.arange(eval_every, cfg.budget + 1, eval_every, dtype=np.int64)
+    grid = np.minimum(np.arange(eval_every, cfg.budget + eval_every, eval_every), cfg.budget)
     table = {"evals": grid.astype(np.float64)}
     modes = ["gap_last"] + [AVERAGE_COLUMNS[q] for q in cfg.q_exponents]
     for algo in cfg.algorithms:

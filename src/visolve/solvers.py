@@ -23,7 +23,7 @@ StepResult = namedtuple("StepResult", ["iterate", "F"], defaults=[None])
 StepResult.__doc__ = """The one point a step pushes to the averages (its half-step
 iterate in the extragradient family, its epoch's mean of them for
 ``dl-svrg-eg``, the played strategies in the regret and mirror methods), and
-F there from a solver that supplies F, None otherwise."""
+F there when the step has it, None otherwise (see :class:`_SolverBase`)."""
 
 
 class NumericalDivergence(RuntimeError):
@@ -100,14 +100,14 @@ class _SolverBase:
     the :func:`make_solver` options it reads (without ``tau_scale`` it takes
     no step, and ``tau`` is None); ``step_over_norm`` times the inverse
     spectral norm is its baseline step, which is 1 when it is None.
-    ``supplies_F`` is True for a solver whose step yields F at every
-    iterate it pushes, from an operator call or from the products with A
-    and A' the step makes anyway: its ``StepResult.F`` carries that value,
-    and ``F_z`` is F at its current iterate or None until a step or
-    :meth:`operator_at_z` computes it. Every deterministic solver supplies
-    F. Every tagged class defines its own ``step``, so a step of each
-    algorithm can be told apart where the method is looked up (perfbench
-    traces it there).
+    A solver whose steps get F at the point they push, from an operator
+    call or from the products with A and A' they make anyway, returns it in
+    every ``StepResult.F``; the others return None at every step. Every
+    deterministic solver returns F, and keeps F at its current iterate as
+    ``F_z``, or None until a step or :meth:`operator_at_z` computes it; the
+    variance-reduced ones never return F. Every tagged class defines its own
+    ``step``, so a step of each algorithm can be told apart where the method
+    is looked up (perfbench traces it there).
     """
 
     name = "?"
@@ -115,7 +115,6 @@ class _SolverBase:
     draws = True
     options = ("stepsize", "tau_scale")
     step_over_norm = None
-    supplies_F = False
     F_z = None
 
     def __init__(self, problem, N, seed, z0, tau):
@@ -141,8 +140,8 @@ class _SolverBase:
         return self.z
 
     def operator_at_z(self):
-        """F at the current iterate of a solver that supplies F: the value it
-        holds, or a fresh one that it keeps for its next step."""
+        """F at the current iterate: the value the solver holds, or a fresh
+        one that it keeps for its next step."""
         if self.F_z is None:
             self.F_z = self.problem.operator(self.z)
         return self.F_z
@@ -268,7 +267,6 @@ class Extragradient(_SolverBase):
     name = "eg"
     draws = False
     step_over_norm = 0.99
-    supplies_F = True
 
     def step(self):
         z_half = self._proj(self.z - self.tau * self.operator_at_z(), near=self.z)
@@ -309,7 +307,6 @@ class PrimalDual(_SolverBase):
     requires = _BILINEAR
     draws = False
     step_over_norm = 0.99
-    supplies_F = True
 
     def __init__(self, problem, N, seed, z0, tau):
         super().__init__(problem, N, seed, z0, tau)
@@ -345,7 +342,6 @@ class _OptimisticMirrorDescent(_SolverBase):
     prediction costs N, and so does each iteration."""
 
     draws = False
-    supplies_F = True
 
     def __init__(self, problem, N, seed, z0, tau):
         super().__init__(problem, N, seed, z0, tau)
@@ -415,7 +411,6 @@ class RegretMatchingPlus(_SolverBase):
     requires = _SIMPLEX_STRATEGIES
     draws = False
     options = ()
-    supplies_F = True
 
     def __init__(self, problem, N, seed, z0, tau):
         super().__init__(problem, N, seed, z0, tau)
@@ -536,44 +531,45 @@ def make_solver(problem, algorithm, seed=0, *, params=None, tau_scale=1.0,
 
 
 def checkpoints(solver, budget_evals, eval_every, known=None):
-    """Step the solver until its cumulative charge reaches the budget, and
-    yield a row (evals, gap_last, gap_uniform, gap_linear, gap_quadratic, and
-    dist_theta when the solution set is ``known``) at the first step whose
-    charge meets each multiple of the cadence, and at the step that meets
-    the budget; ``evals`` is the actual cumulative charge.
+    """Step the solver at least once and until its cumulative charge reaches
+    the budget, and yield a row (evals, gap_last, gap_uniform, gap_linear,
+    gap_quadratic, and dist_theta when the solution set is ``known``) at the
+    first step whose charge meets each multiple of the cadence, and at the
+    step that meets the budget; ``evals`` is the actual cumulative charge.
 
     Each gap is the measure, never charged, of the last iterate or of a
     running average of the pushed points (the last iterate stands in while
     an average is undefined): the closed-form duality gap of a bilinear
-    instance, otherwise the proximal residual at the solver's own step. A
-    solver that supplies F is measured from the F it holds at the last
-    iterate and the averages of the F it pushes (F is affine, so these equal
-    F at the averages up to roundoff); any other evaluates F at each point.
+    instance, otherwise the proximal residual at the solver's own step.
+    Where the steps return F, each average is measured with the same
+    average of the returned values (F is affine, so it equals F at the
+    average up to roundoff), and the last iterate with the F the solver
+    holds there; otherwise each measure evaluates F at its point.
     """
-    problem, d = solver.problem, solver.problem.dim
+    problem = solver.problem
     if problem.structure is not None:
         measure = lambda z, F: duality_gap_at(problem, z, F)
     else:
         measure = lambda z, F: natural_residual(problem, z, solver.tau, F)
-    accumulators = [AveragingAccumulator(q) for q in AVERAGE_COLUMNS]
-    # A solver that supplies F pushes each iterate and its F as one flat
-    # vector of length 2d, so one average carries both.
-    paired = solver.supplies_F
+    averages = [(AveragingAccumulator(q), AveragingAccumulator(q)) for q in AVERAGE_COLUMNS]
     next_mark = eval_every
-    while solver.evals < budget_evals:
+    while True:
         iterate, F = solver.step()
-        point = np.concatenate([iterate, F]) if paired else iterate
-        for acc in accumulators:
-            acc.push(point)
+        for z_avg, F_avg in averages:
+            z_avg.push(iterate)
+            if F is not None:
+                F_avg.push(F)
         if solver.evals < min(next_mark, budget_evals):
             continue
-        row = [solver.evals, measure(solver.z, solver.operator_at_z() if paired else None)]
-        for acc in accumulators:
-            avg = acc.current()
-            row.append(row[1] if avg is None else measure(avg[:d], avg[d:] if paired else None))
+        row = [solver.evals, measure(solver.z, None if F is None else solver.operator_at_z())]
+        for z_avg, F_avg in averages:
+            avg = z_avg.current()
+            row.append(row[1] if avg is None else measure(avg, F_avg.current()))
         if known is not None:
             row.append(dist_theta(known, solver.z, solver.w_point, solver.theta))
         yield row
+        if solver.evals >= budget_evals:
+            return
         next_mark = eval_every * (solver.evals // eval_every + 1)
 
 

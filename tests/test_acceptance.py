@@ -85,12 +85,12 @@ def test_criterion_03_variance_reduction():
 
 def test_criterion_04_linear_last_iterate_scaled_step():
     """Known red at desk scale: with the 20x step on a 30x30 pursuit game the
-    step exceeds the stable range (tau * ||A||_2 ~ 5, the payoff being near
-    rank-1), and the last iterate settles on a slow plateau at gap ~1e-7 to
-    3e-7 instead of a clean geometric tail. Measured floors are structural:
-    they persist with a zero-noise oracle and across instance draws. The
-    same 20x multiplier is stable at the full n = 2000 scale, where
-    tau * ||A||_2 ~ 0.6."""
+    last iterate settles on a slow plateau at gap ~1e-7 to 3e-7 instead of a
+    clean geometric tail. The plateau persists with a zero-noise oracle and
+    across instance draws. The payoff is near rank-1, so tau * ||A||_2 at
+    tau_scale 20 is 5.0 here, against 2.78 on pb100, 0.885 on pb1000 and
+    0.626 on pb2000; no committed run shows whether the step causes the
+    plateau."""
     problem = vs.policeman_burglar(30, 0)
     budget = 30 * 20_000
     hits, fits = [], []

@@ -150,6 +150,13 @@ def test_compare_wide_csv(tmp_path):
             assert f"{algo}_{mode}" in header
 
 
+def _read_table(path):
+    """{column name: float array} of a CSV written by `write_table`."""
+    with open(path) as f:
+        names = f.readline().strip().split(",")
+        return dict(zip(names, np.array([line.split(",") for line in f], dtype=float).T))
+
+
 def test_compare_of_a_deterministic_algorithm_is_its_trace(tmp_path):
     """Every seed of a deterministic algorithm holds the same trace, so each
     compare column is that trace at the nearest checkpoint, bit for bit, as
@@ -157,9 +164,7 @@ def test_compare_of_a_deterministic_algorithm_is_its_trace(tmp_path):
     cfg = RunConfig(instance="pb", instance_params={"n": 30, "seed": 1}, algorithms=["eg", "pda"],
                     seeds=[0, 1, 2], budget=3000, eval_every=60, out=str(tmp_path / "c.csv"))
     path, = harness.compare_command(cfg)
-    with open(path) as f:
-        names = f.readline().strip().split(",")
-        table = dict(zip(names, np.array([line.split(",") for line in f], dtype=float).T))
+    table = _read_table(path)
     problem = vs.policeman_burglar(30, 1)
     moved = 0
     for algo in cfg.algorithms:
@@ -170,6 +175,32 @@ def test_compare_of_a_deterministic_algorithm_is_its_trace(tmp_path):
             assert table[f"{algo}_{mode}"].tobytes() == column.tobytes(), (algo, mode)
             moved += np.count_nonzero(np.stack([column] * 3).mean(axis=0) != column)
     assert moved  # the case the rule is for
+
+
+def test_compare_grid_ends_at_the_budget(tmp_path):
+    """A budget that is not a multiple of the cadence ends the compare grid,
+    as it ends a run: the last row is at the budget, and a deterministic
+    algorithm's columns there are its run's final row, bit for bit."""
+    cfg = RunConfig(instance="pb", instance_params={"n": 8, "seed": 1}, algorithms=["oomd-l2"],
+                    seeds=[0, 1, 2], budget=320, eval_every=24, out=str(tmp_path / "c.csv"))
+    table = _read_table(harness.compare_command(cfg)[0])
+    assert list(table["evals"]) == [*range(24, 320, 24), 320]
+    trace = solvers.run(vs.policeman_burglar(8, 1), "oomd-l2", 320, 0, 24)
+    assert trace.evals[-1] == 320
+    for mode in ("last", "uniform", "linear", "quadratic"):
+        assert table[f"oomd-l2_{mode}"][-1] == trace.column(f"gap_{mode}")[-1], mode
+
+
+def test_a_budget_of_one_evaluation_writes_a_row(tmp_path):
+    """svrg-eg pays the budget of one full evaluation (N = 8) when it is
+    built; `run` and `compare` still write the row of its first step."""
+    flags = ["--gen", "pb", "--n", "8", "--seed", "1", "--algo", "svrg-eg", "--seeds", "0",
+             "--budget", "8", "--eval-every", "8"]
+    assert cli.main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+    trace = GapTrace.from_csv(tmp_path / "run" / "pb8-s1_svrg-eg_seed0.csv")
+    assert len(trace) == 1 and trace.evals[0] > 8
+    assert cli.main(["compare", *flags, "--out", str(tmp_path / "c.csv")]) == 0
+    assert list(_read_table(tmp_path / "c.csv")["evals"]) == [8]
 
 
 def test_compare_rejects_inapplicable_algorithm(tmp_path):

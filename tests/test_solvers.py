@@ -255,6 +255,44 @@ def test_run_records_the_step_that_meets_the_budget():
     assert list(vs.run(problem, "oomd-l2", 312, 0, 24).evals) == list(range(24, 313, 24))
 
 
+@pytest.mark.parametrize("algo", vs.ALGORITHMS)
+def test_a_budget_of_one_evaluation_still_takes_a_step(pb8, algo):
+    """A budget may equal one full evaluation N, which the variance-reduced
+    and optimistic solvers pay when they are built. The run still takes one
+    step, and measures it: one row, at that step's charge."""
+    trace = vs.run(pb8, algo, 8, 0, 8)
+    solver = make_solver(pb8, algo, seed=0)
+    solver.step()
+    assert list(trace.evals) == [solver.evals]
+    assert trace.gap_last[0] == max(vs.duality_gap_at(pb8, solver.z), 0.0)
+
+
+def contract_instances():
+    return {"pb8": vs.policeman_burglar(8, 1), "seg4": vs.synthetic_segmentation(4, 2, 0),
+            "seg4h3": vs.synthetic_segmentation(4, 3, 0), "uni5x7": vs.uniform_random(5, 7, 0),
+            **plain_affine_vis()}
+
+
+@pytest.mark.parametrize("name", contract_instances())
+def test_steps_return_F_at_every_step_or_at_none(name):
+    """checkpoints averages the F values the steps return, and reads F at the
+    last iterate from the solver, only for a solver whose steps return F. So
+    each algorithm returns F at every step or at none (every deterministic
+    one at every step), and each returned F has the bits of a fresh operator
+    call at the pushed point."""
+    problem = contract_instances()[name]
+    for algo in vs.ALGORITHMS:
+        if not vs.applicable(problem, algo):
+            continue
+        solver = make_solver(problem, algo, seed=0)
+        returned = set()
+        for _ in range(30):
+            iterate, F = solver.step()
+            returned.add(F is not None)
+            assert F is None or F.tobytes() == problem.operator(iterate).tobytes(), algo
+        assert returned == {algo in solvers.DETERMINISTIC}, algo
+
+
 def test_pda_iterates_stay_feasible_on_segmentation():
     problem = vs.synthetic_segmentation(3, 2, 0)
     primal, dual = problem.set.parts

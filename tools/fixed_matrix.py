@@ -17,11 +17,15 @@ of two enters the step are gated too, and the 2-D VI over the cut box once
 more with `--p 0.5 --alpha 0.5`, into `halfboxvr/`: at the suggested p = 1
 and alpha = 0 of d = 2 the variance-reduced runs refresh the snapshot every
 step and some seeds write the same bytes, so this run is the one that gates
-the p and alpha overrides on a plain VI. It adds a `compare` with `--q 0,1,2`
-of every applicable algorithm on the pursuit game, written to a named
-`.csv` file, and on the 2-region labeling game and the 2-D known-segment
-instance, written into a directory, so both `--out` rules and a `compare`
-on an instance with a known solution set are gated.
+the p and alpha overrides on a plain VI. It runs the 8 x 8 pursuit game
+with instance seed 1 at budget 320 and cadence 24, into `offgrid/`, the one
+budget that is not a multiple of its cadence, so the row of the step that
+meets the budget is gated. It adds a `compare` with `--q 0,1,2` of every
+applicable algorithm on the 30 x 30 pursuit game, written to a named `.csv`
+file, and on the 2-region labeling game, the 2-D known-segment instance and
+the 8 x 8 pursuit game, written into a directory, so both `--out` rules, a
+`compare` on an instance with a known solution set and a compare grid that
+ends at the budget are gated.
 The two affine VIs and the game with linear terms are written with
 `save_instance` and run through `--instance`, so the gate covers the
 instance file format. So is the 2-region labeling game, whose sparse payoff
@@ -76,6 +80,7 @@ RUNS = (
     ("linear", LINEAR_FILE, {}, 1200, 60),
     ("segfile", SEG_FILE, {}, 4000, 100),
     ("halfboxvr", HALFBOX_FILE, {}, 200, 10),
+    ("offgrid", "pb", {"n": 8, "seed": 1}, 320, 24),
 )
 
 # Flags a run above adds to its `run` command.
@@ -83,7 +88,8 @@ EXTRA_FLAGS = {"scaled": ["--tau-scale", "3", "--gamma", "0.7"],
                "halfboxvr": ["--p", "0.5", "--alpha", "0.5"]}
 
 # `compare --out` of a run above: a file when it ends in .csv, else a directory.
-COMPARE_OUT = {"pb": os.path.join("cmp", "pb30_compare.csv"), "seg": "cmp", "ws": "cmp"}
+COMPARE_OUT = {"pb": os.path.join("cmp", "pb30_compare.csv"), "seg": "cmp", "ws": "cmp",
+               "offgrid": "cmp"}
 
 
 def affine_box_instance(vs):
