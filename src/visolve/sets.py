@@ -10,8 +10,9 @@ is the one description of simplex blocks that solvers read.
 
 Two kernels project onto simplexes, with the same operations per block and
 so the same bits: `simplex_project`, the sort rule on the rows of a (k, h)
-matrix, and a compare-exchange network on the h columns of one, for blocks
-of at most 3 entries. The block sizes pick the route (`_block_projection`).
+matrix, and a compare-exchange network on the h columns of one, for equal
+blocks of at most 3 entries. The block sizes pick the kernel
+(`_block_projection`); the rows of unequal blocks are padded to the longest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .rng import StableRng
 
-# Longest block the column kernel takes; longer blocks go to simplex_project.
+# Longest block the column kernel takes; all other blocks go to simplex_project.
 _COLUMN_KERNEL_MAX_BLOCK = 3
 
 
@@ -46,13 +47,15 @@ def _support_projection(rows, near):
     Row b's guess is S_b = {i : near_bi > 0}, and theta_b = (sum over S_b of
     rows_bi - 1) / |S_b|. When {i : rows_bi - theta_b > 0} = S_b in every
     row, max(rows - theta, 0) sums to 1 in each row, so theta is the
-    projection's threshold and S_b its support, whatever near is.
+    projection's threshold and S_b its support, whatever near is. The sum
+    over S_b selects with np.where, not a product with the support, so a
+    -inf of padding outside S_b adds 0, not NaN.
     """
     support = near > 0.0
     count = support.sum(axis=1, dtype=np.float64)
     if not count.all():
         return None
-    theta = ((rows * support).sum(axis=1) - 1.0) / count
+    theta = (np.where(support, rows, 0.0).sum(axis=1) - 1.0) / count
     shifted = rows - theta[:, None]
     if not ((shifted > 0.0) == support).all():
         return None
@@ -83,11 +86,6 @@ def simplex_project(rows, near=None):
     return np.maximum(rows - theta[:, None], 0.0)
 
 
-def _project_equal_blocks(v, near, shape):
-    return simplex_project(v.reshape(shape), None if near is None
-                           else np.asarray(near).reshape(shape)).ravel()
-
-
 def _project_small_blocks(v, near, shape):
     """simplex_project of the (k, h) blocks of v, computed on h columns of
     length k, which is cheaper when h is small and k is large; near is
@@ -115,31 +113,42 @@ def _project_small_blocks(v, near, shape):
     return np.maximum(blocks - theta[:, None], 0.0).ravel()
 
 
-def _project_each_block(v, near, cuts):
-    """simplex_project of each block of unequal sizes as a one-row matrix;
-    near is ignored."""
-    return np.concatenate([simplex_project(b[None])[0] for b in np.split(v, cuts)])
-
-
 def _small_equal_blocks(blocks):
     """Whether the blocks are equal and at most _COLUMN_KERNEL_MAX_BLOCK
     long, one block included: the blocks that column kernels take."""
     return len(set(blocks)) == 1 and blocks[0] <= _COLUMN_KERNEL_MAX_BLOCK
 
 
+def _project_rows(v, near, shape, real):
+    """simplex_project of the blocks of v as the rows of one (k, h) matrix,
+    h the longest block, with near. Equal blocks reshape without a copy;
+    unequal ones fill the entries ``real`` marks and pad the rest of each
+    row with -inf, and near with 0, so the padding lies outside every
+    support, projects to 0 and is dropped."""
+    if real is None:
+        return simplex_project(v.reshape(shape), None if near is None
+                               else np.asarray(near).reshape(shape)).ravel()
+    rows = np.full(shape, -np.inf)
+    rows[real] = v
+    if near is not None:
+        padded = np.zeros(shape)
+        padded[real] = near
+        near = padded
+    with np.errstate(invalid="ignore"):     # the sort rule's -inf - -inf
+        return simplex_project(rows, near)[real]
+
+
 def _block_projection(blocks):
     """Projection ``(v, near) -> x`` onto the product of simplexes with these
-    block sizes. The sizes pick one of three routes once: small equal
-    blocks (:func:`_small_equal_blocks`) go through the column kernel;
-    unequal sizes go block by block through simplex_project; longer equal
-    blocks go through simplex_project as one (k, h) matrix, the only route
-    that uses near."""
-    shape = (len(blocks), blocks[0])
+    block sizes, by one of two routes picked once: small equal blocks
+    (:func:`_small_equal_blocks`) go through the column kernel, which
+    ignores near; all others through simplex_project as the rows of one
+    matrix (:func:`_project_rows`), which takes near."""
+    shape = (len(blocks), max(blocks))
     if _small_equal_blocks(blocks):
         return functools.partial(_project_small_blocks, shape=shape)
-    if len(set(blocks)) > 1:
-        return functools.partial(_project_each_block, cuts=np.cumsum(blocks[:-1]))
-    return functools.partial(_project_equal_blocks, shape=shape)
+    real = None if len(set(blocks)) == 1 else np.arange(shape[1]) < np.array(blocks)[:, None]
+    return functools.partial(_project_rows, shape=shape, real=real)
 
 
 def _column_maxima(c, h):
@@ -171,12 +180,12 @@ class FeasibleSet:
         """Euclidean projection of v onto the set.
 
         ``near`` is an optional point of the set's dimension, such as the
-        iterate the step starts from. A product of equal simplex blocks of
-        more than 3 entries, one block included, takes its positive entries
-        as a guess of the projection's support and skips the sort when the
-        guess holds; every other set ignores it. It changes only the speed,
-        never the result beyond roundoff: a wrong guess gives the bits of a
-        call without near.
+        iterate the step starts from. A product of simplexes, one block
+        included, takes its positive entries as a guess of the projection's
+        support and skips the sort when the guess holds, unless its blocks
+        are equal and at most 3 long (the column kernel); every other set
+        ignores it. It changes only the speed, never the result beyond
+        roundoff: a wrong guess gives the bits of a call without near.
         """
         v = _check_vector(self.dim, v)
         return self._project(v, near)

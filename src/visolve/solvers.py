@@ -418,10 +418,10 @@ class RegretMatchingPlus(_SolverBase):
         blocks = _block_slices(problem.set)
         self.primal_blocks = [sl for sl in blocks if sl.stop <= n]
         self.dual_blocks = [sl for sl in blocks if sl.stop > n]
-        self.regrets = {(sl.start, sl.stop): np.zeros(sl.stop - sl.start) for sl in blocks}
+        self.regrets = np.zeros(problem.dim)
 
     def _update_block(self, sl, instant):
-        R = self.regrets[(sl.start, sl.stop)]
+        R = self.regrets[sl]
         np.maximum(R + instant, 0.0, out=R)
         total = R.sum()
         if total > 0.0:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from visolve.rng import StableRng
 from visolve.sets import (_COLUMN_KERNEL_MAX_BLOCK, Box, HalfspaceBox, Product, Simplex,
-                          SimplexProduct, _column_maxima, _support_projection,
-                          from_descriptor, simplex_project)
+                          SimplexProduct, _column_maxima, _small_equal_blocks,
+                          _support_projection, from_descriptor, simplex_project)
 
 
 def simplex_projection_oracle(v):
@@ -50,8 +51,8 @@ def variants():
         pytest.param(boxes["zero-normal-entry"], id="HalfspaceBox-zero-normal-entry"),
         Product([Simplex(3), Box(-0.5, 0.5, dim=2)]),
         # short equal blocks, one block included, take the column kernel;
-        # longer ones take simplex_project as one matrix, and unequal ones
-        # take it block by block
+        # all other blocks take simplex_project as the rows of one matrix,
+        # unequal ones padded to the longest
         pytest.param(Simplex(2), id="Simplex-2"),
         pytest.param(Simplex(3), id="Simplex-3"),
         pytest.param(SimplexProduct([2] * 8), id="SimplexProduct-short-blocks"),
@@ -124,11 +125,10 @@ def test_box_clamp_example():
 
 
 def uses_near(feasible):
-    """Whether the set's projection reads near: only equal simplex blocks
-    longer than the column kernel's limit do."""
+    """Whether the set's projection reads near: every product of simplexes
+    outside the column kernel does."""
     blocks = feasible.simplex_blocks
-    return (blocks is not None and len(set(blocks)) == 1
-            and blocks[0] > _COLUMN_KERNEL_MAX_BLOCK)
+    return blocks is not None and not _small_equal_blocks(blocks)
 
 
 def warm_projections(feasible, v, rng):
@@ -216,8 +216,9 @@ def test_support_max_simplex_and_box():
     assert np.isclose(prod.support_max(c), np.max(c[:2]) + np.max(c[2:]))
 
 
-@pytest.mark.parametrize("dims", [[4, 4, 4], [3, 2, 4], [7], [3, 5], [2] * 16, [1, 4] * 8,
-                                  [2] * 1024, [3, 1, 2, 5] * 256],
+@pytest.mark.parametrize("dims", [[4, 4, 4], [3, 2, 4], [7], [3, 5], [30, 31], [2, 9, 2],
+                                  [1000, 999], [2] * 16, [1, 4] * 8, [2] * 1024,
+                                  [3, 1, 2, 5] * 256],
                          ids=lambda dims: str(dims) if len(dims) <= 3 else f"{len(dims)}x{sorted(set(dims))}")
 def test_simplex_blocks_exact(dims):
     """Whichever route the block sizes pick, projection and support function
@@ -349,59 +350,97 @@ def test_simplex_projection_properties(values):
     assert np.linalg.norm(feasible.project(out) - out) <= 1e-12
 
 
+def unit_weights(w):
+    """w scaled to sum to 1, or the first vertex when w is all zero."""
+    w = w if w.sum() > 0.0 else np.eye(w.size)[0]
+    return w / w.sum()
+
+
 @st.composite
 def warm_cases(draw):
-    """(v, near, h): k = 1-3 blocks of h = 4-50 entries, so simplex_project
-    projects them as one matrix; |v| <= 1e6 with ties, signed zeros and
-    zeros; near a point of the product of simplexes whose support guess may
-    be right, wrong or a single vertex."""
-    k, h = draw(st.integers(1, 3)), draw(st.integers(4, 50))
+    """(dims, v, near): 1-3 blocks of 1-50 entries each, drawn apart and
+    often of 1 entry, in any layout outside the column kernel, so unequal
+    blocks project as padded rows of one matrix; |v| <= 1e6 with ties,
+    signed zeros and zeros; near a point of the product of simplexes whose
+    support guess may be right, wrong or a single vertex."""
+    dims = draw(st.lists(st.integers(1, 50) | st.just(1), min_size=1, max_size=3)
+                .filter(lambda dims: not _small_equal_blocks(dims)))
+    cuts = np.cumsum(dims)[:-1]
     pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))  # ties
     entry = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, *pool])
-    v = np.array(draw(st.lists(entry, min_size=k * h, max_size=k * h))).reshape(k, h)
+    v = np.array(draw(st.lists(entry, min_size=sum(dims), max_size=sum(dims))))
     guess = draw(st.sampled_from(["projection", "perturbed", "vertex", "any"]))
     if guess == "vertex":
-        near = np.zeros((k, h))
-        near[np.arange(k), draw(st.lists(st.integers(0, h - 1), min_size=k, max_size=k))] = 1.0
+        near = np.concatenate([np.eye(h)[draw(st.integers(0, h - 1))] for h in dims])
     elif guess == "any":
-        weights = np.array(draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0),
-                                         min_size=k * h, max_size=k * h))).reshape(k, h)
-        weights[weights.sum(axis=1) == 0.0, 0] = 1.0
-        near = weights / weights.sum(axis=1, keepdims=True)
+        weights = draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0),
+                                min_size=sum(dims), max_size=sum(dims)))
+        near = np.concatenate([unit_weights(w) for w in np.split(np.array(weights), cuts)])
     else:
         shift = draw(st.floats(-1.0, 1.0)) if guess == "perturbed" else 0.0
-        near = simplex_project(v + shift * np.linspace(-1.0, 1.0, h))
-    return v, near, h
+        near = np.concatenate([simplex_project(b[None] + shift * np.linspace(-1.0, 1.0, b.size))[0]
+                               for b in np.split(v, cuts)])
+    return dims, v, near
 
 
 @settings(max_examples=400, deadline=None)
 @given(warm_cases())
 def test_warm_projection_properties(case):
     """A guessed support changes the result only within roundoff, and a
-    guess that misses gives the bits of the sort."""
-    v, near, h = case
-    k = v.shape[0]
-    feasible = SimplexProduct([h] * k)
-    eps = 4 * h * np.spacing(max(1.0, np.abs(v).max()))
-    x = feasible.project(v.ravel(), near.ravel()).reshape(k, h)
-    cold = feasible.project(v.ravel()).reshape(k, h)
+    guess that misses in any block gives the bits of the sort."""
+    dims, v, near = case
+    cuts = np.cumsum(dims)[:-1]
+    feasible = SimplexProduct(dims)
+    eps = 4 * max(dims) * np.spacing(max(1.0, np.abs(v).max()))
+    x = feasible.project(v, near)
+    cold = feasible.project(v)
     assert np.all(x >= 0.0)
-    assert np.all(np.abs(x.sum(axis=1) - 1.0) <= eps)
-    for row, xb in zip(v, x):
+    for row, xb in zip(np.split(v, cuts), np.split(x, cuts)):
+        assert abs(xb.sum() - 1.0) <= eps
         theta = (row - xb)[xb > 0.0]
         assert theta.max() - theta.min() <= eps
         assert np.all(row[xb == 0.0] <= theta.min() + eps)
-    again = feasible.project(x.ravel(), near.ravel()).reshape(k, h)
+    again = feasible.project(x, near)
     assert np.all(np.abs(again - x) <= eps)
     assert np.all(np.abs(x - cold) <= eps)
-    if _support_projection(v, near) is None:
+    if any(_support_projection(b[None], n[None]) is None
+           for b, n in zip(np.split(v, cuts), np.split(near, cuts))):
         assert np.array_equal(x, cold)
         assert np.array_equal(np.signbit(x), np.signbit(cold))
 
 
+@pytest.mark.parametrize("dims", [[5, 7], [1, 4], [2, 9, 2], [1, 1, 3], [30, 31]],
+                         ids=str)
+def test_padded_rows_raise_and_warn_nothing(dims):
+    """Unequal blocks pad their rows with -inf, which the sort rule meets as
+    -inf - -inf; the projection keeps that to itself. Under the caller's
+    errstate(all="raise") and with warnings as errors, cold projections and
+    warm ones, whose near hits or misses, run through and stay feasible,
+    with ties at each block's maximum, 1-entry blocks and magnitudes from
+    1e-300 to 1e6."""
+    feasible = SimplexProduct(dims)
+    cuts = np.cumsum(dims)[:-1]
+    rng = StableRng(41)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e6):
+            eps = 4 * max(dims) * np.spacing(max(1.0, 3.0 * scale))
+            for _ in range(20):
+                v = scale * (6.0 * rng.uniform(feasible.dim) - 3.0)
+                for block in np.split(v, cuts):
+                    block[rng.uniform(block.size) < 0.5] = block.max()    # ties
+                cold = feasible.project(v)
+                perturbed = feasible.project(v + scale * (rng.uniform(feasible.dim) - 0.5))
+                for x in (cold, *(feasible.project(v, near)
+                                  for near in (cold, perturbed, feasible.center()))):
+                    assert np.all(x >= 0.0)
+                    assert np.all(np.abs(np.add.reduceat(x, np.r_[0, cuts]) - 1.0) <= eps)
+
+
 def test_warm_projection_hits_and_misses():
-    """The true support is a hit with the result max(v - theta, 0); a wrong
-    support, or a row with none, falls back to the sort's bits."""
+    """The true support is a hit with the result max(v - theta, 0), padded
+    rows included; a wrong support, or a row with none, falls back to the
+    sort's bits."""
     rng = StableRng(31)
     v = 2.0 * rng.uniform((2 * 40)).reshape(2, 40) - 1.0
     cold = simplex_project(v)
@@ -411,6 +450,12 @@ def test_warm_projection_hits_and_misses():
     for near in (np.full_like(v, 1.0 / 40), np.vstack([cold[0], np.zeros(40)])):
         assert _support_projection(v, near) is None
         assert np.array_equal(simplex_project(v, near), cold)
+    # a row padded with -inf, its near with 0, hits too, without a NaN
+    padded = np.vstack([v[0], np.append(v[1, :30], [-np.inf] * 10)])
+    cold = np.vstack([cold[0], np.append(simplex_project(v[1:, :30]), [0.0] * 10)])
+    with np.errstate(all="raise"):
+        hit = _support_projection(padded, cold)
+    assert hit is not None and np.allclose(hit, cold, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.xfail(strict=True,

@@ -176,8 +176,7 @@ def test_rm_plus_regrets_stay_nonnegative(pb8):
     solver = make_solver(pb8, "rm+", seed=0)
     for _ in range(100):
         solver.step()
-        for R in solver.regrets.values():
-            assert np.all(R >= 0.0)
+        assert np.all(solver.regrets >= 0.0)
 
 
 def test_oomd_constant_operator_is_projected_gradient():

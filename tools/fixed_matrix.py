@@ -7,8 +7,8 @@ labeling game with 2 and with 3 regions at budget 4000 and cadence 100, a
 12-dimensional monotone affine VI over a box at budget 1200 and cadence 60,
 a 2-D affine VI over a box cut by a halfspace at budget 200 and cadence 10,
 and the 5 x 7 uniform game with instance seed 0 at budget 1200 and cadence
-60, the one game whose two simplexes differ in size and so project block by
-block, and a 5 x 7 game over two simplexes with both linear terms, <bx, x>
+60, the one game whose two simplexes differ in size and so project as
+padded rows, and a 5 x 7 game over two simplexes with both linear terms, <bx, x>
 and <by, y>, at budget 1200 and cadence 60, the one instance whose dual
 linear term by is nonzero and so gates its sign in F). It runs the pursuit
 game once more with `--tau-scale 3 --gamma 0.7`, so the step multiplier, a
