@@ -99,7 +99,9 @@ class RunConfig:
     def resolved_eval_every(self):
         return self.eval_every if self.eval_every else max(1, self.budget // 50)
 
-    def validate(self, problem):
+    def validate(self, problem, command="compare"):
+        """Raise ConfigError naming every setting that ``command``, "run" or
+        "compare", cannot take on ``problem``."""
         errors = []
         if not self.algorithms:
             errors.append("no algorithms selected")
@@ -120,10 +122,14 @@ class RunConfig:
                 errors.append(f"{', '.join(given)} given without {' or '.join(users)}, "
                               "the only algorithms that use them")
         if set(solvers.VARIANCE_REDUCED) & set(self.algorithms):
+            if self.p is not None and "svrg-eg" not in self.algorithms:
+                errors.append("p given without svrg-eg, the only algorithm that uses it")
             try:
                 _svrg_params(problem, self)
             except ValueError as err:
                 errors.append(str(err))
+        if command == "run" and tuple(self.q_exponents) != RunConfig.q_exponents:
+            errors.append(f"--q applies to compare only, got {list(self.q_exponents)} on run")
         if any(q not in AVERAGE_COLUMNS for q in self.q_exponents):
             errors.append(f"averaging exponents must each be 0, 1 or 2, "
                           f"got {list(self.q_exponents)}")
@@ -187,7 +193,7 @@ def run_command(cfg):
     Returns the list of files written.
     """
     problem, known, label = build_instance(cfg.instance, **cfg.instance_params)
-    cfg.validate(problem)
+    cfg.validate(problem, "run")
     os.makedirs(cfg.out, exist_ok=True)
     written = []
     for algo in cfg.algorithms:

@@ -10,7 +10,23 @@ from visolve.rng import StableRng
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools"))
 import fixed_matrix  # noqa: E402  (the fixed matrix's instances and digests)
-import spectral_norm_bench  # noqa: E402  (its product-counting matrix)
+
+
+class CountedProducts:
+    """A matrix that counts its products with vectors, through A or A', in
+    ``count[0]``."""
+
+    def __init__(self, A, count=None):
+        self.A, self.shape = A, A.shape
+        self.count = [0] if count is None else count
+
+    @property
+    def T(self):
+        return CountedProducts(self.A.T, self.count)
+
+    def __matmul__(self, x):
+        self.count[0] += 1
+        return self.A @ x
 
 
 def random_game(n, m, seed, lo=-1.0, hi=1.0, with_linear=False):

@@ -1,0 +1,41 @@
+"""`tools/bench.py` without its child processes: the case table and the
+report built from rounds."""
+
+import bench
+import pytest
+
+
+def test_every_case_has_a_child_and_rounds_to_summarize():
+    assert set(bench.CASES) == {"checkpoint", "spectral-norm", "epoch-memory", "e2e"}
+    for name, case in bench.CASES.items():
+        assert case.child.__name__ == name.replace("-", "_") + "_child"
+        assert case.rounds >= 2  # quartiles need two rounds
+        assert case.timed
+
+
+def test_report_of_synthetic_rounds():
+    def round_(s, ratio, code):
+        return {"w": {"sweep_s": s, "run_ok_ratio": ratio, "n": 4}, "exit_code": code}
+
+    before = [round_(s, 1.0, 1) for s in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    after = [round_(s, r, c) for s, r, c in ((0.5, 1.0, 1), (2.5, 0.5, 0), (2.0, 1.0, 1),
+                                              (3.0, 1.0, 1), (6.0, 1.0, 1))]
+    built = bench.report({"before": before, "after": after},
+                         frozenset({"sweep_s", "run_ok_ratio"}))
+    first, second = built["checkouts"]["before"], built["checkouts"]["after"]
+    # statistics.quantiles' default method: q1 and q3 at ranks (n + 1) / 4 and 3 (n + 1) / 4
+    assert first["w"]["sweep_s_median"] == 3.0
+    assert first["w"]["sweep_s_q1"] == pytest.approx(1.5)
+    assert first["w"]["sweep_s_q3"] == pytest.approx(4.5)
+    assert second["w"]["sweep_s_median"] == 2.5
+    assert second["w"]["run_ok_ratio_q1"] == pytest.approx(0.75)
+    assert first["w"]["n"] == 4 and first["exit_code"] == 1   # the rounds agree: kept once
+    assert second["exit_code"] == [1, 0, 1, 1, 1]             # they do not: kept per round
+    # the second reads lower in rounds 0 and 2-3, and higher is better only for run_ok_ratio
+    assert built["wins_of_second"] == {"w": {"sweep_s": 3, "run_ok_ratio": 0}}
+
+
+def test_report_of_one_checkout_has_no_wins():
+    runs = {"head": [{"ms": 2.0, "products": 6}, {"ms": 1.0}, {"ms": 3.0}]}
+    assert bench.report(runs, frozenset({"ms"})) == {"checkouts": {"head": {
+        "ms_median": 2.0, "ms_q1": 1.0, "ms_q3": 3.0, "products": 6}}}

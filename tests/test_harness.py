@@ -220,6 +220,17 @@ def test_validation_collects_all_errors():
     assert len(err.value.errors) >= 4
 
 
+def test_run_command_rejects_averaging_exponents(tmp_path):
+    """q_exponents picks compare's columns; run writes every average, so a
+    library caller's run is refused as the CLI's --q on run is."""
+    cfg = RunConfig(instance="pb", instance_params={"n": 6}, algorithms=["eg"], seeds=[0],
+                    budget=60, q_exponents=(1,), out=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="--q applies to compare only"):
+        harness.run_command(cfg)
+    assert not (tmp_path / "out").exists()
+    assert harness.compare_command(cfg) == [str(tmp_path / "out" / "pb6-s0_compare.csv")]
+
+
 def test_build_instance_unknown_name():
     with pytest.raises(ConfigError, match="unknown"):
         harness.build_instance("no-such-generator")
@@ -516,15 +527,16 @@ def test_cli_compare_out_file_or_directory(tmp_path, capsys, out):
     (["--algo", "dl-svrg-eg,eg", "--alpha", "1"], "alpha must lie in [0, 1)"),
     (["--algo", "svrg-eg", "--gamma", "0"], "gamma must lie in (0, 1)"),
     (["--algo", "eg,pda", "--p", "0.5", "--gamma", "0.9"], "p, gamma given without svrg-eg"),
+    (["--algo", "dl-svrg-eg", "--p", "0.001"], "p given without svrg-eg, the only algorithm"),
     (["--algo", "svrg-eg", "--seeds", "0,0,1"], "seed list repeats 0"),
     (["--algo", "eg", "--seeds=-1"], "--seeds must be non-negative, got -1"),
     (["--algo", "rm+", "--tau-scale", "5"], "tau-scale given without svrg-eg"),
     (["--algo", "eg", "--tau-scale", "inf"], "tau_scale must be positive and finite, got inf"),
     (["--algo", "eg,pda,eg"], "algorithm list repeats eg"),
     (["--algo", "eg", "--q", "1"], "--q applies to compare only"),
-], ids=["eval-every", "p", "alpha", "gamma", "p-without-svrg-eg", "repeated-seed",
-        "negative-seed", "tau-scale-with-only-rm+", "tau-scale-inf", "algo-repeated",
-        "q-on-run"])
+], ids=["eval-every", "p", "alpha", "gamma", "p-without-svrg-eg", "p-with-only-dl-svrg-eg",
+        "repeated-seed", "negative-seed", "tau-scale-with-only-rm+", "tau-scale-inf",
+        "algo-repeated", "q-on-run"])
 def test_cli_out_of_range_settings_exit_code(tmp_path, capsys, flags, message):
     for command in ("run",) if "--q" in flags else ("run", "compare"):  # --q is a compare flag
         code = cli.main([command, "--gen", "pb", "--n", "6", "--budget", "60", *flags,

@@ -12,7 +12,7 @@ from visolve import harness, problems
 from visolve.rng import StableRng
 from visolve.solvers import make_solver
 
-from conftest import fixed_matrix, spectral_norm_bench
+from conftest import CountedProducts, fixed_matrix
 
 
 def test_operator_pennies_equilibrium(pennies):
@@ -326,7 +326,7 @@ def test_spectral_norm_of_zero_matrix_is_exactly_zero(A):
 
 def test_spectral_norm_products_on_seg32():
     A = vs.synthetic_segmentation(32, 2, 0).structure.A
-    counted = spectral_norm_bench.CountedProducts(A)
+    counted = CountedProducts(A)
     sigma = vs.spectral_norm(counted)
     assert counted.count[0] <= 250
     expected = spla.svds(A, k=1, tol=0, return_singular_vectors=False)[0]

@@ -224,15 +224,21 @@ def test_simplex_blocks_exact(dims):
     """Whichever route the block sizes pick, projection and support function
     give the bits of simplex_project and of the block maxima added left to
     right from 0.0, with ties, signed zeros and magnitudes from 1e-300 to
-    1e300."""
+    1e300. Projection is checked at the scales 1e-300, 1e-150 and 1 only: at
+    1e150 and 1e300 the padded layouts differ from the per-block reference,
+    which waits on making simplex projection correct at every finite
+    magnitude (ROADMAP item 8)."""
     feasible = SimplexProduct(dims)
     assert feasible.simplex_blocks == tuple(dims)
     cuts = np.cumsum(dims)[:-1]
+
+    def per_block(v):
+        return np.concatenate([simplex_project(b[None])[0] for b in np.split(v, cuts)])
+
     rng = StableRng(17)
     for _ in range(200 if len(dims) <= 16 else 4):
         v = 6.0 * rng.uniform(feasible.dim) - 3.0
-        per_block = np.concatenate([simplex_project(b[None])[0] for b in np.split(v, cuts)])
-        assert np.array_equal(feasible.project(v), per_block)
+        assert np.array_equal(feasible.project(v), per_block(v))
     for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300, None):
         for _ in range(10):
             d = feasible.dim
@@ -242,6 +248,8 @@ def test_simplex_blocks_exact(dims):
             v[rng.uniform(d) < 0.3] = v[0]                  # ties
             v[rng.uniform(d) < 0.2] = 0.0
             v[rng.uniform(d) < 0.2] = -0.0
+            if scale in (1e-300, 1e-150, 1.0):
+                assert np.array_equal(feasible.project(v), per_block(v))
             for c in (v, -np.abs(v), np.where(rng.uniform(d) < 0.5, 0.0, -0.0), np.full(d, -0.0)):
                 in_order = 0.0
                 for b in np.split(c, cuts):
