@@ -30,7 +30,12 @@ class AveragingAccumulator:
         elif z.shape != self.weighted_sum.shape:
             raise ValueError("dimension mismatch with earlier pushes")
         w = float(self.count ** self.q)
-        self.weighted_sum += w * z
+        # The bits of adding w * z: 1.0 * z is z, and weight 0 comes only at
+        # the first push, onto +0.0s that adding 0.0 * z = +-0.0 leaves as is.
+        if w == 1.0:
+            self.weighted_sum += z
+        elif w:
+            self.weighted_sum += w * z
         self.total_weight += w
         self.count += 1
 

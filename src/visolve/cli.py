@@ -1,7 +1,7 @@
 """Command line interface: `gen`, `run`, and `compare` subcommands.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when a run aborts on
-non-finite values.
+Exit codes: 0 on success, 2 on configuration errors, 3 when runs turn
+non-finite; the files of the other runs are written and printed first.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from . import harness, problems, solvers
-from .solvers import NumericalDivergence
 
 
 def _parse_seeds(text):
@@ -203,8 +202,10 @@ def main(argv=None):
     except harness.ConfigError as err:
         print(err, file=sys.stderr)
         return 2
-    except NumericalDivergence as err:
-        print(f"aborted: {err}", file=sys.stderr)
+    except harness.DivergedRuns as err:
+        for path in err.written:
+            print(path)
+        print(err, file=sys.stderr)
         return 3
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problems, solvers
-from .metrics import AVERAGE_COLUMNS, write_table
+from .metrics import AVERAGE_COLUMNS, GapTrace, write_table
 from .oracles import default_components
 
 
@@ -30,6 +30,17 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("invalid configuration:\n" + "\n".join(f"- {e}" for e in self.errors))
+
+
+class DivergedRuns(RuntimeError):
+    """Runs of a sweep turned non-finite. Raised once the sweep has run
+    every (algorithm, seed) and written the files of the others, which
+    ``written`` lists; the message names every run that diverged and what
+    was left out for it."""
+
+    def __init__(self, lines, written):
+        super().__init__("runs turned non-finite:\n" + "\n".join(f"- {line}" for line in lines))
+        self.written = written
 
 
 # name -> (builder, {parameter: (type, default)}, label format). A default
@@ -144,25 +155,51 @@ def _svrg_params(problem, cfg):
 
 
 def run_seeds(problem, algorithm, cfg, known=None):
-    """One GapTrace per seed, run one after another in the calling thread.
+    """Run every seed, one after another in the calling thread, and return
+    ``{seed: outcome}`` in seed order: the GapTrace of a seed that completed,
+    or the NumericalDivergence of one that turned non-finite.
 
     An algorithm that draws no random numbers runs once, for the first seed:
-    every seed would retrace it bit for bit, so each gets that trace with
-    its own seed in ``meta``.
+    every seed would retrace it bit for bit, so each gets that outcome with
+    its own seed in the trace's ``meta`` or in the error.
     """
     params = _svrg_params(problem, cfg) if algorithm in solvers.VARIANCE_REDUCED else None
     tau_scale = cfg.tau_scale if algorithm in solvers.STEP_SIZED else 1.0
     eval_every = cfg.resolved_eval_every()
 
-    def trace(seed):
-        return solvers.run(problem, algorithm, cfg.budget, seed, eval_every,
-                           params=params, tau_scale=tau_scale, known=known)
+    def outcome(seed):
+        try:
+            return solvers.run(problem, algorithm, cfg.budget, seed, eval_every,
+                               params=params, tau_scale=tau_scale, known=known)
+        except solvers.NumericalDivergence as err:
+            return err
 
-    if algorithm in solvers.DETERMINISTIC:
-        first = trace(cfg.seeds[0])
-        return {seed: dataclasses.replace(first, meta={**first.meta, "seed": seed})
-                for seed in cfg.seeds}
-    return {seed: trace(seed) for seed in cfg.seeds}
+    if algorithm not in solvers.DETERMINISTIC:
+        return {seed: outcome(seed) for seed in cfg.seeds}
+    first = outcome(cfg.seeds[0])
+    return {seed: _with_seed(first, seed) for seed in cfg.seeds}
+
+
+def _with_seed(outcome, seed):
+    """A seed's copy of a deterministic run's trace or divergence."""
+    if isinstance(outcome, GapTrace):
+        return dataclasses.replace(outcome, meta={**outcome.meta, "seed": seed})
+    err = solvers.NumericalDivergence(outcome.algorithm, outcome.iteration, seed)
+    err.trace = None if outcome.trace is None else _with_seed(outcome.trace, seed)
+    return err
+
+
+def _diverged(algorithm, outcomes, left_out):
+    """The trace of every seed that completed, and the lines that name every
+    seed that diverged and say that ``left_out`` is left out for the
+    algorithm, when one did."""
+    traces = {seed: o for seed, o in outcomes.items() if isinstance(o, GapTrace)}
+    failed = [seed for seed in outcomes if seed not in traces]
+    if not failed:
+        return traces, []
+    return traces, [*(str(outcomes[seed]) for seed in failed),
+                    f"no {left_out} for {algorithm}: seed{'s' * (len(failed) > 1)} "
+                    f"{', '.join(map(str, failed))} diverged"]
 
 
 def _seed_mean_std(stack):
@@ -190,21 +227,32 @@ def aggregate(traces):
 def run_command(cfg):
     """The `run` entry: per-seed CSVs plus an aggregate CSV per algorithm.
 
-    Returns the list of files written.
+    Returns the list of files written. A seed that diverges gets a
+    ``_partial`` file of the rows recorded before it, when they pass
+    GapTrace's checks, and its algorithm gets no aggregate; once every run
+    is written, :class:`DivergedRuns` names them.
     """
     problem, known, label = build_instance(cfg.instance, **cfg.instance_params)
     cfg.validate(problem, "run")
     os.makedirs(cfg.out, exist_ok=True)
-    written = []
+    written, diverged = [], []
     for algo in cfg.algorithms:
-        traces = run_seeds(problem, algo, cfg, known)
-        for seed, trace in traces.items():
-            path = os.path.join(cfg.out, f"{label}_{algo}_seed{seed}.csv")
-            trace.to_csv(path)
-            written.append(path)
-        agg_path = os.path.join(cfg.out, f"{label}_{algo}_aggregate.csv")
-        write_table(agg_path, aggregate(traces.values()))
-        written.append(agg_path)
+        outcomes = run_seeds(problem, algo, cfg, known)
+        for seed, outcome in outcomes.items():
+            trace = outcome if isinstance(outcome, GapTrace) else outcome.trace
+            if trace is not None:
+                partial = "" if trace is outcome else "_partial"
+                path = os.path.join(cfg.out, f"{label}_{algo}_seed{seed}{partial}.csv")
+                trace.to_csv(path)
+                written.append(path)
+        traces, lines = _diverged(algo, outcomes, "aggregate")
+        diverged += lines
+        if not lines:
+            agg_path = os.path.join(cfg.out, f"{label}_{algo}_aggregate.csv")
+            write_table(agg_path, aggregate(traces.values()))
+            written.append(agg_path)
+    if diverged:
+        raise DivergedRuns(diverged, written)
     return written
 
 
@@ -215,7 +263,9 @@ def compare_command(cfg):
 
     ``cfg.out`` names the CSV itself when it ends in ``.csv``; otherwise it
     is the directory of ``<label>_compare.csv``. Returns the list of files
-    written, as :func:`run_command` does.
+    written, as :func:`run_command` does. An algorithm with a seed that
+    diverges gets no columns; the others are written, and then
+    :class:`DivergedRuns` names the runs that diverged.
     """
     problem, _, label = build_instance(cfg.instance, **cfg.instance_params)
     cfg.validate(problem)
@@ -223,14 +273,24 @@ def compare_command(cfg):
     grid = np.minimum(np.arange(eval_every, cfg.budget + eval_every, eval_every), cfg.budget)
     table = {"evals": grid.astype(np.float64)}
     modes = ["gap_last"] + [AVERAGE_COLUMNS[q] for q in cfg.q_exponents]
+    diverged = []
     for algo in cfg.algorithms:
-        traces = list(run_seeds(problem, algo, cfg).values())
+        traces, lines = _diverged(algo, run_seeds(problem, algo, cfg), "columns")
+        diverged += lines
+        if lines:
+            continue
+        traces = list(traces.values())
         nearest = [np.abs(t.evals[None, :] - grid[:, None]).argmin(axis=1) for t in traces]
         for mode in modes:
             per_seed = [np.asarray(t.column(mode))[idx] for t, idx in zip(traces, nearest)]
             table[f"{algo}_{mode.replace('gap_', '')}"] = _seed_mean_std(np.stack(per_seed))[0]
     out_path = (cfg.out if cfg.out.endswith(".csv")
                 else os.path.join(cfg.out, f"{label}_compare.csv"))
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    write_table(out_path, table)
-    return [out_path]
+    written = []
+    if len(table) > 1:
+        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+        write_table(out_path, table)
+        written.append(out_path)
+    if diverged:
+        raise DivergedRuns(diverged, written)
+    return written

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .problems import row_reader
+
 
 class SamplingDistribution:
     """Column importance sampling, one column per block: p_k = ||M_.k||^2 / T.
@@ -73,7 +75,9 @@ class MatrixGameOracle:
     Each block is a row ``(at, rows, column, signed_p)``: its columns are the
     coordinates ``at + k``, column k of M is ``sign * column(k)`` placed in
     ``F[rows]``, and ``signed_p`` is ``sign * p``. Dividing by the signed
-    probability applies the sign exactly.
+    probability applies the sign exactly. The readers ``column`` are bound
+    here, for a dense or a sparse payoff, so a sample reads its column
+    without asking which.
     """
 
     def __init__(self, problem):
@@ -85,7 +89,8 @@ class MatrixGameOracle:
             self.sampling = SamplingDistribution(_squared_sums(M, (0,)))
         else:
             n, m = s.primal_dim, s.dual_dim
-            blocks = [(0, slice(n, n + m), s.row, -1.0), (n, slice(0, n), s.col, 1.0)]
+            blocks = [(0, slice(n, n + m), row_reader(s.A), -1.0),
+                      (n, slice(0, n), row_reader(s.AT), 1.0)]
             self.sampling = SamplingDistribution(_squared_sums(s.A, (1, 0)))
         self._blocks = [(at, rows, column, sign * p)
                         for (at, rows, column, sign), p in zip(blocks, self.sampling.p)]

@@ -52,28 +52,27 @@ class BilinearStructure:
         if self.bx.shape != (n,) or self.by.shape != (m,):
             raise ValueError("linear terms must match the payoff dimensions")
 
-    def row(self, i):
-        """Row i as (index, values), so that ``v[index] += c * values`` adds
-        c A_i to v: the whole dense row, or the stored entries of the CSR row,
-        read in place."""
-        return _row(self.A, i)
-
-    def col(self, j):
-        """Column j as (index, values), like :meth:`row`: row j of ``AT``."""
-        return _row(self.AT, j)
-
     def frobenius_norm(self):
         if sp.issparse(self.A):
             return float(np.sqrt(self.A.multiply(self.A).sum()))
         return float(np.linalg.norm(self.A))
 
 
-def _row(M, k):
-    """Row k of a dense or CSR matrix as (index, values) views."""
+def row_reader(M):
+    """The reader ``k -> (index, values)`` of row k of a dense or CSR matrix,
+    so that ``v[index] += c * values`` adds c M_k to v: the whole dense row,
+    or the stored entries of the CSR row, read in place. Whether M is sparse
+    is looked up here, once, not per row; a column of a game's payoff A is a
+    row of its ``AT``."""
     if not sp.issparse(M):
-        return slice(None), M[k]
-    lo, hi = M.indptr[k], M.indptr[k + 1]
-    return M.indices[lo:hi], M.data[lo:hi]
+        return lambda k: (slice(None), M[k])
+    indptr, indices, data = M.indptr, M.indices, M.data
+
+    def row(k):
+        lo, hi = indptr[k], indptr[k + 1]
+        return indices[lo:hi], data[lo:hi]
+
+    return row
 
 
 class AffineVI:

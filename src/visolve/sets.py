@@ -13,6 +13,14 @@ so the same bits: `simplex_project`, the sort rule on the rows of a (k, h)
 matrix, and a compare-exchange network on the h columns of one, for equal
 blocks of at most 3 entries. The block sizes pick the kernel
 (`_block_projection`); the rows of unequal blocks are padded to the longest.
+
+The row kernel also takes a warm start: a `SupportGuess`, the caller's
+record of the support of the last point the projection returned to it. It
+searches for the threshold from that support by Michelot's fixed-point
+rule, accepts a support only when the threshold it gives certifies it in
+every block (the positive set of v - theta is that support), and sorts only
+when three attempts fail; it then leaves the support of its result in the
+record. The record belongs to the caller, so the sets stay immutable.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ from .rng import StableRng
 
 # Longest block the column kernel takes; all other blocks go to simplex_project.
 _COLUMN_KERNEL_MAX_BLOCK = 3
+# Attempts of a warm projection before the sort: the guess, then the supports
+# that the failed attempts found.
+_WARM_ATTEMPTS = 3
 
 
 class NonFiniteInput(ValueError):
@@ -40,40 +51,76 @@ def _check_vector(set_dim, v):
     return v
 
 
-def _support_projection(rows, near):
-    """Row-wise simplex projection of a (k, h) matrix on the support that
-    ``near`` guesses, or None when the guess is not every row's support.
+class SupportGuess:
+    """A caller's record of the support of the last point that a projection
+    onto a product of simplexes returned to it, which
+    :meth:`FeasibleSet.project` tries first and then updates in place.
 
-    Row b's guess is S_b = {i : near_bi > 0}, and theta_b = (sum over S_b of
-    rows_bi - 1) / |S_b|. When {i : rows_bi - theta_b > 0} = S_b in every
-    row, max(rows - theta, 0) sums to 1 in each row, so theta is the
-    projection's threshold and S_b its support, whatever near is. The sum
-    over S_b selects with np.where, not a product with the support, so a
-    -inf of padding outside S_b adds 0, not NaN.
+    ``support`` marks the positive entries as a (blocks, longest block)
+    mask whose padding is False, and ``count`` holds its per-block sizes as
+    floats; both are None when some block had no positive entry, and then
+    the next projection sorts. Build one with
+    :meth:`FeasibleSet.support_guess`.
     """
-    support = near > 0.0
-    count = support.sum(axis=1, dtype=np.float64)
-    if not count.all():
-        return None
-    theta = (np.where(support, rows, 0.0).sum(axis=1) - 1.0) / count
-    shifted = rows - theta[:, None]
-    if not ((shifted > 0.0) == support).all():
-        return None
-    return np.maximum(shifted, 0.0)
+
+    __slots__ = ("support", "count")
+
+    def __init__(self, support):
+        self.hold(support)
+
+    def hold(self, support, count=None):
+        """Keep this support, with its per-block counts when they are known."""
+        if count is None:
+            count = support.sum(axis=1, dtype=np.float64)
+        self.support, self.count = (support, count) if count.all() else (None, None)
 
 
-def simplex_project(rows, near=None):
+def _support_projection(rows, guess):
+    """Row-wise simplex projection of a (k, h) matrix on the support that
+    ``guess`` holds, or None when no attempt certifies every row.
+
+    Row b's guess is S_b, and theta_b = (sum over S_b of rows_bi - 1) / |S_b|.
+    When {i : rows_bi - theta_b > 0} = S_b in every row, max(rows - theta, 0)
+    sums to 1 in each row, so theta is the projection's threshold and S_b
+    its support, whatever the guess was. The sum over S_b selects with
+    np.where, not a product with the support, so a -inf of padding outside
+    S_b adds 0, not NaN. When the check fails, the next attempt guesses the
+    support that the failed one found, as Michelot's fixed-point rule for
+    the threshold does (Michelot 1986), up to _WARM_ATTEMPTS attempts. A
+    certified support is left in ``guess``.
+    """
+    support, count = guess.support, guess.count
+    if support is None:
+        return None
+    for attempt in range(_WARM_ATTEMPTS):
+        if attempt:
+            count = support.sum(axis=1, dtype=np.float64)
+            if not count.all():
+                return None
+        theta = (np.where(support, rows, 0.0).sum(axis=1) - 1.0) / count
+        shifted = rows - theta[:, None]
+        found = shifted > 0.0
+        if (found == support).all():
+            if attempt:
+                guess.hold(support, count)
+            return np.maximum(shifted, 0.0)
+        support = found
+    return None
+
+
+def simplex_project(rows, guess=None):
     """Row-wise Euclidean projection of a (k, h) matrix onto the unit
     simplex, O(h log h) per row by the sort-threshold rule.
 
     Threshold ties resolve through the cumulative rule: a row keeps the
     longest prefix of its descending sort with positive shifted mass. With
-    ``near`` it first tries the support near guesses
-    (:func:`_support_projection`); on a miss, and without near, the sort
-    rule runs on every row.
+    a :class:`SupportGuess` it first searches from the guessed support
+    (:func:`_support_projection`); when that fails, and without a guess,
+    the sort rule runs on every row, and the guess is set to the support of
+    its result.
     """
-    if near is not None:
-        hit = _support_projection(rows, near)
+    if guess is not None:
+        hit = _support_projection(rows, guess)
         if hit is not None:
             return hit
     h = rows.shape[1]
@@ -83,12 +130,15 @@ def simplex_project(rows, near=None):
     mask = u - css / ks > 0
     rho = h - 1 - np.argmax(mask[:, ::-1], axis=1)
     theta = css[np.arange(rows.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(rows - theta[:, None], 0.0)
+    x = np.maximum(rows - theta[:, None], 0.0)
+    if guess is not None:
+        guess.hold(x > 0.0)
+    return x
 
 
-def _project_small_blocks(v, near, shape):
+def _project_small_blocks(v, guess, shape):
     """simplex_project of the (k, h) blocks of v, computed on h columns of
-    length k, which is cheaper when h is small and k is large; near is
+    length k, which is cheaper when h is small and k is large; the guess is
     ignored.
 
     A compare-exchange network sorts every block in descending order; the
@@ -119,36 +169,46 @@ def _small_equal_blocks(blocks):
     return len(set(blocks)) == 1 and blocks[0] <= _COLUMN_KERNEL_MAX_BLOCK
 
 
-def _project_rows(v, near, shape, real):
-    """simplex_project of the blocks of v as the rows of one (k, h) matrix,
-    h the longest block, with near. Equal blocks reshape without a copy;
-    unequal ones fill the entries ``real`` marks and pad the rest of each
-    row with -inf, and near with 0, so the padding lies outside every
-    support, projects to 0 and is dropped."""
-    if real is None:
-        return simplex_project(v.reshape(shape), None if near is None
-                               else np.asarray(near).reshape(shape)).ravel()
-    rows = np.full(shape, -np.inf)
-    rows[real] = v
-    if near is not None:
-        padded = np.zeros(shape)
-        padded[real] = near
-        near = padded
-    with np.errstate(invalid="ignore"):     # the sort rule's -inf - -inf
-        return simplex_project(rows, near)[real]
+class _RowKernel:
+    """simplex_project of the blocks of a vector as the rows of one (k, h)
+    matrix, h the longest block, with a guess. Equal blocks reshape without
+    a copy; unequal ones fill the entries ``real`` marks and pad the rest
+    of each row with -inf, and a guess's support with False, so the padding
+    lies outside every support, projects to 0 and is dropped."""
+
+    def __init__(self, blocks):
+        self.shape = (len(blocks), max(blocks))
+        self.real = (None if len(set(blocks)) == 1
+                     else np.arange(self.shape[1]) < np.array(blocks)[:, None])
+
+    def _rows(self, v, fill):
+        """v as the (k, h) rows, padded with fill."""
+        if self.real is None:
+            return v.reshape(self.shape)
+        rows = np.full(self.shape, fill)
+        rows[self.real] = v
+        return rows
+
+    def __call__(self, v, guess):
+        if self.real is None:
+            return simplex_project(self._rows(v, None), guess).ravel()
+        with np.errstate(invalid="ignore"):     # the sort rule's -inf - -inf
+            return simplex_project(self._rows(v, -np.inf), guess)[self.real]
+
+    def guess(self, x):
+        """The SupportGuess of the positive entries of x."""
+        return SupportGuess(self._rows(x, 0.0) > 0.0)
 
 
 def _block_projection(blocks):
-    """Projection ``(v, near) -> x`` onto the product of simplexes with these
-    block sizes, by one of two routes picked once: small equal blocks
+    """Projection ``(v, guess) -> x`` onto the product of simplexes with
+    these block sizes, by one of two routes picked once: small equal blocks
     (:func:`_small_equal_blocks`) go through the column kernel, which
-    ignores near; all others through simplex_project as the rows of one
-    matrix (:func:`_project_rows`), which takes near."""
-    shape = (len(blocks), max(blocks))
+    ignores the guess; all others through simplex_project as the rows of
+    one matrix (:class:`_RowKernel`), which takes it."""
     if _small_equal_blocks(blocks):
-        return functools.partial(_project_small_blocks, shape=shape)
-    real = None if len(set(blocks)) == 1 else np.arange(shape[1]) < np.array(blocks)[:, None]
-    return functools.partial(_project_rows, shape=shape, real=real)
+        return functools.partial(_project_small_blocks, shape=(len(blocks), blocks[0]))
+    return _RowKernel(blocks)
 
 
 def _column_maxima(c, h):
@@ -176,19 +236,32 @@ class FeasibleSet:
     dim: int
     simplex_blocks = None  # block sizes when the set is a product of simplexes
 
-    def project(self, v, near=None):
+    def project(self, v, guess=None):
         """Euclidean projection of v onto the set.
 
-        ``near`` is an optional point of the set's dimension, such as the
-        iterate the step starts from. A product of simplexes, one block
-        included, takes its positive entries as a guess of the projection's
-        support and skips the sort when the guess holds, unless its blocks
-        are equal and at most 3 long (the column kernel); every other set
-        ignores it. It changes only the speed, never the result beyond
-        roundoff: a wrong guess gives the bits of a call without near.
+        ``guess`` is an optional :class:`SupportGuess` from
+        :meth:`support_guess`, which the caller keeps for this set. A
+        product of simplexes, one block included, searches for the
+        projection's threshold from the guessed support and skips the sort
+        when an attempt certifies it (:func:`_support_projection`), unless
+        its blocks are equal and at most 3 long (the column kernel); it then
+        leaves the support of the point it returns in the guess, so a caller
+        that hands the same guess to every call guesses the support of the
+        last point returned. Every other set ignores the guess. It changes
+        only the speed, never the result beyond roundoff: a guess that no
+        attempt certifies gives the bits of a call without one.
         """
         v = _check_vector(self.dim, v)
-        return self._project(v, near)
+        return self._project(v, guess)
+
+    def support_guess(self, x):
+        """A :class:`SupportGuess` of the positive entries of the point x,
+        for :meth:`project`, or None when the set's projection takes no
+        guess."""
+        kernel = getattr(self, "_project_blocks", None)
+        if not isinstance(kernel, _RowKernel):
+            return None
+        return kernel.guess(np.asarray(x, dtype=np.float64))
 
     def contains(self, v, tol=1e-9):
         v = np.asarray(v, dtype=np.float64)
@@ -232,8 +305,8 @@ class SimplexProduct(FeasibleSet):
         self._project_blocks = _block_projection(dims)
         self._block_maxima = _block_maxima(dims)
 
-    def _project(self, v, near=None):
-        return self._project_blocks(v, near)
+    def _project(self, v, guess=None):
+        return self._project_blocks(v, guess)
 
     def _contains(self, v, tol):
         if np.any(v < -tol):
@@ -292,7 +365,7 @@ class Box(FeasibleSet):
         self.lo, self.hi = lo, hi
         self.dim = lo.size
 
-    def _project(self, v, near=None):
+    def _project(self, v, guess=None):
         return np.minimum(np.maximum(v, self.lo), self.hi)
 
     def _contains(self, v, tol):
@@ -359,7 +432,7 @@ class HalfspaceBox(FeasibleSet):
         self._t_ends = (t_lo, t_hi)
         self.project(0.5 * (self.lo + self.hi))  # raises when the set is empty
 
-    def _project(self, v, near=None):
+    def _project(self, v, guess=None):
         x = np.clip(v, self.lo, self.hi)
         if self.a @ x <= self.b:
             return x
@@ -421,9 +494,9 @@ class Product(FeasibleSet):
     def split(self, v):
         return [v[self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.parts))]
 
-    def _project(self, v, near=None):
+    def _project(self, v, guess=None):
         if self.simplex_blocks is not None:
-            return self._project_blocks(v, near)
+            return self._project_blocks(v, guess)
         # the outer project has checked shape and finiteness for every part
         return np.concatenate([p._project(b) for p, b in zip(self.parts, self.split(v))])
 

@@ -128,6 +128,7 @@ class _SolverBase:
         self.rng = StableRng(seed)
         start = problem.set.center() if z0 is None else np.asarray(z0, dtype=np.float64)
         self.z = problem.set.project(start)
+        self._guess = problem.set.support_guess(self.z)
         self.evals = 0
         self.iteration = 0
 
@@ -151,13 +152,16 @@ class _SolverBase:
             raise NumericalDivergence(self.name, self.iteration, self.seed)
         return v
 
-    def _proj(self, v, feasible=None, near=None):
-        """Projection onto the problem's set, or onto the given part of it;
-        ``near``, a point the solver holds, only speeds it up. The set's own
+    def _proj(self, v, guess, feasible=None):
+        """Projection onto the problem's set, or onto the given part of it.
+        ``guess`` is the solver's record of the support of the last point
+        that this projection returned (the set's ``support_guess`` of its
+        starting point before the first), which the set tries first and
+        then updates; it only speeds the projection up. The set's own
         finiteness scan is the only one: a non-finite input becomes
         NumericalDivergence."""
         try:
-            return (self.problem.set if feasible is None else feasible).project(v, near)
+            return (self.problem.set if feasible is None else feasible).project(v, guess)
         except NonFiniteInput:
             raise NumericalDivergence(self.name, self.iteration, self.seed) from None
 
@@ -197,11 +201,12 @@ class _AnchoredExtragradient(_SolverBase):
 
     def _anchored_step(self):
         """One anchored extragradient step; returns the half-step iterate."""
-        zbar = self.params.alpha * self.z + self._w_part
-        z_half = self._proj(zbar - self._w_step, near=self.z)
+        zbar = self.params.alpha * self.z
+        zbar += self._w_part
+        z_half = self._proj(zbar - self._w_step, self._guess)
         sample = self.oracle.draw(self.rng)
         fhat = self.oracle.vr_estimate(self.cache, sample, z_half)
-        self.z = self._proj(zbar - self.tau * fhat, near=z_half)
+        self.z = self._proj(zbar - self.tau * fhat, self._guess)
         self.iteration += 1
         return z_half
 
@@ -269,9 +274,9 @@ class Extragradient(_SolverBase):
     step_over_norm = 0.99
 
     def step(self):
-        z_half = self._proj(self.z - self.tau * self.operator_at_z(), near=self.z)
+        z_half = self._proj(self.z - self.tau * self.operator_at_z(), self._guess)
         F_half = self.problem.operator(z_half)
-        self.z = self._proj(self.z - self.tau * F_half, near=z_half)
+        self.z = self._proj(self.z - self.tau * F_half, self._guess)
         self.F_z = None
         self.evals += 2 * self.N
         self.iteration += 1
@@ -312,16 +317,18 @@ class PrimalDual(_SolverBase):
         super().__init__(problem, N, seed, z0, tau)
         self.primal_set, self.dual_set = problem.set.parts
         self.x, self.y = (b.copy() for b in problem.split(self.z))
+        self._x_guess = self.primal_set.support_guess(self.x)
+        self._y_guess = self.dual_set.support_guess(self.y)
         self.ATx = self.ATx_bar = None
 
     def step(self):
         s = self.problem.structure
         if self.ATx is None:
             self.ATx = self.ATx_bar = s.AT @ self.x
-        self.y = self._proj(self.y + self.tau * (self.ATx_bar + s.by), self.dual_set,
-                            near=self.y)
+        self.y = self._proj(self.y + self.tau * (self.ATx_bar + s.by), self._y_guess,
+                            self.dual_set)
         F_x = s.A @ self.y + s.bx
-        self.x = self._proj(self.x - self.tau * F_x, self.primal_set, near=self.x)
+        self.x = self._proj(self.x - self.tau * F_x, self._x_guess, self.primal_set)
         ATx = s.AT @ self.x
         self.ATx_bar = 2.0 * ATx - self.ATx
         self.ATx = ATx
@@ -336,10 +343,8 @@ class _OptimisticMirrorDescent(_SolverBase):
     """Optimistic mirror descent with one operator evaluation per iteration:
     the played point uses the previous operator value as prediction, the
     ledger point uses the fresh one, F at the played point, which it keeps
-    as ``F_z``. Subclasses supply the mirror step ``_mirror(base, g, near)``;
-    ``near`` guesses the support of a Euclidean projection: the ledger for
-    the played point, the point just played for the ledger. The first
-    prediction costs N, and so does each iteration."""
+    as ``F_z``. Subclasses supply the mirror step ``_mirror(base, g)``. The
+    first prediction costs N, and so does each iteration."""
 
     draws = False
 
@@ -350,9 +355,9 @@ class _OptimisticMirrorDescent(_SolverBase):
         self.evals += self.N  # prediction for the first step
 
     def _optimistic_step(self):
-        self.z = self._mirror(self.ledger, self.F_z, near=self.ledger)
+        self.z = self._mirror(self.ledger, self.F_z)
         self.F_z = self.problem.operator(self.z)
-        self.ledger = self._mirror(self.ledger, self.F_z, near=self.z)
+        self.ledger = self._mirror(self.ledger, self.F_z)
         self.evals += self.N
         self.iteration += 1
         return StepResult(self.z.copy(), self.F_z)
@@ -364,8 +369,8 @@ class OptimisticMDL2(_OptimisticMirrorDescent):
     name = "oomd-l2"
     step_over_norm = 0.5
 
-    def _mirror(self, base, g, near):
-        return self._proj(base - self.tau * g, near=near)
+    def _mirror(self, base, g):
+        return self._proj(base - self.tau * g, self._guess)
 
     def step(self):
         return self._optimistic_step()
@@ -383,7 +388,7 @@ class OptimisticMDEntropy(_OptimisticMirrorDescent):
     def blocks(self):
         return _block_slices(self.problem.set)
 
-    def _mirror(self, base, g, near):
+    def _mirror(self, base, g):
         out = np.empty_like(base)
         for sl in self.blocks:
             u = np.log(np.maximum(base[sl], 1e-300)) - self.tau * g[sl]

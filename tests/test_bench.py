@@ -6,7 +6,7 @@ import pytest
 
 
 def test_every_case_has_a_child_and_rounds_to_summarize():
-    assert set(bench.CASES) == {"checkpoint", "spectral-norm", "epoch-memory", "e2e"}
+    assert set(bench.CASES) == {"checkpoint", "spectral-norm", "epoch-memory", "e2e", "step"}
     for name, case in bench.CASES.items():
         assert case.child.__name__ == name.replace("-", "_") + "_child"
         assert case.rounds >= 2  # quartiles need two rounds
@@ -39,3 +39,22 @@ def test_report_of_one_checkout_has_no_wins():
     runs = {"head": [{"ms": 2.0, "products": 6}, {"ms": 1.0}, {"ms": 3.0}]}
     assert bench.report(runs, frozenset({"ms"})) == {"checkouts": {"head": {
         "ms_median": 2.0, "ms_q1": 1.0, "ms_q3": 3.0, "products": 6}}}
+
+
+def test_wins_skip_a_figure_the_second_checkout_lacks():
+    """A route that one checkout never takes has no time to compare."""
+    before = [{"hit_us": 2.0, "sort_us": 5.0}, {"hit_us": 3.0, "sort_us": 6.0}]
+    after = [{"hit_us": 1.0, "retry_us": 4.0}, {"hit_us": 4.0, "retry_us": 4.0}]
+    timed = frozenset({"hit_us", "retry_us", "sort_us"})
+    assert bench.wins(list(zip(before, after)), timed) == {"hit_us": 1}
+
+
+def test_step_routes_count_every_warm_projection(monkeypatch):
+    """eg projects twice per step onto the pursuit game's two simplexes,
+    which take a guess, so the routes of 50 steps count 100 projections."""
+    import visolve as vs
+
+    monkeypatch.setattr(bench, "STEPS", 50)
+    routes = bench._warm_routes(vs, bench._stepper(vs, 30, "eg"))
+    assert sum(routes[f"{route}_calls"] for route in bench.ROUTES) == 100
+    assert all(f"{route}_us" in routes for route in bench.ROUTES if routes[f"{route}_calls"])

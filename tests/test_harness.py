@@ -103,9 +103,10 @@ def test_deterministic_algorithm_runs_once_per_sweep(monkeypatch, pb8):
 
 
 def test_warm_projection_keeps_no_state_between_sweeps(tmp_path):
-    """Projections reuse only points their solver holds: a pb30 sweep, a
-    ws-example sweep and the pb30 sweep again, in one process, write the
-    same pb30 bytes twice, and a sweep leaves its instance's set as it was."""
+    """Projections guess only from the support records their solver holds:
+    a pb30 sweep, a ws-example sweep and the pb30 sweep again, in one
+    process, write the same pb30 bytes twice, and a sweep leaves its
+    instance's set as it was."""
     pb30 = ["--gen", "pb", "--n", "30", "--algo", "svrg-eg,eg", "--seeds", "0,1",
             "--budget", "3000", "--eval-every", "300"]
     first, second = tmp_path / "first", tmp_path / "second"
@@ -328,6 +329,57 @@ def test_cli_numerical_abort_exit_code(tmp_path, capsys):
         assert code == 3
         err = capsys.readouterr().err
         assert f"non-finite value in {algo}" in err and "of seed 0" in err
+
+
+def test_cli_divergence_keeps_the_runs_that_completed(tmp_path, capsys):
+    """dl-svrg-eg on the 4 x 4 uniform game at tau_scale 1e16: seeds 0 and 1
+    diverge, at iterations 21 and 38, after rows that fail GapTrace's checks
+    (the off-simplex projections of ROADMAP item 8), so they leave no file;
+    seed 2 runs to the budget. The run writes seed 2's CSV, the bytes of a
+    direct run of it, and no aggregate, names both diverged seeds and exits
+    3. pda at 1e17 diverges at iteration 9 of every seed, after rows that
+    pass, and leaves them in a partial file per seed; rm+ beside it, which
+    takes no step scale, writes all its files. A compare writes the columns
+    of the algorithms whose seeds all completed."""
+    problem = vs.uniform_random(4, 4, 0)
+    flags = ["--gen", "uniform", "--n", "4", "--seed", "0", "--seeds", "0-2",
+             "--budget", "160", "--eval-every", "4"]
+
+    def cli_run(command, algos, tau_scale, out):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main([command, *flags, "--algo", algos, "--tau-scale", tau_scale,
+                             "--out", str(out)])
+        assert code == 3
+        return capsys.readouterr()
+
+    printed, err = cli_run("run", "dl-svrg-eg", "1e16", tmp_path / "vr")
+    assert os.listdir(tmp_path / "vr") == ["uni4x4-s0_dl-svrg-eg_seed2.csv"]
+    assert printed.split() == [str(tmp_path / "vr" / "uni4x4-s0_dl-svrg-eg_seed2.csv")]
+    assert "non-finite value in dl-svrg-eg at iteration 21 of seed 0" in err
+    assert "non-finite value in dl-svrg-eg at iteration 38 of seed 1" in err
+    assert "no aggregate for dl-svrg-eg: seeds 0, 1 diverged" in err
+    with np.errstate(over="ignore"):
+        vs.run(problem, "dl-svrg-eg", 160, 2, 4, tau_scale=1e16).to_csv(tmp_path / "seed2.csv")
+    assert ((tmp_path / "vr" / "uni4x4-s0_dl-svrg-eg_seed2.csv").read_bytes()
+            == (tmp_path / "seed2.csv").read_bytes())
+
+    printed, err = cli_run("run", "pda,rm+", "1e17", tmp_path / "pda")
+    names = [*(f"uni4x4-s0_pda_seed{seed}_partial.csv" for seed in range(3)),
+             *(f"uni4x4-s0_rm+_seed{seed}.csv" for seed in range(3)), "uni4x4-s0_rm+_aggregate.csv"]
+    assert printed.split() == [str(tmp_path / "pda" / name) for name in names]
+    assert sorted(os.listdir(tmp_path / "pda")) == sorted(names)
+    assert all(f"non-finite value in pda at iteration 9 of seed {seed}" in err for seed in range(3))
+    assert "no aggregate for pda: seeds 0, 1, 2 diverged" in err and "rm+" not in err
+    vs.run(problem, "pda", 36, 0, 4, tau_scale=1e17).to_csv(tmp_path / "pda36.csv")
+    for seed in range(3):
+        assert ((tmp_path / "pda" / names[seed]).read_bytes()
+                == (tmp_path / "pda36.csv").read_bytes())
+
+    printed, err = cli_run("compare", "dl-svrg-eg,rm+", "1e16", tmp_path / "cmp")
+    assert printed.split() == [str(tmp_path / "cmp" / "uni4x4-s0_compare.csv")]
+    assert "no columns for dl-svrg-eg: seeds 0, 1 diverged" in err
+    header = (tmp_path / "cmp" / "uni4x4-s0_compare.csv").read_text().splitlines()[0]
+    assert header == "evals,rm+_last,rm+_uniform,rm+_linear,rm+_quadratic"
 
 
 def test_cli_solver_parameter_overrides(tmp_path):

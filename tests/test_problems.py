@@ -221,8 +221,8 @@ def _payoff(draw, sparse):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.booleans())
 def test_stored_transpose_is_exact(data, sparse):
-    """AT @ x gives the bits of A.T @ x, and col(j) reads the indices and
-    values of column j of the CSC form of A."""
+    """AT @ x gives the bits of A.T @ x, and row j of AT, as row_reader
+    reads it, holds the indices and values of column j of the CSC form of A."""
     s = problems.BilinearStructure(_payoff(data.draw, sparse))
     n, m = s.A.shape
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -233,7 +233,7 @@ def test_stored_transpose_is_exact(data, sparse):
                                                                 np.signbit(expected))
     csc = sp.csc_matrix(s.A)
     for j in range(m):
-        idx, vals = s.col(j)
+        idx, vals = problems.row_reader(s.AT)(j)
         if sparse:
             lo, hi = csc.indptr[j], csc.indptr[j + 1]
             assert np.array_equal(idx, csc.indices[lo:hi])

@@ -124,23 +124,25 @@ def test_box_clamp_example():
     assert np.array_equal(s.project(np.array([3.0, -0.2])), [0.5, -0.2])
 
 
-def uses_near(feasible):
-    """Whether the set's projection reads near: every product of simplexes
-    outside the column kernel does."""
+def takes_guess(feasible):
+    """Whether the set's projection reads a guess: every product of
+    simplexes outside the column kernel does."""
     blocks = feasible.simplex_blocks
-    return blocks is not None and not _small_equal_blocks(blocks)
+    takes = blocks is not None and not _small_equal_blocks(blocks)
+    assert (feasible.support_guess(feasible.center()) is not None) == takes
+    return takes
 
 
 def warm_projections(feasible, v, rng):
-    """The cold projection of v and the one with near, the projection of a
-    perturbed v: both feasible and equal within roundoff, bit for bit where
-    the set ignores near."""
+    """The cold projection of v and the one guessing the support of the
+    projection of a perturbed v: both feasible and equal within roundoff,
+    bit for bit where the set ignores the guess."""
     cold = feasible.project(v)
     near = feasible.project(v + 0.2 * (rng.uniform(feasible.dim) - 0.5))
-    warm = feasible.project(v, near)
+    warm = feasible.project(v, feasible.support_guess(near))
     assert feasible.contains(warm, tol=1e-12)
     assert np.abs(warm - cold).max() <= 1e-12
-    if not uses_near(feasible):
+    if not takes_guess(feasible):
         assert np.array_equal(warm, cold)
         assert np.array_equal(np.signbit(warm), np.signbit(cold))
     return cold, warm
@@ -148,7 +150,7 @@ def warm_projections(feasible, v, rng):
 
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)
 def test_projection_idempotent(feasible):
-    """Cold, and with near: a projection projects to itself."""
+    """Cold, and with a guess: a projection projects to itself."""
     rng = StableRng(7)
     for _ in range(1000):
         v = 6.0 * rng.uniform(feasible.dim) - 3.0
@@ -156,12 +158,13 @@ def test_projection_idempotent(feasible):
         twice = feasible.project(once)
         assert np.linalg.norm(twice - once) <= 1e-12
         assert feasible.contains(once, tol=1e-12)
-        assert np.linalg.norm(feasible.project(warm, warm) - warm) <= 1e-12
+        assert np.linalg.norm(feasible.project(warm, feasible.support_guess(warm))
+                              - warm) <= 1e-12
 
 
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)
 def test_projection_nonexpansive(feasible):
-    """Cold, and with near for both points."""
+    """Cold, and with a guess for both points."""
     rng = StableRng(13)
     for _ in range(1000):
         u = 6.0 * rng.uniform(feasible.dim) - 3.0
@@ -175,7 +178,7 @@ def test_projection_nonexpansive(feasible):
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)
 def test_projection_variational_inequality(feasible):
     """<v - Pv, w - Pv> <= tol for every feasible w characterizes the
-    Euclidean projection onto a convex set; cold, and with near."""
+    Euclidean projection onto a convex set; cold, and with a guess."""
     rng = StableRng(29)
     W = feasible.sample(rng, 100)
     for _ in range(100):
@@ -367,25 +370,30 @@ def unit_weights(w):
 @st.composite
 def warm_cases(draw):
     """(dims, v, near): 1-3 blocks of 1-50 entries each, drawn apart and
-    often of 1 entry, in any layout outside the column kernel, so unequal
-    blocks project as padded rows of one matrix; |v| <= 1e6 with ties,
-    signed zeros and zeros; near a point of the product of simplexes whose
-    support guess may be right, wrong or a single vertex."""
-    dims = draw(st.lists(st.integers(1, 50) | st.just(1), min_size=1, max_size=3)
+    often of 1 entry, or 2-3 equal blocks, in any layout outside the column
+    kernel, so unequal blocks project as padded rows of one matrix; |v| <=
+    1e6 with ties, signed zeros and zeros; near a point whose support is the
+    guess: right (the projection of v), stale (of a perturbed v), wrong (a
+    vertex, or any point of the product of simplexes), full (every entry
+    positive) or empty (the zero point)."""
+    dims = draw((st.lists(st.integers(1, 50) | st.just(1), min_size=1, max_size=3)
+                 | st.builds(lambda h, k: [h] * k, st.integers(1, 50), st.integers(2, 3)))
                 .filter(lambda dims: not _small_equal_blocks(dims)))
     cuts = np.cumsum(dims)[:-1]
     pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))  # ties
     entry = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, *pool])
     v = np.array(draw(st.lists(entry, min_size=sum(dims), max_size=sum(dims))))
-    guess = draw(st.sampled_from(["projection", "perturbed", "vertex", "any"]))
+    guess = draw(st.sampled_from(["projection", "stale", "vertex", "any", "full", "empty"]))
     if guess == "vertex":
         near = np.concatenate([np.eye(h)[draw(st.integers(0, h - 1))] for h in dims])
     elif guess == "any":
         weights = draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0),
                                 min_size=sum(dims), max_size=sum(dims)))
         near = np.concatenate([unit_weights(w) for w in np.split(np.array(weights), cuts)])
+    elif guess in ("full", "empty"):
+        near = np.full(sum(dims), 1.0 if guess == "full" else 0.0)
     else:
-        shift = draw(st.floats(-1.0, 1.0)) if guess == "perturbed" else 0.0
+        shift = draw(st.floats(-1.0, 1.0)) if guess == "stale" else 0.0
         near = np.concatenate([simplex_project(b[None] + shift * np.linspace(-1.0, 1.0, b.size))[0]
                                for b in np.split(v, cuts)])
     return dims, v, near
@@ -394,13 +402,16 @@ def warm_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(warm_cases())
 def test_warm_projection_properties(case):
-    """A guessed support changes the result only within roundoff, and a
-    guess that misses in any block gives the bits of the sort."""
+    """A guessed support changes the result only within roundoff. A guess
+    that misses retries from the support the failed attempt found, and one
+    that no attempt certifies in every block gives the bits of the sort.
+    The guess is left holding the support of the point returned."""
     dims, v, near = case
     cuts = np.cumsum(dims)[:-1]
     feasible = SimplexProduct(dims)
     eps = 4 * max(dims) * np.spacing(max(1.0, np.abs(v).max()))
-    x = feasible.project(v, near)
+    guess = feasible.support_guess(near)
+    x = feasible.project(v, guess)
     cold = feasible.project(v)
     assert np.all(x >= 0.0)
     for row, xb in zip(np.split(v, cuts), np.split(x, cuts)):
@@ -408,11 +419,14 @@ def test_warm_projection_properties(case):
         theta = (row - xb)[xb > 0.0]
         assert theta.max() - theta.min() <= eps
         assert np.all(row[xb == 0.0] <= theta.min() + eps)
-    again = feasible.project(x, near)
+    held = feasible.support_guess(x)
+    assert np.array_equal(guess.support, held.support)
+    assert np.array_equal(guess.count, held.count)
+    again = feasible.project(x, feasible.support_guess(near))
     assert np.all(np.abs(again - x) <= eps)
     assert np.all(np.abs(x - cold) <= eps)
-    if any(_support_projection(b[None], n[None]) is None
-           for b, n in zip(np.split(v, cuts), np.split(near, cuts))):
+    rows = feasible._project_blocks._rows(v, -np.inf)
+    if _support_projection(rows, feasible.support_guess(near)) is None:
         assert np.array_equal(x, cold)
         assert np.array_equal(np.signbit(x), np.signbit(cold))
 
@@ -423,9 +437,9 @@ def test_padded_rows_raise_and_warn_nothing(dims):
     """Unequal blocks pad their rows with -inf, which the sort rule meets as
     -inf - -inf; the projection keeps that to itself. Under the caller's
     errstate(all="raise") and with warnings as errors, cold projections and
-    warm ones, whose near hits or misses, run through and stay feasible,
-    with ties at each block's maximum, 1-entry blocks and magnitudes from
-    1e-300 to 1e6."""
+    warm ones, whose guess hits, retries or misses, run through and stay
+    feasible, with ties at each block's maximum, 1-entry blocks and
+    magnitudes from 1e-300 to 1e6."""
     feasible = SimplexProduct(dims)
     cuts = np.cumsum(dims)[:-1]
     rng = StableRng(41)
@@ -439,7 +453,7 @@ def test_padded_rows_raise_and_warn_nothing(dims):
                     block[rng.uniform(block.size) < 0.5] = block.max()    # ties
                 cold = feasible.project(v)
                 perturbed = feasible.project(v + scale * (rng.uniform(feasible.dim) - 0.5))
-                for x in (cold, *(feasible.project(v, near)
+                for x in (cold, *(feasible.project(v, feasible.support_guess(near))
                                   for near in (cold, perturbed, feasible.center()))):
                     assert np.all(x >= 0.0)
                     assert np.all(np.abs(np.add.reduceat(x, np.r_[0, cuts]) - 1.0) <= eps)
@@ -447,23 +461,40 @@ def test_padded_rows_raise_and_warn_nothing(dims):
 
 def test_warm_projection_hits_and_misses():
     """The true support is a hit with the result max(v - theta, 0), padded
-    rows included; a wrong support, or a row with none, falls back to the
-    sort's bits."""
+    rows included; a wrong support retries from the support that the failed
+    attempt found, and one that no attempt certifies, or a row with none,
+    falls back to the sort's bits."""
     rng = StableRng(31)
     v = 2.0 * rng.uniform((2 * 40)).reshape(2, 40) - 1.0
+    guess_of = lambda near: SimplexProduct([40, 40]).support_guess(near.ravel())
     cold = simplex_project(v)
-    hit = _support_projection(v, cold)
+    hit = _support_projection(v, guess_of(cold))
     assert hit is not None and np.allclose(hit, cold, rtol=0.0, atol=1e-15)
     assert np.array_equal(hit > 0.0, cold > 0.0)
     for near in (np.full_like(v, 1.0 / 40), np.vstack([cold[0], np.zeros(40)])):
-        assert _support_projection(v, near) is None
-        assert np.array_equal(simplex_project(v, near), cold)
-    # a row padded with -inf, its near with 0, hits too, without a NaN
+        assert _support_projection(v, guess_of(near)) is None
+        assert np.array_equal(simplex_project(v, guess_of(near)), cold)
+    # a row padded with -inf, its guess with False, hits too, without a NaN
     padded = np.vstack([v[0], np.append(v[1, :30], [-np.inf] * 10)])
     cold = np.vstack([cold[0], np.append(simplex_project(v[1:, :30]), [0.0] * 10)])
     with np.errstate(all="raise"):
-        hit = _support_projection(padded, cold)
+        hit = _support_projection(padded, guess_of(cold))
     assert hit is not None and np.allclose(hit, cold, rtol=0.0, atol=1e-15)
+
+
+def test_a_missed_guess_is_certified_on_a_retry():
+    """Michelot's rule from a superset of the support: on a row whose large
+    entries stand apart, the full support misses, the support it finds is
+    the true one, and the retry certifies it. The result is the projection
+    within roundoff, and the guess is left holding its support. A guess
+    that a retry certifies moves the bits only in roundoff."""
+    v = np.array([[0.9, 0.8, -3.0, -2.5, -4.0, 0.7, -3.5, -2.0]])
+    cold = simplex_project(v)
+    guess = Simplex(8).support_guess(np.full(8, 0.125))
+    assert not np.array_equal(guess.support, cold > 0.0)
+    x = simplex_project(v, guess)
+    assert np.allclose(x, cold, rtol=0.0, atol=1e-15)
+    assert np.array_equal(guess.support, cold > 0.0) and guess.count.tolist() == [3.0]
 
 
 @pytest.mark.xfail(strict=True,

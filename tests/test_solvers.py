@@ -11,6 +11,7 @@ import visolve as vs
 from visolve import solvers
 from visolve.metrics import AVERAGE_COLUMNS, dist_theta
 from visolve.rng import StableRng
+from visolve.sets import _small_equal_blocks
 from visolve.solvers import NumericalDivergence, SvrgParams, make_solver
 
 from conftest import equilibrium_lp, plain_affine_vis, random_game
@@ -658,3 +659,53 @@ def test_double_loop_averages_weight_every_half_step_iterate(monkeypatch, proble
             expect = (trace.gap_last[k] if not weights.sum() > 0.0 else
                       measure(weights @ np.array(halves[:e * K]) / weights.sum()))
             assert abs(trace.column(name)[k] - expect) <= tol, (name, k)
+
+
+@st.composite
+def guessed_games(draw):
+    """A dense game with both linear terms whose two strategy sets each
+    project on the row kernel, which takes a guess: 1-3 simplex blocks of
+    1-6 entries, not all equal and at most 3 long; the payoff is scaled by
+    1 or 1000."""
+    rng = StableRng(draw(st.integers(0, 2 ** 16)))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    row_kernel = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+        lambda blocks: not _small_equal_blocks(blocks))
+    primal, dual = draw(row_kernel), draw(row_kernel)
+    n, m = sum(primal), sum(dual)
+    A = scale * (rng.uniform(n * m).reshape(n, m) - 0.5)
+    return vs.AffineVI.bilinear(A, rng.uniform(n) - 0.5, rng.uniform(m) - 0.5,
+                                vs.SimplexProduct(primal), vs.SimplexProduct(dual))
+
+
+@settings(max_examples=15, deadline=None)
+@given(guessed_games())
+def test_support_records_change_only_roundoff(problem):
+    """Every solver that guesses the support of its projections keeps one
+    record per set it projects onto. Emptied before every projection, so
+    that each one sorts, the record changes nothing but roundoff: the run
+    charges the same evals, and each gap moves by at most the roundoff
+    bound of test_checkpoints_measured_from_held_operator_values, taken
+    with one push per projection."""
+    d, N = problem.dim, vs.default_components(problem)
+    F_bound = np.linalg.norm(problem.M) * np.sqrt(d) + np.max(np.abs(problem.q))
+    project = solvers._SolverBase._proj
+    guesses = []
+
+    def emptied(self, v, guess, feasible=None):
+        guesses.append(guess)
+        guess.support = guess.count = None
+        return project(self, v, guess, feasible)
+
+    for algo in ("svrg-eg", "dl-svrg-eg", "eg", "pda", "oomd-l2"):
+        kept = vs.run(problem, algo, 30 * N, seed=0, eval_every=3 * N)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers._SolverBase, "_proj", emptied)
+            guesses.clear()
+            sorted_ = vs.run(problem, algo, 30 * N, seed=0, eval_every=3 * N)
+        assert guesses and all(guess is not None for guess in guesses), algo
+        assert np.array_equal(kept.evals, sorted_.evals), algo
+        tol = 4 * np.finfo(float).eps * (len(guesses) + 2 * d + 2) * d * F_bound
+        for name in kept.columns:
+            gap = np.abs(np.asarray(kept.column(name)) - np.asarray(sorted_.column(name)))
+            assert gap.max() <= tol, (algo, name)

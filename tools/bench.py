@@ -19,7 +19,8 @@ over the rounds (`{key}_median`, `{key}_q1`, `{key}_q3`); any other figure is
 kept once when the rounds agree and as a list of rounds when they do not.
 With two checkouts, `wins_of_second` counts per timed figure the rounds in
 which the second reads better than the first: higher for `run_ok_ratio`,
-lower for every other figure.
+lower for every other figure; a figure that the second checkout lacks in
+some round gets no count.
 
 The cases:
 
@@ -57,6 +58,14 @@ The cases:
   child `pytest` of the checkout's `tests/test_acceptance.py`, with its
   `wall_s` and `exit_code` (criterion 4 is a known failure, so a failing
   criterion is recorded, not fatal). A round took about 5 minutes on 2 cores.
+* `step` (10 rounds): on the pursuit games of 30, 100 and 1000 houses
+  (instance seed 2023), after 200 warm-up steps, the fastest of 3 runs of
+  2000 steps, as `step_us` per step, of `svrg-eg`, of a `dl-svrg-eg` inner
+  (anchored) step and of `eg`; then 2000 more steps with every projection
+  that takes a guess timed and sorted by route: a hit of the guess, a hit
+  after retries, or the sort (`hit_calls`, `retry_calls`, `sort_calls`, and
+  the median `hit_us`, `retry_us`, `sort_us` of a route that ran). A
+  checkout whose guess is a point has no retries. A round took about 12 s.
 """
 
 from __future__ import annotations
@@ -258,6 +267,79 @@ def e2e_child(src, r, workdir):
     return out
 
 
+# step ---------------------------------------------------------------------
+
+STEP_SIZES = (30, 100, 1000)
+STEP_ALGORITHMS = ("svrg-eg", "dl-svrg-eg", "eg")
+STEPS = 2000       # timed steps of each solver
+STEP_REPEATS = 3
+ROUTES = ("hit", "retry", "sort")
+
+
+def _stepper(vs, n, algo):
+    """A solver on the pursuit game of n houses (instance seed 2023), past
+    200 warm-up steps, and its step: a whole step, or one inner anchored
+    step for `dl-svrg-eg`."""
+    solver = vs.make_solver(vs.policeman_burglar(n, 2023), algo, seed=0)
+    step = solver._anchored_step if algo == "dl-svrg-eg" else solver.step
+    for _ in range(200):
+        step()
+    return step
+
+
+def _warm_routes(vs, step):
+    """Run the steps with every projection that takes a guess timed, and
+    sorted by the route it took: a hit of the guess, a hit after retries
+    (the guess then holds another support) or the sort. A checkout whose
+    guess is a point has no retries."""
+    sets = vs.sets
+    support_projection, project = sets._support_projection, sets.FeasibleSet.project
+    routes = {route: [] for route in ROUTES}
+    taken = []
+
+    def sorted_route(rows, guess):
+        before = getattr(guess, "support", None)
+        x = support_projection(rows, guess)
+        taken.append("sort" if x is None else
+                     "retry" if before is not None and guess.support is not before else "hit")
+        return x
+
+    def timed(self, v, guess=None):
+        if guess is None:
+            return project(self, v)
+        taken.clear()
+        t0 = time.perf_counter()
+        x = project(self, v, guess)
+        if taken:           # a set that ignores the guess takes no route
+            routes[taken[0]].append(time.perf_counter() - t0)
+        return x
+
+    sets._support_projection, sets.FeasibleSet.project = sorted_route, timed
+    try:
+        for _ in range(STEPS):
+            step()
+    finally:
+        sets._support_projection, sets.FeasibleSet.project = support_projection, project
+    out = {}
+    for route, durations in routes.items():
+        out[f"{route}_calls"] = len(durations)
+        if durations:
+            out[f"{route}_us"] = 1e6 * statistics.median(durations)
+    return out
+
+
+def step_child(src, r, workdir):
+    vs = _visolve(src)
+    out = {}
+    for n in STEP_SIZES:
+        for algo in STEP_ALGORITHMS:
+            step = _stepper(vs, n, algo)
+            best = min(timeit.repeat(step, number=STEPS, repeat=STEP_REPEATS))
+            out.setdefault(f"pb{n}", {})[algo] = {"step_us": 1e6 * best / STEPS,
+                                                  **_warm_routes(vs, step)}
+    return out
+
+
 # the driver and the report ------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -276,6 +358,8 @@ CASES = {
                          frozenset({"peak_rss_mb", "setup_rss_mb", "run_s"})),
     "e2e": Case(e2e_child, 3, frozenset({*END_TO_END, *PER_ALGORITHM, "wall_s"}),
                 {"perfbench": " ".join(PERFBENCH), "criteria": list(CRITERIA)}),
+    "step": Case(step_child, 10, frozenset({"step_us", *(f"{route}_us" for route in ROUTES)}),
+                 {"steps": STEPS, "repeats": STEP_REPEATS}),
 }
 
 
@@ -315,7 +399,7 @@ def wins(pairs, timed):
     for key, first in pairs[0][0].items():
         if isinstance(first, dict):
             out[key] = wins([(a[key], b[key]) for a, b in pairs], timed)
-        elif key in timed:
+        elif key in timed and all(key in b for _, b in pairs):
             out[key] = sum(b[key] > a[key] if key in HIGHER_IS_BETTER else b[key] < a[key]
                            for a, b in pairs)
     return out
