@@ -138,10 +138,12 @@ class GapTrace:
         return getattr(self, name)
 
     def gap_at(self, budget, column="gap_last"):
-        """Value of a column at the first checkpoint with evals >= budget."""
+        """Value of a column at the first checkpoint with evals >= budget; a
+        budget beyond the last checkpoint is a ValueError."""
         idx = int(np.searchsorted(self.evals, budget, side="left"))
         if idx >= len(self):
-            idx = len(self) - 1
+            raise ValueError(f"budget {budget} lies beyond the last checkpoint "
+                             f"({self.evals[-1] if len(self) else 'none'})")
         return float(self.column(column)[idx])
 
     def to_csv(self, path):

@@ -8,24 +8,33 @@ are immutable after construction and safe to share across threads.
 simplex block sizes when it is a product of simplexes, and None otherwise: it
 is the one description of simplex blocks that solvers read.
 
-Two kernels project onto simplexes, with the same operations per block and
-so the same bits: `simplex_project`, the sort rule on the rows of a (k, h)
-matrix, and a compare-exchange network on the h columns of one, for equal
-blocks of at most 3 entries. The block sizes pick the kernel
-(`_block_projection`); the rows of unequal blocks are padded to the longest.
+A product of simplexes, a `SimplexProduct` or a `Product` of simplexes,
+builds one `_BlockLayout` from its block sizes. The layout picks the route
+once and serves its three uses: the projection, the block maxima of
+`support_max` and the support guess. Equal blocks of at most 3 entries take
+a compare-exchange network on the h columns of a (k, h) matrix; all others
+take `simplex_project`, the sort rule on its rows, unequal blocks padded to
+the longest. Both kernels form the threshold on v minus its block maximum,
+which the network's first output and the sort's first column hold.
+Projection onto a simplex is shift-invariant, and after the shift the sums
+that form the threshold lose nothing against the 1 they subtract, so the
+result lies on the simplex at every finite magnitude. The two kernels run
+the same operations per block, so they give the same bits.
 
 The row kernel also takes a warm start: a `SupportGuess`, the caller's
 record of the support of the last point the projection returned to it. It
 searches for the threshold from that support by Michelot's fixed-point
-rule, accepts a support only when the threshold it gives certifies it in
-every block (the positive set of v - theta is that support), and sorts only
-when three attempts fail; it then leaves the support of its result in the
-record. The record belongs to the caller, so the sets stay immutable.
+rule, without the shift. It accepts a support only when the threshold it
+gives certifies it in every block (the positive set of v - theta is that
+support) and the roundoff of that unshifted threshold keeps every block sum
+within the feasibility tolerance; it sorts when three attempts fail, and
+then leaves the support of its result in the record. The record belongs to
+the caller, so the sets stay immutable.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 
 import numpy as np
 
@@ -36,6 +45,10 @@ _COLUMN_KERNEL_MAX_BLOCK = 3
 # Attempts of a warm projection before the sort: the guess, then the supports
 # that the failed attempts found.
 _WARM_ATTEMPTS = 3
+# How far a block sum may miss 1 in `contains`, and so in a certified warm
+# projection, whose roundoff bound count^2 (|theta| + 1) 2^-52 must stay below it.
+_FEASIBILITY_TOL = 1e-9
+_WARM_BOUND = _FEASIBILITY_TOL * 2.0 ** 52
 
 
 class NonFiniteInput(ValueError):
@@ -88,6 +101,20 @@ def _support_projection(rows, guess):
     support that the failed one found, as Michelot's fixed-point rule for
     the threshold does (Michelot 1986), up to _WARM_ATTEMPTS attempts. A
     certified support is left in ``guess``.
+
+    The threshold is formed on the unshifted rows, so its roundoff grows
+    with |theta|, and a certified support is accepted only while that
+    roundoff keeps every row sum within _FEASIBILITY_TOL of 1. With c = |S_b|,
+    u = 2^-53 and x = max(rows - theta, 0), each entry of S_b is theta_b
+    plus an x_i >= 0, and the x_i sum to about 1, so the entries' sizes sum
+    to at most c |theta_b| + 1. Their sum errs by at most
+    (c - 1) u (c |theta_b| + 1), subtracting 1 and dividing by c err by
+    2 u c |theta_b| in c theta_b, and the c differences rows_bi - theta_b by
+    u in all, so the row sum of x misses 1 by at most
+    u (c^2 |theta_b| + c |theta_b| + c) <= 2 u c^2 (|theta_b| + 1), to first
+    order in u. When that bound reaches _FEASIBILITY_TOL in some row, which
+    takes |theta_b| near 1.1e6 at c = 2 and near 3.5 at c = 1000, the call
+    falls through to the shifted sort.
     """
     support, count = guess.support, guess.count
     if support is None:
@@ -101,6 +128,9 @@ def _support_projection(rows, guess):
         shifted = rows - theta[:, None]
         found = shifted > 0.0
         if (found == support).all():
+            if not all(c * c * (abs(t) + 1.0) < _WARM_BOUND
+                       for c, t in zip(count.tolist(), theta.tolist())):
+                return None
             if attempt:
                 guess.hold(support, count)
             return np.maximum(shifted, 0.0)
@@ -112,9 +142,13 @@ def simplex_project(rows, guess=None):
     """Row-wise Euclidean projection of a (k, h) matrix onto the unit
     simplex, O(h log h) per row by the sort-threshold rule.
 
-    Threshold ties resolve through the cumulative rule: a row keeps the
-    longest prefix of its descending sort with positive shifted mass. With
-    a :class:`SupportGuess` it first searches from the guessed support
+    The rule runs on each row minus its maximum, the first column of the
+    descending sort. There the first entry is 0 and its running sum minus 1
+    is -1, so it always passes the threshold test, and threshold ties
+    resolve through the cumulative rule: a row keeps the longest prefix of
+    its descending sort with positive shifted mass. A row padded with -inf
+    therefore never takes its threshold from the padding. With a
+    :class:`SupportGuess` it first searches from the guessed support
     (:func:`_support_projection`); when that fails, and without a guess,
     the sort rule runs on every row, and the guess is set to the support of
     its result.
@@ -125,63 +159,61 @@ def simplex_project(rows, guess=None):
             return hit
     h = rows.shape[1]
     u = -np.sort(-rows, axis=1)
+    top = u[:, :1]
+    u = u - top
     css = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, h + 1)
-    mask = u - css / ks > 0
+    mask = u - css / np.arange(1, h + 1) > 0
     rho = h - 1 - np.argmax(mask[:, ::-1], axis=1)
     theta = css[np.arange(rows.shape[0]), rho] / (rho + 1.0)
-    x = np.maximum(rows - theta[:, None], 0.0)
+    x = np.maximum(rows - top - theta[:, None], 0.0)
     if guess is not None:
         guess.hold(x > 0.0)
     return x
 
 
-def _project_small_blocks(v, guess, shape):
-    """simplex_project of the (k, h) blocks of v, computed on h columns of
-    length k, which is cheaper when h is small and k is large; the guess is
-    ignored.
+def _project_columns(blocks):
+    """simplex_project of the rows of a (k, h) matrix, computed on its h
+    columns of length k, which is cheaper when h is small and k is large.
 
-    A compare-exchange network sorts every block in descending order; the
-    running sums, the threshold test and the fallback to rho = h - 1 then
-    repeat simplex_project's operations in its order, so the bits are the
-    same.
+    A compare-exchange network sorts every row in descending order, so its
+    first output is the row maximum; the shifted running sums and the
+    threshold test then repeat simplex_project's operations in its order,
+    so the bits are the same. Its first entry always passes the test, with
+    threshold -1.
     """
-    h = shape[1]
-    blocks = v.reshape(shape)
     u = list(blocks.T)
-    for i in range(1, h):
+    for i in range(1, len(u)):
         for j in range(i, 0, -1):
             u[j - 1], u[j] = np.maximum(u[j - 1], u[j]), np.minimum(u[j - 1], u[j])
-    total = u[0]
-    q = [total - 1.0]                       # q_j = css_j / (j + 1)
-    for j in range(1, h):
-        total = total + u[j]
-        q.append((total - 1.0) / (j + 1))
-    theta = q[-1]
-    for j in range(h):                      # the last j that passes wins
-        theta = np.where(u[j] - q[j] > 0, q[j], theta)
-    return np.maximum(blocks - theta[:, None], 0.0).ravel()
+    top, theta = u[0], -1.0
+    w = [u_j - top for u_j in u[1:]]
+    # the last j that passes wins; css_j / (j + 1) from the running sums
+    for j, (w_j, css) in enumerate(zip(w, itertools.accumulate(w)), 1):
+        q = (css - 1.0) / (j + 1)
+        theta = np.where(w_j - q > 0, q, theta)
+    return np.maximum(blocks - top[:, None] - np.reshape(theta, (-1, 1)), 0.0)
 
 
-def _small_equal_blocks(blocks):
-    """Whether the blocks are equal and at most _COLUMN_KERNEL_MAX_BLOCK
-    long, one block included: the blocks that column kernels take."""
-    return len(set(blocks)) == 1 and blocks[0] <= _COLUMN_KERNEL_MAX_BLOCK
-
-
-class _RowKernel:
-    """simplex_project of the blocks of a vector as the rows of one (k, h)
-    matrix, h the longest block, with a guess. Equal blocks reshape without
-    a copy; unequal ones fill the entries ``real`` marks and pad the rest
-    of each row with -inf, and a guess's support with False, so the padding
-    lies outside every support, projects to 0 and is dropped."""
+class _BlockLayout:
+    """The route of one product of simplexes, picked once from its block
+    sizes, and its three uses. Equal blocks of at most
+    _COLUMN_KERNEL_MAX_BLOCK entries, one block included, take the column
+    kernel (:func:`_project_columns`), which takes no guess, and the maxima
+    of h strided columns. All other blocks are the rows of one (k, h)
+    matrix, h the longest block, for simplex_project with a guess and for
+    np.maximum.reduceat. Equal blocks reshape without a copy; unequal ones
+    fill the entries ``real`` marks and pad the rest of each row with -inf,
+    and a guess's support with False, so the padding lies outside every
+    support, projects to 0 and is dropped."""
 
     def __init__(self, blocks):
         self.shape = (len(blocks), max(blocks))
-        self.real = (None if len(set(blocks)) == 1
-                     else np.arange(self.shape[1]) < np.array(blocks)[:, None])
+        equal = len(set(blocks)) == 1
+        self.columns = equal and self.shape[1] <= _COLUMN_KERNEL_MAX_BLOCK
+        self.real = None if equal else np.arange(self.shape[1]) < np.array(blocks)[:, None]
+        self.starts = np.cumsum((0, *blocks[:-1]))
 
-    def _rows(self, v, fill):
+    def rows(self, v, fill):
         """v as the (k, h) rows, padded with fill."""
         if self.real is None:
             return v.reshape(self.shape)
@@ -189,45 +221,31 @@ class _RowKernel:
         rows[self.real] = v
         return rows
 
-    def __call__(self, v, guess):
+    def project(self, v, guess):
+        """The projection of v; a guess is read and updated on the rows only."""
+        if self.columns:
+            return _project_columns(self.rows(v, None)).ravel()
         if self.real is None:
-            return simplex_project(self._rows(v, None), guess).ravel()
+            return simplex_project(self.rows(v, None), guess).ravel()
         with np.errstate(invalid="ignore"):     # the sort rule's -inf - -inf
-            return simplex_project(self._rows(v, -np.inf), guess)[self.real]
+            return simplex_project(self.rows(v, -np.inf), guess)[self.real]
+
+    def maxima(self, c):
+        """Block maxima of c. The columns are taken from left to right, as
+        np.maximum.reduceat takes them, so the bits are the same; far faster
+        for many short blocks."""
+        if not self.columns:
+            return np.maximum.reduceat(c, self.starts)
+        h = self.shape[1]
+        out = c[0::h]
+        for j in range(1, h):
+            out = np.maximum(out, c[j::h])
+        return out
 
     def guess(self, x):
-        """The SupportGuess of the positive entries of x."""
-        return SupportGuess(self._rows(x, 0.0) > 0.0)
-
-
-def _block_projection(blocks):
-    """Projection ``(v, guess) -> x`` onto the product of simplexes with
-    these block sizes, by one of two routes picked once: small equal blocks
-    (:func:`_small_equal_blocks`) go through the column kernel, which
-    ignores the guess; all others through simplex_project as the rows of
-    one matrix (:class:`_RowKernel`), which takes it."""
-    if _small_equal_blocks(blocks):
-        return functools.partial(_project_small_blocks, shape=(len(blocks), blocks[0]))
-    return _RowKernel(blocks)
-
-
-def _column_maxima(c, h):
-    """Maxima of the h-entry blocks of c, taken on h strided columns from
-    left to right, as np.maximum.reduceat takes them, so the bits are the
-    same; far faster for many short blocks."""
-    out = c[0::h]
-    for j in range(1, h):
-        out = np.maximum(out, c[j::h])
-    return out
-
-
-def _block_maxima(blocks):
-    """Maxima ``c -> m`` of the blocks of c with these sizes, by the rule of
-    _block_projection: small equal blocks take column maxima, all other
-    blocks np.maximum.reduceat."""
-    if _small_equal_blocks(blocks):
-        return functools.partial(_column_maxima, h=blocks[0])
-    return functools.partial(np.maximum.reduceat, indices=np.cumsum((0, *blocks[:-1])))
+        """The SupportGuess of the positive entries of x, or None on the
+        column kernel."""
+        return None if self.columns else SupportGuess(self.rows(x, 0.0) > 0.0)
 
 
 class FeasibleSet:
@@ -235,6 +253,7 @@ class FeasibleSet:
 
     dim: int
     simplex_blocks = None  # block sizes when the set is a product of simplexes
+    _layout = None         # the _BlockLayout of those blocks
 
     def project(self, v, guess=None):
         """Euclidean projection of v onto the set.
@@ -244,7 +263,7 @@ class FeasibleSet:
         product of simplexes, one block included, searches for the
         projection's threshold from the guessed support and skips the sort
         when an attempt certifies it (:func:`_support_projection`), unless
-        its blocks are equal and at most 3 long (the column kernel); it then
+        its layout takes the column kernel (:class:`_BlockLayout`); it then
         leaves the support of the point it returns in the guess, so a caller
         that hands the same guess to every call guesses the support of the
         last point returned. Every other set ignores the guess. It changes
@@ -258,12 +277,11 @@ class FeasibleSet:
         """A :class:`SupportGuess` of the positive entries of the point x,
         for :meth:`project`, or None when the set's projection takes no
         guess."""
-        kernel = getattr(self, "_project_blocks", None)
-        if not isinstance(kernel, _RowKernel):
+        if self._layout is None:
             return None
-        return kernel.guess(np.asarray(x, dtype=np.float64))
+        return self._layout.guess(np.asarray(x, dtype=np.float64))
 
-    def contains(self, v, tol=1e-9):
+    def contains(self, v, tol=_FEASIBILITY_TOL):
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             return False
@@ -302,11 +320,10 @@ class SimplexProduct(FeasibleSet):
         self._dims = np.array(dims)
         self.dim = sum(dims)
         self._offsets = np.concatenate([[0], np.cumsum(self._dims)])
-        self._project_blocks = _block_projection(dims)
-        self._block_maxima = _block_maxima(dims)
+        self._layout = _BlockLayout(dims)
 
     def _project(self, v, guess=None):
-        return self._project_blocks(v, guess)
+        return self._layout.project(v, guess)
 
     def _contains(self, v, tol):
         if np.any(v < -tol):
@@ -324,11 +341,10 @@ class SimplexProduct(FeasibleSet):
         return np.repeat(1.0 / self._dims, self._dims)
 
     def support_max(self, c):
-        """The sum of the block maxima of c. The route to the maxima is
-        picked once, from the block sizes (:func:`_block_maxima`); the sum
-        runs left to right, as a loop from 0.0 adds, and + 0.0 makes a sum
-        of -0.0s +0.0."""
-        return float(np.cumsum(self._block_maxima(np.asarray(c)))[-1] + 0.0)
+        """The sum of the block maxima of c, which the layout takes
+        (:meth:`_BlockLayout.maxima`); the sum runs left to right, as a loop
+        from 0.0 adds, and + 0.0 makes a sum of -0.0s +0.0."""
+        return float(np.cumsum(self._layout.maxima(np.asarray(c)))[-1] + 0.0)
 
     def descriptor(self):
         dims = self.simplex_blocks
@@ -489,14 +505,14 @@ class Product(FeasibleSet):
         blocks = [p.simplex_blocks for p in parts]
         if None not in blocks:
             self.simplex_blocks = sum(blocks, ())
-            self._project_blocks = _block_projection(self.simplex_blocks)
+            self._layout = _BlockLayout(self.simplex_blocks)
 
     def split(self, v):
         return [v[self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.parts))]
 
     def _project(self, v, guess=None):
-        if self.simplex_blocks is not None:
-            return self._project_blocks(v, guess)
+        if self._layout is not None:
+            return self._layout.project(v, guess)
         # the outer project has checked shape and finiteness for every part
         return np.concatenate([p._project(b) for p, b in zip(self.parts, self.split(v))])
 

@@ -55,6 +55,22 @@ def test_step_routes_count_every_warm_projection(monkeypatch):
     import visolve as vs
 
     monkeypatch.setattr(bench, "STEPS", 50)
-    routes = bench._warm_routes(vs, bench._stepper(vs, 30, "eg"))
+    routes = bench._warm_routes(vs, bench._stepper(vs, vs.policeman_burglar(30, 2023), "eg"))
     assert sum(routes[f"{route}_calls"] for route in bench.ROUTES) == 100
     assert all(f"{route}_us" in routes for route in bench.ROUTES if routes[f"{route}_calls"])
+
+
+def test_column_projections_count_every_simplex_projection(monkeypatch):
+    """pda projects once per step onto the labeling game's simplex blocks,
+    and svrg-eg twice, through the product of those blocks and a box; every
+    one of those projections takes the column kernel, and none takes a
+    warm route."""
+    import visolve as vs
+
+    monkeypatch.setattr(bench, "STEPS", 20)
+    game = vs.synthetic_segmentation(4, 2, 0)
+    for algo, calls in (("pda", 20), ("svrg-eg", 40)):
+        step = bench._stepper(vs, game, algo)
+        timed = bench._column_projections(vs, step)
+        assert timed["column_calls"] == calls and timed["column_us"] > 0.0
+        assert sum(bench._warm_routes(vs, step)[f"{r}_calls"] for r in bench.ROUTES) == 0

@@ -317,11 +317,11 @@ def test_cli_compare_repeated_q_exit_code(tmp_path, capsys):
 
 
 def test_cli_numerical_abort_exit_code(tmp_path, capsys):
-    """A divergence exits 3, also the svrg-eg one whose earlier rows fail
-    GapTrace's checks."""
-    for algo, budget, cadence, tau_scale in (("eg", "80", "8", "1e300"),
-                                             ("svrg-eg", "160", "4", "1e17")):
-        with np.errstate(over="ignore"):
+    """A divergence exits 3: pda's extrapolated step and svrg-eg's sampled
+    step overflow at step scales near the top of the float range."""
+    for algo, budget, cadence, tau_scale in (("pda", "80", "8", "8e307"),
+                                             ("svrg-eg", "160", "4", "1.7e308")):
+        with np.errstate(over="ignore", invalid="ignore"):
             code = cli.main(["run", "--gen", "uniform", "--n", "4", "--seed", "0",
                              "--algo", algo, "--seeds", "0", "--budget", budget,
                              "--eval-every", cadence, "--tau-scale", tau_scale,
@@ -332,15 +332,14 @@ def test_cli_numerical_abort_exit_code(tmp_path, capsys):
 
 
 def test_cli_divergence_keeps_the_runs_that_completed(tmp_path, capsys):
-    """dl-svrg-eg on the 4 x 4 uniform game at tau_scale 1e16: seeds 0 and 1
-    diverge, at iterations 21 and 38, after rows that fail GapTrace's checks
-    (the off-simplex projections of ROADMAP item 8), so they leave no file;
-    seed 2 runs to the budget. The run writes seed 2's CSV, the bytes of a
-    direct run of it, and no aggregate, names both diverged seeds and exits
-    3. pda at 1e17 diverges at iteration 9 of every seed, after rows that
-    pass, and leaves them in a partial file per seed; rm+ beside it, which
-    takes no step scale, writes all its files. A compare writes the columns
-    of the algorithms whose seeds all completed."""
+    """dl-svrg-eg on the 4 x 4 uniform game at tau_scale 5e307: seed 0
+    diverges at iteration 2, when its sampled step overflows, and leaves its
+    one row in a partial file; seeds 1 and 2 run to the budget. The run
+    writes those files, each the bytes of a direct run, and no aggregate,
+    names the diverged seed and exits 3. pda at 8e307 diverges at iteration
+    3 of every seed and leaves its rows in a partial file per seed; rm+
+    beside it, which takes no step scale, writes all its files. A compare
+    writes the columns of the algorithms whose seeds all completed."""
     problem = vs.uniform_random(4, 4, 0)
     flags = ["--gen", "uniform", "--n", "4", "--seed", "0", "--seeds", "0-2",
              "--budget", "160", "--eval-every", "4"]
@@ -352,32 +351,41 @@ def test_cli_divergence_keeps_the_runs_that_completed(tmp_path, capsys):
         assert code == 3
         return capsys.readouterr()
 
-    printed, err = cli_run("run", "dl-svrg-eg", "1e16", tmp_path / "vr")
-    assert os.listdir(tmp_path / "vr") == ["uni4x4-s0_dl-svrg-eg_seed2.csv"]
-    assert printed.split() == [str(tmp_path / "vr" / "uni4x4-s0_dl-svrg-eg_seed2.csv")]
-    assert "non-finite value in dl-svrg-eg at iteration 21 of seed 0" in err
-    assert "non-finite value in dl-svrg-eg at iteration 38 of seed 1" in err
-    assert "no aggregate for dl-svrg-eg: seeds 0, 1 diverged" in err
-    with np.errstate(over="ignore"):
-        vs.run(problem, "dl-svrg-eg", 160, 2, 4, tau_scale=1e16).to_csv(tmp_path / "seed2.csv")
-    assert ((tmp_path / "vr" / "uni4x4-s0_dl-svrg-eg_seed2.csv").read_bytes()
-            == (tmp_path / "seed2.csv").read_bytes())
+    def direct(algo, budget, seed, tau_scale, path):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vs.run(problem, algo, budget, seed, 4, tau_scale=tau_scale).to_csv(path)
+        return path.read_bytes()
 
-    printed, err = cli_run("run", "pda,rm+", "1e17", tmp_path / "pda")
+    printed, err = cli_run("run", "dl-svrg-eg", "5e307", tmp_path / "vr")
+    names = ["uni4x4-s0_dl-svrg-eg_seed0_partial.csv",
+             *(f"uni4x4-s0_dl-svrg-eg_seed{seed}.csv" for seed in (1, 2))]
+    assert sorted(os.listdir(tmp_path / "vr")) == sorted(names)
+    assert sorted(printed.split()) == sorted(str(tmp_path / "vr" / name) for name in names)
+    assert "non-finite value in dl-svrg-eg at iteration 2 of seed 0" in err
+    assert "no aggregate for dl-svrg-eg: seed 0 diverged" in err
+    partial = (tmp_path / "vr" / names[0]).read_text().splitlines()
+    assert len(partial) == 2                                    # the header and one row
+    row_evals = int(partial[1].split(",")[0])
+    assert (tmp_path / "vr" / names[0]).read_bytes() == direct(
+        "dl-svrg-eg", row_evals, 0, 5e307, tmp_path / "seed0.csv")
+    for seed in (1, 2):
+        assert (tmp_path / "vr" / names[seed]).read_bytes() == direct(
+            "dl-svrg-eg", 160, seed, 5e307, tmp_path / f"seed{seed}.csv")
+
+    printed, err = cli_run("run", "pda,rm+", "8e307", tmp_path / "pda")
     names = [*(f"uni4x4-s0_pda_seed{seed}_partial.csv" for seed in range(3)),
              *(f"uni4x4-s0_rm+_seed{seed}.csv" for seed in range(3)), "uni4x4-s0_rm+_aggregate.csv"]
     assert printed.split() == [str(tmp_path / "pda" / name) for name in names]
     assert sorted(os.listdir(tmp_path / "pda")) == sorted(names)
-    assert all(f"non-finite value in pda at iteration 9 of seed {seed}" in err for seed in range(3))
+    assert all(f"non-finite value in pda at iteration 3 of seed {seed}" in err for seed in range(3))
     assert "no aggregate for pda: seeds 0, 1, 2 diverged" in err and "rm+" not in err
-    vs.run(problem, "pda", 36, 0, 4, tau_scale=1e17).to_csv(tmp_path / "pda36.csv")
+    pda12 = direct("pda", 12, 0, 8e307, tmp_path / "pda12.csv")
     for seed in range(3):
-        assert ((tmp_path / "pda" / names[seed]).read_bytes()
-                == (tmp_path / "pda36.csv").read_bytes())
+        assert (tmp_path / "pda" / names[seed]).read_bytes() == pda12
 
-    printed, err = cli_run("compare", "dl-svrg-eg,rm+", "1e16", tmp_path / "cmp")
+    printed, err = cli_run("compare", "dl-svrg-eg,rm+", "5e307", tmp_path / "cmp")
     assert printed.split() == [str(tmp_path / "cmp" / "uni4x4-s0_compare.csv")]
-    assert "no columns for dl-svrg-eg: seeds 0, 1 diverged" in err
+    assert "no columns for dl-svrg-eg: seed 0 diverged" in err
     header = (tmp_path / "cmp" / "uni4x4-s0_compare.csv").read_text().splitlines()[0]
     assert header == "evals,rm+_last,rm+_uniform,rm+_linear,rm+_quadratic"
 

@@ -188,6 +188,17 @@ def test_gap_trace_requires_increasing_evals():
         _tiny_trace(evals=np.array([1, 1, 2]))
 
 
+def test_gap_at_reads_the_first_checkpoint_at_or_past_the_budget():
+    """A budget beyond the last checkpoint has no row to read: it raises
+    instead of returning the last row."""
+    trace = GapTrace(evals=[10, 20], gap_last=[3.0, 2.0], gap_uniform=[3.0, 2.0],
+                     gap_linear=[3.0, 2.0], gap_quadratic=[3.0, 2.0])
+    assert trace.gap_at(5) == 3.0 and trace.gap_at(10) == 3.0 and trace.gap_at(11) == 2.0
+    assert trace.gap_at(20, "gap_uniform") == 2.0
+    with pytest.raises(ValueError, match="beyond the last checkpoint"):
+        trace.gap_at(100)
+
+
 def test_gap_trace_csv_roundtrip(tmp_path, pennies):
     problem, known = pennies
     trace = vs.run(problem, "eg", budget_evals=100, seed=0, eval_every=4, known=known)

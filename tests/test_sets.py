@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from visolve.rng import StableRng
 from visolve.sets import (_COLUMN_KERNEL_MAX_BLOCK, Box, HalfspaceBox, Product, Simplex,
-                          SimplexProduct, _column_maxima, _small_equal_blocks,
-                          _support_projection, from_descriptor, simplex_project)
+                          SimplexProduct, _BlockLayout, _support_projection, from_descriptor,
+                          simplex_project)
 
 
 def simplex_projection_oracle(v):
@@ -128,7 +129,7 @@ def takes_guess(feasible):
     """Whether the set's projection reads a guess: every product of
     simplexes outside the column kernel does."""
     blocks = feasible.simplex_blocks
-    takes = blocks is not None and not _small_equal_blocks(blocks)
+    takes = blocks is not None and not _BlockLayout(blocks).columns
     assert (feasible.support_guess(feasible.center()) is not None) == takes
     return takes
 
@@ -227,10 +228,7 @@ def test_simplex_blocks_exact(dims):
     """Whichever route the block sizes pick, projection and support function
     give the bits of simplex_project and of the block maxima added left to
     right from 0.0, with ties, signed zeros and magnitudes from 1e-300 to
-    1e300. Projection is checked at the scales 1e-300, 1e-150 and 1 only: at
-    1e150 and 1e300 the padded layouts differ from the per-block reference,
-    which waits on making simplex projection correct at every finite
-    magnitude (ROADMAP item 8)."""
+    1e300, and the projection lies on the product of simplexes."""
     feasible = SimplexProduct(dims)
     assert feasible.simplex_blocks == tuple(dims)
     cuts = np.cumsum(dims)[:-1]
@@ -251,8 +249,9 @@ def test_simplex_blocks_exact(dims):
             v[rng.uniform(d) < 0.3] = v[0]                  # ties
             v[rng.uniform(d) < 0.2] = 0.0
             v[rng.uniform(d) < 0.2] = -0.0
-            if scale in (1e-300, 1e-150, 1.0):
-                assert np.array_equal(feasible.project(v), per_block(v))
+            x = feasible.project(v)
+            assert np.array_equal(x, per_block(v))
+            assert feasible.contains(x, tol=4 * max(dims) ** 2 * np.finfo(float).eps)
             for c in (v, -np.abs(v), np.where(rng.uniform(d) < 0.5, 0.0, -0.0), np.full(d, -0.0)):
                 in_order = 0.0
                 for b in np.split(c, cuts):
@@ -274,7 +273,7 @@ def test_column_maxima_route_matches_reduceat(h, k, seed, ties):
     tied = rng.uniform(h * k) < ties
     c[tied] = np.array([0.0, -0.0, 1.0, -1.0])[(4.0 * rng.uniform(int(tied.sum()))).astype(int)]
     by_reduceat = np.maximum.reduceat(c, np.arange(0, h * k, h))
-    assert _column_maxima(c, h).tobytes() == by_reduceat.tobytes()
+    assert _BlockLayout([h] * k).maxima(c).tobytes() == by_reduceat.tobytes()
     got = SimplexProduct([h] * k).support_max(c)
     expect = float(np.cumsum(by_reduceat)[-1] + 0.0)
     assert got == expect and np.signbit(got) == np.signbit(expect)
@@ -371,17 +370,20 @@ def unit_weights(w):
 def warm_cases(draw):
     """(dims, v, near): 1-3 blocks of 1-50 entries each, drawn apart and
     often of 1 entry, or 2-3 equal blocks, in any layout outside the column
-    kernel, so unequal blocks project as padded rows of one matrix; |v| <=
-    1e6 with ties, signed zeros and zeros; near a point whose support is the
+    kernel, so unequal blocks project as padded rows of one matrix; entries
+    of one scale from 1e-300 to 1e300, with ties, signed zeros and zeros,
+    or of any finite size up to 1e300; near a point whose support is the
     guess: right (the projection of v), stale (of a perturbed v), wrong (a
     vertex, or any point of the product of simplexes), full (every entry
     positive) or empty (the zero point)."""
     dims = draw((st.lists(st.integers(1, 50) | st.just(1), min_size=1, max_size=3)
                  | st.builds(lambda h, k: [h] * k, st.integers(1, 50), st.integers(2, 3)))
-                .filter(lambda dims: not _small_equal_blocks(dims)))
+                .filter(lambda dims: not _BlockLayout(dims).columns))
     cuts = np.cumsum(dims)[:-1]
-    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))  # ties
-    entry = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, *pool])
+    scale = draw(st.sampled_from([1.0, 10.0 ** draw(st.integers(-300, 300))]))
+    pool = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))  # ties
+    entry = (st.floats(-3.0, 3.0) | st.sampled_from([0.0, *pool])).map(lambda e: scale * e)
+    entry = entry | st.sampled_from([-0.0]) | st.floats(-1e300, 1e300)
     v = np.array(draw(st.lists(entry, min_size=sum(dims), max_size=sum(dims))))
     guess = draw(st.sampled_from(["projection", "stale", "vertex", "any", "full", "empty"]))
     if guess == "vertex":
@@ -415,7 +417,7 @@ def test_warm_projection_properties(case):
     cold = feasible.project(v)
     assert np.all(x >= 0.0)
     for row, xb in zip(np.split(v, cuts), np.split(x, cuts)):
-        assert abs(xb.sum() - 1.0) <= eps
+        assert abs(xb.sum() - 1.0) <= 1e-9
         theta = (row - xb)[xb > 0.0]
         assert theta.max() - theta.min() <= eps
         assert np.all(row[xb == 0.0] <= theta.min() + eps)
@@ -425,7 +427,7 @@ def test_warm_projection_properties(case):
     again = feasible.project(x, feasible.support_guess(near))
     assert np.all(np.abs(again - x) <= eps)
     assert np.all(np.abs(x - cold) <= eps)
-    rows = feasible._project_blocks._rows(v, -np.inf)
+    rows = feasible._layout.rows(v, -np.inf)
     if _support_projection(rows, feasible.support_guess(near)) is None:
         assert np.array_equal(x, cold)
         assert np.array_equal(np.signbit(x), np.signbit(cold))
@@ -439,14 +441,13 @@ def test_padded_rows_raise_and_warn_nothing(dims):
     errstate(all="raise") and with warnings as errors, cold projections and
     warm ones, whose guess hits, retries or misses, run through and stay
     feasible, with ties at each block's maximum, 1-entry blocks and
-    magnitudes from 1e-300 to 1e6."""
+    magnitudes from 1e-300 to 1e300."""
     feasible = SimplexProduct(dims)
     cuts = np.cumsum(dims)[:-1]
     rng = StableRng(41)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e6):
-            eps = 4 * max(dims) * np.spacing(max(1.0, 3.0 * scale))
+        for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e6, 1e150, 1e300):
             for _ in range(20):
                 v = scale * (6.0 * rng.uniform(feasible.dim) - 3.0)
                 for block in np.split(v, cuts):
@@ -456,7 +457,7 @@ def test_padded_rows_raise_and_warn_nothing(dims):
                 for x in (cold, *(feasible.project(v, feasible.support_guess(near))
                                   for near in (cold, perturbed, feasible.center()))):
                     assert np.all(x >= 0.0)
-                    assert np.all(np.abs(np.add.reduceat(x, np.r_[0, cuts]) - 1.0) <= eps)
+                    assert np.all(np.abs(np.add.reduceat(x, np.r_[0, cuts]) - 1.0) <= 1e-9)
 
 
 def test_warm_projection_hits_and_misses():
@@ -497,14 +498,87 @@ def test_a_missed_guess_is_certified_on_a_retry():
     assert np.array_equal(guess.support, cold > 0.0) and guess.count.tolist() == [3.0]
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="ROADMAP item 8: css - 1.0 loses the 1 once entries reach about 1e16")
 def test_simplex_project_at_1e17():
     assert np.array_equal(Simplex(2).project(np.array([1e17, 0.0])), [1.0, 0.0])
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="ROADMAP item 8: css - 1.0 loses the 1 once entries reach about 1e16")
 def test_simplex_product_projection_at_1e17_is_feasible():
     feasible = SimplexProduct([2, 2])
     assert feasible.contains(feasible.project(np.array([1e17, 0.0, 0.3, 0.1])))
+
+
+def test_projection_near_5e8_stays_on_the_simplex():
+    """Before the shift by the block maximum, this vector projected to a
+    point whose entries summed to 1 + 6.0e-8; a padded layout with a 1-entry
+    block returned inf."""
+    x = Simplex(3).project(np.array([-500000001.3, -500000000.86, -599999999.28]))
+    assert Simplex(3).contains(x, tol=1e-15)
+    assert np.allclose(x, [0.28, 0.72, 0.0], rtol=0.0, atol=1e-7)
+    padded = SimplexProduct([2, 3]).project(np.array([1e17, 0.0, 0.3, 0.1, 0.2]))
+    assert np.isfinite(padded).all() and SimplexProduct([2, 3]).contains(padded, tol=1e-15)
+
+
+def exact_projection(block):
+    """The projection of one block with its threshold in exact rational
+    arithmetic, rounded once: (x, theta)."""
+    u = sorted((Fraction(e) for e in block), reverse=True)
+    total, theta = Fraction(0), None
+    for j, e in enumerate(u, 1):
+        total += e
+        if e - (total - 1) / j > 0:
+            theta = (total - 1) / j
+    return np.array([float(max(Fraction(e) - theta, 0)) for e in block]), theta
+
+
+@st.composite
+def route_cases(draw):
+    """(route, dims, v): blocks of one route with entries of one scale from
+    1e-300 to 1e300, with ties at and below the maximum, and signed zeros.
+    "column" takes equal blocks of at most 3 entries; "sort", "hit" and
+    "retry" take other layouts, cold, with a guess of the exact support and
+    with a guess of every entry."""
+    route = draw(st.sampled_from(["column", "sort", "hit", "retry"]))
+    if route == "column":
+        dims = [draw(st.integers(1, _COLUMN_KERNEL_MAX_BLOCK))] * draw(st.integers(1, 4))
+    else:
+        dims = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)
+                    .filter(lambda dims: not _BlockLayout(dims).columns))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    pool = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+    entry = st.floats(-3.0, 3.0) | st.sampled_from(pool) | st.just(0.0)
+    v = scale * np.array(draw(st.lists(entry, min_size=sum(dims), max_size=sum(dims))))
+    v[np.array(draw(st.lists(st.booleans(), min_size=sum(dims), max_size=sum(dims))))
+      & (v == 0.0)] = -0.0
+    return route, dims, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(route_cases())
+def test_every_route_projects_within_roundoff_of_the_exact_threshold(case):
+    """On every route the result is feasible, has the KKT form
+    x = max(v - theta, 0) with one theta per block, projects to itself and
+    agrees with the projection by the exact rational threshold: within
+    4 h eps on the cold routes, which form theta on v minus its block
+    maximum, and within 4 h eps (|theta| + 1) on the warm ones, whose
+    unshifted threshold the certificate's roundoff bound admits."""
+    route, dims, v = case
+    feasible, cuts = SimplexProduct(dims), np.cumsum(dims)[:-1]
+    exact = [exact_projection(b) for b in np.split(v, cuts)]
+    reference = np.concatenate([x for x, _ in exact])
+    guess = {"hit": lambda: feasible.support_guess(reference),
+             "retry": lambda: feasible.support_guess(np.ones(feasible.dim))}.get(route)
+    x = feasible.project(v, guess and guess())
+    eps = np.finfo(float).eps
+    assert np.all(x >= 0.0) and feasible.contains(x, tol=1e-9)
+    bounds = [4 * h * eps * (1.0 if route in ("column", "sort") else abs(float(theta)) + 1.0)
+              for h, (_, theta) in zip(dims, exact)]
+    for h, bound, row, xb, (xr, theta) in zip(dims, bounds, np.split(v, cuts),
+                                               np.split(x, cuts), exact):
+        assert np.all(np.abs(xb - xr) <= bound)
+        assert abs(xb.sum() - 1.0) <= h * bound
+        positive = xb > 0.0
+        level = float(theta)
+        assert np.all(np.abs((row - xb)[positive] - level) <= bound + np.spacing(abs(level)))
+        assert np.all(row[~positive] <= level + bound + np.spacing(abs(level)))
+    again = feasible.project(x, guess and guess())
+    assert np.all(np.abs(again - x) <= max(dims) * max(bounds))

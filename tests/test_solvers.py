@@ -11,7 +11,7 @@ import visolve as vs
 from visolve import solvers
 from visolve.metrics import AVERAGE_COLUMNS, dist_theta
 from visolve.rng import StableRng
-from visolve.sets import _small_equal_blocks
+from visolve.sets import _BlockLayout
 from visolve.solvers import NumericalDivergence, SvrgParams, make_solver
 
 from conftest import equilibrium_lp, plain_affine_vis, random_game
@@ -316,29 +316,44 @@ def test_nonfinite_values_abort_with_diagnostic(interior_box_problem):
 
 
 def test_divergence_keeps_the_rows_recorded_before_it():
-    """pda on the 4 x 4 uniform game at tau_scale 1e17 diverges at iteration
-    9. The error keeps its nine rows (evals 4..36) as a trace whose every
-    column holds the bits of the same run with budget 36."""
+    """pda on the 4 x 4 uniform game at tau_scale 8e307 diverges at
+    iteration 3: its extrapolated dual step overflows, on iterates that
+    stay on the simplexes. The error keeps its three rows (evals 4..12) as
+    a trace whose every column holds the bits of the same run with budget
+    12."""
     problem = vs.uniform_random(4, 4, 0)
-    with pytest.raises(NumericalDivergence) as err, np.errstate(over="ignore"):
-        vs.run(problem, "pda", 160, 0, 4, tau_scale=1e17)
-    assert err.value.iteration == 9
+    with pytest.raises(NumericalDivergence) as err, np.errstate(over="ignore", invalid="ignore"):
+        vs.run(problem, "pda", 160, 0, 4, tau_scale=8e307)
+    assert err.value.iteration == 3
     kept = err.value.trace
-    assert np.array_equal(kept.evals, np.arange(4, 37, 4))
-    whole = vs.run(problem, "pda", 36, 0, 4, tau_scale=1e17)
+    assert np.array_equal(kept.evals, np.arange(4, 13, 4))
+    whole = vs.run(problem, "pda", 12, 0, 4, tau_scale=8e307)
     assert kept.columns == whole.columns
     for name in whole.columns:
         assert kept.column(name).tobytes() == whole.column(name).tobytes(), name
 
 
 def test_divergence_after_rows_that_fail_the_trace_checks():
-    """svrg-eg on the same run diverges at iteration 21, after rows whose
-    gaps are far below zero (the off-simplex projections of ROADMAP item 8):
-    GapTrace rejects them, and the error still surfaces, with no trace."""
-    problem = vs.uniform_random(4, 4, 0)
+    """eg on the 4 x 4 uniform game with the linear term bx = 1e15 (1, 1.5,
+    2, 1.25): its uniform-average gap reads -0.125 at evals 140, roundoff
+    against bx that GapTrace rejects. An operator that overflows from its
+    40th call on makes the run diverge after that row, and the error still
+    surfaces, with no trace."""
+    A = vs.uniform_random(4, 4, 0).structure.A
+    problem = vs.AffineVI.bilinear(A, 1e15 * np.array([1.0, 1.5, 2.0, 1.25]), np.zeros(4))
+    with pytest.raises(ValueError, match="negative gap_uniform"):
+        vs.run(problem, "eg", 140, 0, 4)
+    operator, calls = problem.operator, []
+
+    def overflowing(z):
+        calls.append(z)
+        scale = 1e300 if len(calls) >= 40 else 1.0
+        return operator(z) * scale * scale
+
+    problem.operator = overflowing
     with pytest.raises(NumericalDivergence) as err, np.errstate(over="ignore"):
-        vs.run(problem, "svrg-eg", 160, 0, 4, tau_scale=1e17)
-    assert err.value.iteration == 21
+        vs.run(problem, "eg", 160, 0, 4)
+    assert err.value.iteration == 19     # at evals 152
     assert err.value.trace is None
 
 
@@ -670,7 +685,7 @@ def guessed_games(draw):
     rng = StableRng(draw(st.integers(0, 2 ** 16)))
     scale = draw(st.sampled_from([1.0, 1e3]))
     row_kernel = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
-        lambda blocks: not _small_equal_blocks(blocks))
+        lambda blocks: not _BlockLayout(blocks).columns)
     primal, dual = draw(row_kernel), draw(row_kernel)
     n, m = sum(primal), sum(dual)
     A = scale * (rng.uniform(n * m).reshape(n, m) - 0.5)

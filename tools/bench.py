@@ -65,7 +65,11 @@ The cases:
   that takes a guess timed and sorted by route: a hit of the guess, a hit
   after retries, or the sort (`hit_calls`, `retry_calls`, `sort_calls`, and
   the median `hit_us`, `retry_us`, `sort_us` of a route that ran). A
-  checkout whose guess is a point has no retries. A round took about 12 s.
+  checkout whose guess is a point has no retries. Then on the 32 x 32
+  labeling game with 2 regions (seed 0), whose 1024 simplex blocks of 2
+  entries take the column kernel, the same `step_us` of `svrg-eg` and
+  `pda`, and 2000 more steps with every projection onto those blocks timed
+  (`column_calls` and the median `column_us`). A round took about 20 s.
 """
 
 from __future__ import annotations
@@ -271,16 +275,16 @@ def e2e_child(src, r, workdir):
 
 STEP_SIZES = (30, 100, 1000)
 STEP_ALGORITHMS = ("svrg-eg", "dl-svrg-eg", "eg")
+SEG_ALGORITHMS = ("svrg-eg", "pda")
 STEPS = 2000       # timed steps of each solver
 STEP_REPEATS = 3
 ROUTES = ("hit", "retry", "sort")
 
 
-def _stepper(vs, n, algo):
-    """A solver on the pursuit game of n houses (instance seed 2023), past
-    200 warm-up steps, and its step: a whole step, or one inner anchored
-    step for `dl-svrg-eg`."""
-    solver = vs.make_solver(vs.policeman_burglar(n, 2023), algo, seed=0)
+def _stepper(vs, problem, algo):
+    """A solver on the problem, past 200 warm-up steps, and its step: a
+    whole step, or one inner anchored step for `dl-svrg-eg`."""
+    solver = vs.make_solver(problem, algo, seed=0)
     step = solver._anchored_step if algo == "dl-svrg-eg" else solver.step
     for _ in range(200):
         step()
@@ -328,15 +332,42 @@ def _warm_routes(vs, step):
     return out
 
 
+def _column_projections(vs, step):
+    """Run the steps with every projection onto a product of simplexes
+    timed, as `SimplexProduct._project` makes it, whether the set is
+    projected alone or as a part of a product; on the labeling game every
+    such projection takes the column kernel."""
+    cls = vs.sets.SimplexProduct
+    project = cls._project
+    durations = []
+
+    def timed(self, v, guess=None):
+        t0 = time.perf_counter()
+        x = project(self, v, guess)
+        durations.append(time.perf_counter() - t0)
+        return x
+
+    cls._project = timed
+    try:
+        for _ in range(STEPS):
+            step()
+    finally:
+        cls._project = project
+    return {"column_calls": len(durations), "column_us": 1e6 * statistics.median(durations)}
+
+
 def step_child(src, r, workdir):
     vs = _visolve(src)
     out = {}
-    for n in STEP_SIZES:
-        for algo in STEP_ALGORITHMS:
-            step = _stepper(vs, n, algo)
-            best = min(timeit.repeat(step, number=STEPS, repeat=STEP_REPEATS))
-            out.setdefault(f"pb{n}", {})[algo] = {"step_us": 1e6 * best / STEPS,
-                                                  **_warm_routes(vs, step)}
+    cases = [(f"pb{n}", vs.policeman_burglar(n, 2023), algo, _warm_routes)
+             for n in STEP_SIZES for algo in STEP_ALGORITHMS]
+    seg32 = vs.synthetic_segmentation(32, 2, 0)
+    cases += [("seg32", seg32, algo, _column_projections) for algo in SEG_ALGORITHMS]
+    for name, problem, algo, projections in cases:
+        step = _stepper(vs, problem, algo)
+        best = min(timeit.repeat(step, number=STEPS, repeat=STEP_REPEATS))
+        out.setdefault(name, {})[algo] = {"step_us": 1e6 * best / STEPS,
+                                          **projections(vs, step)}
     return out
 
 
@@ -358,7 +389,8 @@ CASES = {
                          frozenset({"peak_rss_mb", "setup_rss_mb", "run_s"})),
     "e2e": Case(e2e_child, 3, frozenset({*END_TO_END, *PER_ALGORITHM, "wall_s"}),
                 {"perfbench": " ".join(PERFBENCH), "criteria": list(CRITERIA)}),
-    "step": Case(step_child, 10, frozenset({"step_us", *(f"{route}_us" for route in ROUTES)}),
+    "step": Case(step_child, 10, frozenset({"step_us", "column_us",
+                                           *(f"{route}_us" for route in ROUTES)}),
                  {"steps": STEPS, "repeats": STEP_REPEATS}),
 }
 
