@@ -70,13 +70,15 @@ class SupportGuess:
     :meth:`FeasibleSet.project` tries first and then updates in place.
 
     ``support`` marks the positive entries as a (blocks, longest block)
-    mask whose padding is False, and ``count`` holds its per-block sizes as
+    mask whose padding is False, ``count`` holds its per-block sizes as
     floats; both are None when some block had no positive entry, and then
-    the next projection sorts. Build one with
+    the next projection sorts. ``limit`` is the largest |theta| that the
+    roundoff guard of :func:`_support_projection` accepts in every block of
+    the support, _WARM_BOUND / max(count)^2 - 1. Build one with
     :meth:`FeasibleSet.support_guess`.
     """
 
-    __slots__ = ("support", "count")
+    __slots__ = ("support", "count", "limit")
 
     def __init__(self, support):
         self.hold(support)
@@ -86,6 +88,7 @@ class SupportGuess:
         if count is None:
             count = support.sum(axis=1, dtype=np.float64)
         self.support, self.count = (support, count) if count.all() else (None, None)
+        self.limit = _WARM_BOUND / max(1.0, float(count.max())) ** 2 - 1.0
 
 
 def _support_projection(rows, guess):
@@ -112,9 +115,12 @@ def _support_projection(rows, guess):
     2 u c |theta_b| in c theta_b, and the c differences rows_bi - theta_b by
     u in all, so the row sum of x misses 1 by at most
     u (c^2 |theta_b| + c |theta_b| + c) <= 2 u c^2 (|theta_b| + 1), to first
-    order in u. When that bound reaches _FEASIBILITY_TOL in some row, which
-    takes |theta_b| near 1.1e6 at c = 2 and near 3.5 at c = 1000, the call
-    falls through to the shifted sort.
+    order in u. That bound stays below _FEASIBILITY_TOL while |theta_b| is
+    below _WARM_BOUND / c^2 - 1, near 1.1e6 at c = 2 and near 3.5 at
+    c = 1000. The guess keeps that limit for its largest block
+    (``guess.limit``), so a hit compares only the largest |theta_b| with
+    one number, which is no looser than the bound of any row; when the
+    comparison fails, the call falls through to the shifted sort.
     """
     support, count = guess.support, guess.count
     if support is None:
@@ -128,12 +134,11 @@ def _support_projection(rows, guess):
         shifted = rows - theta[:, None]
         found = shifted > 0.0
         if (found == support).all():
-            if not all(c * c * (abs(t) + 1.0) < _WARM_BOUND
-                       for c, t in zip(count.tolist(), theta.tolist())):
-                return None
             if attempt:
                 guess.hold(support, count)
-            return np.maximum(shifted, 0.0)
+            # max |theta|: a Python loop is the faster up to about 16 blocks
+            largest = max(map(abs, theta.tolist())) if theta.size <= 16 else np.abs(theta).max()
+            return np.maximum(shifted, 0.0) if largest < guess.limit else None
         support = found
     return None
 
@@ -147,7 +152,12 @@ def simplex_project(rows, guess=None):
     is -1, so it always passes the threshold test, and threshold ties
     resolve through the cumulative rule: a row keeps the longest prefix of
     its descending sort with positive shifted mass. A row padded with -inf
-    therefore never takes its threshold from the padding. With a
+    therefore never takes its threshold from the padding. That padding
+    meets -inf - -inf in the running sums, and so does a row whose spread
+    passes the float range, after its shift overflows to -inf; such entries
+    fail the test and project to 0, so the rule runs under
+    np.errstate(over="ignore", invalid="ignore") and leaves the caller's
+    error state alone. With a
     :class:`SupportGuess` it first searches from the guessed support
     (:func:`_support_projection`); when that fails, and without a guess,
     the sort rule runs on every row, and the guess is set to the support of
@@ -158,14 +168,15 @@ def simplex_project(rows, guess=None):
         if hit is not None:
             return hit
     h = rows.shape[1]
-    u = -np.sort(-rows, axis=1)
-    top = u[:, :1]
-    u = u - top
-    css = np.cumsum(u, axis=1) - 1.0
-    mask = u - css / np.arange(1, h + 1) > 0
-    rho = h - 1 - np.argmax(mask[:, ::-1], axis=1)
-    theta = css[np.arange(rows.shape[0]), rho] / (rho + 1.0)
-    x = np.maximum(rows - top - theta[:, None], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = -np.sort(-rows, axis=1)
+        top = u[:, :1]
+        u = u - top
+        css = np.cumsum(u, axis=1) - 1.0
+        mask = u - css / np.arange(1, h + 1) > 0
+        rho = h - 1 - np.argmax(mask[:, ::-1], axis=1)
+        theta = css[np.arange(rows.shape[0]), rho] / (rho + 1.0)
+        x = np.maximum(rows - top - theta[:, None], 0.0)
     if guess is not None:
         guess.hold(x > 0.0)
     return x
@@ -179,19 +190,24 @@ def _project_columns(blocks):
     first output is the row maximum; the shifted running sums and the
     threshold test then repeat simplex_project's operations in its order,
     so the bits are the same. Its first entry always passes the test, with
-    threshold -1.
+    threshold -1. The result is written column by column too, as a
+    broadcast over rows of h entries costs more.
     """
     u = list(blocks.T)
-    for i in range(1, len(u)):
-        for j in range(i, 0, -1):
-            u[j - 1], u[j] = np.maximum(u[j - 1], u[j]), np.minimum(u[j - 1], u[j])
-    top, theta = u[0], -1.0
-    w = [u_j - top for u_j in u[1:]]
-    # the last j that passes wins; css_j / (j + 1) from the running sums
-    for j, (w_j, css) in enumerate(zip(w, itertools.accumulate(w)), 1):
-        q = (css - 1.0) / (j + 1)
-        theta = np.where(w_j - q > 0, q, theta)
-    return np.maximum(blocks - top[:, None] - np.reshape(theta, (-1, 1)), 0.0)
+    x = np.empty(blocks.shape)
+    with np.errstate(over="ignore", invalid="ignore"):     # as in simplex_project
+        for i in range(1, len(u)):
+            for j in range(i, 0, -1):
+                u[j - 1], u[j] = np.maximum(u[j - 1], u[j]), np.minimum(u[j - 1], u[j])
+        top, theta = u[0], -1.0
+        w = [u_j - top for u_j in u[1:]]
+        # the last j that passes wins; css_j / (j + 1) from the running sums
+        for j, (w_j, css) in enumerate(zip(w, itertools.accumulate(w)), 1):
+            q = (css - 1.0) / (j + 1)
+            theta = np.where(w_j - q > 0, q, theta)
+        for x_j, b_j in zip(x.T, blocks.T):
+            np.maximum(b_j - top - theta, 0.0, out=x_j)
+    return x
 
 
 class _BlockLayout:
@@ -225,10 +241,8 @@ class _BlockLayout:
         """The projection of v; a guess is read and updated on the rows only."""
         if self.columns:
             return _project_columns(self.rows(v, None)).ravel()
-        if self.real is None:
-            return simplex_project(self.rows(v, None), guess).ravel()
-        with np.errstate(invalid="ignore"):     # the sort rule's -inf - -inf
-            return simplex_project(self.rows(v, -np.inf), guess)[self.real]
+        x = simplex_project(self.rows(v, -np.inf), guess)
+        return x.ravel() if self.real is None else x[self.real]
 
     def maxima(self, c):
         """Block maxima of c. The columns are taken from left to right, as

@@ -60,6 +60,17 @@ def test_step_routes_count_every_warm_projection(monkeypatch):
     assert all(f"{route}_us" in routes for route in bench.ROUTES if routes[f"{route}_calls"])
 
 
+def test_step_routes_count_the_warm_projections_of_many_blocks(monkeypatch):
+    """pda projects the labeling game's 16 blocks of 4 entries once per step
+    with a guess, and its box without one, so the routes of 50 steps count
+    50 projections."""
+    import visolve as vs
+
+    monkeypatch.setattr(bench, "STEPS", 50)
+    routes = bench._warm_routes(vs, bench._stepper(vs, vs.synthetic_segmentation(4, 4, 0), "pda"))
+    assert sum(routes[f"{route}_calls"] for route in bench.ROUTES) == 50
+
+
 def test_column_projections_count_every_simplex_projection(monkeypatch):
     """pda projects once per step onto the labeling game's simplex blocks,
     and svrg-eg twice, through the product of those blocks and a box; every

@@ -390,6 +390,40 @@ def test_cli_divergence_keeps_the_runs_that_completed(tmp_path, capsys):
     assert header == "evals,rm+_last,rm+_uniform,rm+_linear,rm+_quadratic"
 
 
+def test_cli_divergence_after_rows_that_fail_the_trace_checks(tmp_path, capsys, monkeypatch):
+    """eg on the 4 x 4 uniform game with the linear term bx = 1e15 (1, 1.5,
+    2, 1.25), whose operator overflows at its 40th call: the run diverges at
+    iteration 19, after a row whose gap GapTrace rejects, so no seed of eg
+    leaves a file, not even a partial one. rm+ beside it, which calls the
+    operator only after that, writes all its files, each the bytes of a
+    direct run. The run names every seed of eg and exits 3."""
+    A = vs.uniform_random(4, 4, 0).structure.A
+    problem = vs.AffineVI.bilinear(A, 1e15 * np.array([1.0, 1.5, 2.0, 1.25]), np.zeros(4))
+    operator, calls = problem.operator, []
+
+    def overflowing(z):
+        calls.append(z)
+        scale = 1e300 if len(calls) == 40 else 1.0
+        return operator(z) * scale * scale
+
+    problem.operator = overflowing
+    monkeypatch.setattr(harness, "build_instance", lambda name, **params: (problem, None, "bx"))
+    with np.errstate(over="ignore"):
+        code = cli.main(["run", "--gen", "uniform", "--algo", "eg,rm+", "--seeds", "0-2",
+                         "--budget", "160", "--eval-every", "4", "--out", str(tmp_path / "out")])
+    assert code == 3
+    printed, err = capsys.readouterr()
+    names = [*(f"bx_rm+_seed{seed}.csv" for seed in range(3)), "bx_rm+_aggregate.csv"]
+    assert printed.split() == [str(tmp_path / "out" / name) for name in names]
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(names)
+    assert all(f"non-finite value in eg at iteration 19 of seed {seed}" in err for seed in range(3))
+    assert "no aggregate for eg: seeds 0, 1, 2 diverged" in err and "rm+" not in err
+    for seed in range(3):
+        vs.run(problem, "rm+", 160, seed, 4).to_csv(tmp_path / "direct.csv")
+        assert ((tmp_path / "out" / names[seed]).read_bytes()
+                == (tmp_path / "direct.csv").read_bytes())
+
+
 def test_cli_solver_parameter_overrides(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["run", "--instance", "ws-example", "--algo", "svrg-eg",

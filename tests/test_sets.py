@@ -417,7 +417,7 @@ def test_warm_projection_properties(case):
     cold = feasible.project(v)
     assert np.all(x >= 0.0)
     for row, xb in zip(np.split(v, cuts), np.split(x, cuts)):
-        assert abs(xb.sum() - 1.0) <= 1e-9
+        assert abs(xb.sum() - 1.0) <= min(eps, 1e-9)
         theta = (row - xb)[xb > 0.0]
         assert theta.max() - theta.min() <= eps
         assert np.all(row[xb == 0.0] <= theta.min() + eps)
@@ -433,7 +433,7 @@ def test_warm_projection_properties(case):
         assert np.array_equal(np.signbit(x), np.signbit(cold))
 
 
-@pytest.mark.parametrize("dims", [[5, 7], [1, 4], [2, 9, 2], [1, 1, 3], [30, 31]],
+@pytest.mark.parametrize("dims", [[5, 7], [1, 4], [2, 9, 2], [1, 1, 3], [30, 31], [2]],
                          ids=str)
 def test_padded_rows_raise_and_warn_nothing(dims):
     """Unequal blocks pad their rows with -inf, which the sort rule meets as
@@ -441,13 +441,20 @@ def test_padded_rows_raise_and_warn_nothing(dims):
     errstate(all="raise") and with warnings as errors, cold projections and
     warm ones, whose guess hits, retries or misses, run through and stay
     feasible, with ties at each block's maximum, 1-entry blocks and
-    magnitudes from 1e-300 to 1e300."""
+    magnitudes from 1e-300 to 1e300. So do cold projections of blocks whose
+    spread passes the float range, whose shift by the block maximum
+    overflows, on the sort and, for Simplex(2), on the column kernel."""
     feasible = SimplexProduct(dims)
     cuts = np.cumsum(dims)[:-1]
     rng = StableRng(41)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
+        v = np.resize([1.7e308, -1.7e308], feasible.dim)
+        x = feasible.project(v)
+        assert np.array_equal(x, np.concatenate([(b == b.max()) / np.sum(b == b.max())
+                                                 for b in np.split(v, cuts)]))
         for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e6, 1e150, 1e300):
+            eps = min(4 * max(dims) * np.spacing(max(1.0, 3.0 * scale)), 1e-9)
             for _ in range(20):
                 v = scale * (6.0 * rng.uniform(feasible.dim) - 3.0)
                 for block in np.split(v, cuts):
@@ -457,7 +464,7 @@ def test_padded_rows_raise_and_warn_nothing(dims):
                 for x in (cold, *(feasible.project(v, feasible.support_guess(near))
                                   for near in (cold, perturbed, feasible.center()))):
                     assert np.all(x >= 0.0)
-                    assert np.all(np.abs(np.add.reduceat(x, np.r_[0, cuts]) - 1.0) <= 1e-9)
+                    assert np.all(np.abs(np.add.reduceat(x, np.r_[0, cuts]) - 1.0) <= eps)
 
 
 def test_warm_projection_hits_and_misses():
@@ -502,20 +509,22 @@ def test_simplex_project_at_1e17():
     assert np.array_equal(Simplex(2).project(np.array([1e17, 0.0])), [1.0, 0.0])
 
 
-def test_simplex_product_projection_at_1e17_is_feasible():
-    feasible = SimplexProduct([2, 2])
-    assert feasible.contains(feasible.project(np.array([1e17, 0.0, 0.3, 0.1])))
+@pytest.mark.parametrize("dims, v", [([2, 2], [1e17, 0.0, 0.3, 0.1]),
+                                     ([2, 3], [1e17, 0.0, 0.3, 0.1, 0.2])], ids=str)
+def test_simplex_product_projection_at_1e17_is_feasible(dims, v):
+    """Before the shift by the block maximum, the padded layout of [2, 3]
+    returned inf in its first block."""
+    feasible = SimplexProduct(dims)
+    x = feasible.project(np.array(v))
+    assert np.isfinite(x).all() and feasible.contains(x)
 
 
 def test_projection_near_5e8_stays_on_the_simplex():
     """Before the shift by the block maximum, this vector projected to a
-    point whose entries summed to 1 + 6.0e-8; a padded layout with a 1-entry
-    block returned inf."""
+    point whose entries summed to 1 + 6.0e-8."""
     x = Simplex(3).project(np.array([-500000001.3, -500000000.86, -599999999.28]))
     assert Simplex(3).contains(x, tol=1e-15)
     assert np.allclose(x, [0.28, 0.72, 0.0], rtol=0.0, atol=1e-7)
-    padded = SimplexProduct([2, 3]).project(np.array([1e17, 0.0, 0.3, 0.1, 0.2]))
-    assert np.isfinite(padded).all() and SimplexProduct([2, 3]).contains(padded, tol=1e-15)
 
 
 def exact_projection(block):

@@ -69,7 +69,12 @@ The cases:
   labeling game with 2 regions (seed 0), whose 1024 simplex blocks of 2
   entries take the column kernel, the same `step_us` of `svrg-eg` and
   `pda`, and 2000 more steps with every projection onto those blocks timed
-  (`column_calls` and the median `column_us`). A round took about 20 s.
+  (`column_calls` and the median `column_us`). Last, on the same game with
+  4 regions, whose 1024 blocks of 4 entries are the rows of one matrix, the
+  same `step_us` of `svrg-eg` and `pda` and the routes of their projections
+  that take a guess: `pda` projects its labels with one, so its hits
+  certify 1024 blocks at a time, and `svrg-eg` projects the product of
+  those blocks and a box, which takes none. A round took about 35 s.
 """
 
 from __future__ import annotations
@@ -363,6 +368,8 @@ def step_child(src, r, workdir):
              for n in STEP_SIZES for algo in STEP_ALGORITHMS]
     seg32 = vs.synthetic_segmentation(32, 2, 0)
     cases += [("seg32", seg32, algo, _column_projections) for algo in SEG_ALGORITHMS]
+    seg32h4 = vs.synthetic_segmentation(32, 4, 0)
+    cases += [("seg32h4", seg32h4, algo, _warm_routes) for algo in SEG_ALGORITHMS]
     for name, problem, algo, projections in cases:
         step = _stepper(vs, problem, algo)
         best = min(timeit.repeat(step, number=STEPS, repeat=STEP_REPEATS))
