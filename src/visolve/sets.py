@@ -133,7 +133,7 @@ def _support_projection(rows, guess):
         theta = (np.where(support, rows, 0.0).sum(axis=1) - 1.0) / count
         shifted = rows - theta[:, None]
         found = shifted > 0.0
-        if (found == support).all():
+        if found.tobytes() == support.tobytes():    # (found == support).all(), 5x faster
             if attempt:
                 guess.hold(support, count)
             # max |theta|: a Python loop is the faster up to about 16 blocks
