@@ -7,53 +7,20 @@ the x rows), and a plain affine VI's one block of all of M. The oracle draws
 one column k per block with probability proportional to ||M_.k||^2 and
 weights it by 1 / p_k, so its expectation is exactly the full operator and
 its mean-square Lipschitz constant is the Frobenius norm of A for a game and
-of M for a plain VI. Costs are counted in units of one sampled evaluation: a
-full operator evaluation costs N units (``default_components``), so N
-sampled evaluations read all of M, and each solver's step charges itself.
+of M for a plain VI; the problem computes both once, on first use
+(``AffineVI.column_sampling``, ``lipschitz_bound``), for every oracle. Costs
+are counted in units of one sampled evaluation: a full operator evaluation
+costs N units (``default_components``), so N sampled evaluations read all
+of M, and each solver's step charges itself.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .problems import row_reader
-
-
-class SamplingDistribution:
-    """Column importance sampling, one column per block: p_k = ||M_.k||^2 / T.
-
-    T is the first block's squared Frobenius norm. A plain VI has one block,
-    and each block of a game holds every entry of A once, so one T serves
-    every block. Zero columns get probability zero and are never drawn.
-    """
-
-    def __init__(self, block_sq):
-        total = block_sq[0].sum()
-        if total <= 0.0:
-            raise ValueError("all-zero operator has no sampling distribution")
-        self.total = float(total)
-        self.p = [sq / total for sq in block_sq]
-        self.cdf = [np.cumsum(p) for p in self.p]
-        for cdf in self.cdf:
-            cdf[-1] = 1.0
-        # bisect on Python lists finds what searchsorted(side="right") finds,
-        # without the cost of scalar numpy calls per draw
-        self._cdf_lists = [(cdf.tolist(), cdf.size - 1) for cdf in self.cdf]
-
-    def draw(self, rng):
-        """One column index per block; the blocks consume their uniforms in order."""
-        return [min(bisect.bisect_right(cdf, rng.uniform()), last)
-                for cdf, last in self._cdf_lists]
-
-
-def _squared_sums(A, axes):
-    """Sums of the squared entries of a dense or sparse matrix along each axis."""
-    sq = A.multiply(A) if sp.issparse(A) else A * A
-    return [np.asarray(sq.sum(axis=axis)).ravel() for axis in axes]
+from .problems import SamplingDistribution, row_reader  # noqa: F401 (re-exported)
 
 
 @dataclass
@@ -77,21 +44,21 @@ class MatrixGameOracle:
     ``F[rows]``, and ``signed_p`` is ``sign * p``. Dividing by the signed
     probability applies the sign exactly. The readers ``column`` are bound
     here, for a dense or a sparse payoff, so a sample reads its column
-    without asking which.
+    without asking which. The probabilities are the problem's
+    ``column_sampling()``; an oracle builds no tables of its own.
     """
 
     def __init__(self, problem):
         self.problem = problem
+        self.sampling = problem.column_sampling()
         s = problem.structure
         if s is None:
             M = problem.M
             blocks = [(0, slice(0, problem.dim), lambda k: (slice(None), M[:, k]), 1.0)]
-            self.sampling = SamplingDistribution(_squared_sums(M, (0,)))
         else:
             n, m = s.primal_dim, s.dual_dim
             blocks = [(0, slice(n, n + m), row_reader(s.A), -1.0),
                       (n, slice(0, n), row_reader(s.AT), 1.0)]
-            self.sampling = SamplingDistribution(_squared_sums(s.A, (1, 0)))
         self._blocks = [(at, rows, column, sign * p)
                         for (at, rows, column, sign), p in zip(blocks, self.sampling.p)]
 

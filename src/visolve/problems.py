@@ -9,6 +9,7 @@ formed without materializing M, and q = (bx, -by).
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 
@@ -30,6 +31,7 @@ _LANCZOS_RTOL = 1e-6
 # steps 12, 18, 27, ... (each 1.5 times the last): a check at step k costs
 # about 50 passes over k pivots, a step only two products with A.
 _LANCZOS_EVERY_STEP = 8
+_SQUARE_CHUNK = 64  # rows of A (or A') that _squared_sums squares at a time
 
 
 class BilinearStructure:
@@ -75,6 +77,45 @@ def row_reader(M):
     return row
 
 
+class SamplingDistribution:
+    """Column importance sampling, one column per block: p_k = ||M_.k||^2 / T.
+
+    T is the first block's squared Frobenius norm. A plain VI has one block,
+    and each block of a game holds every entry of A once, so one T serves
+    every block. Zero columns get probability zero and are never drawn.
+    """
+
+    def __init__(self, block_sq):
+        total = block_sq[0].sum()
+        if total <= 0.0:
+            raise ValueError("all-zero operator has no sampling distribution")
+        self.total = float(total)
+        self.p = [sq / total for sq in block_sq]
+        self.cdf = [np.cumsum(p) for p in self.p]
+        for cdf in self.cdf:
+            cdf[-1] = 1.0
+        # bisect on Python lists finds what searchsorted(side="right") finds,
+        # without the cost of scalar numpy calls per draw
+        self._cdf_lists = [(cdf.tolist(), cdf.size - 1) for cdf in self.cdf]
+
+    def draw(self, rng):
+        """One column index per block; the blocks consume their uniforms in order."""
+        return [min(bisect.bisect_right(cdf, rng.uniform()), last)
+                for cdf, last in self._cdf_lists]
+
+
+def _squared_sums(A, axes):
+    """``(A * A).sum(axis)`` for each axis, bit for bit. A dense A is squared
+    a slab of rows of A (of A' for the column sums) at a time, never whole;
+    np.square keeps a slab's memory layout, and so the order of each sum."""
+    if sp.issparse(A):
+        sq = A.multiply(A)
+        return [np.asarray(sq.sum(axis=axis)).ravel() for axis in axes]
+    rows_of = [A if axis == 1 else A.T for axis in axes]
+    return [np.concatenate([np.square(B[i:i + _SQUARE_CHUNK]).sum(axis=1)
+                            for i in range(0, len(B), _SQUARE_CHUNK)]) for B in rows_of]
+
+
 class AffineVI:
     """Monotone affine VI: find z* feasible with <F(z*), z - z*> >= 0 for all z.
 
@@ -83,6 +124,10 @@ class AffineVI:
     semidefinite) is verified at construction for dimension <= 64; above
     that the eigenvalue check is skipped with a logged warning. Bilinear
     instances are skew-symmetric by construction and need no check.
+
+    A problem is immutable after construction, so its spectral norm,
+    Lipschitz bound and column-sampling tables are computed on first use
+    and kept.
     """
 
     def __init__(self, M, q, feasible_set, structure=None):
@@ -92,7 +137,7 @@ class AffineVI:
         self.structure = structure
         self.q = np.asarray(q, dtype=np.float64)
         self._M = M if M is None else np.asarray(M, dtype=np.float64)
-        self._spectral_norm = None
+        self._spectral_norm = self._lipschitz_bound = self._sampling = None
         d = feasible_set.dim
         if self.q.shape != (d,):
             raise ValueError("q must match the feasible-set dimension")
@@ -153,10 +198,20 @@ class AffineVI:
 
     def lipschitz_bound(self):
         """Mean-square Lipschitz constant of the column-sampled oracle: ||A||_F
-        for games, ||M||_F otherwise."""
-        if self.structure is not None:
-            return self.structure.frobenius_norm()
-        return float(np.linalg.norm(self._M))
+        for games, ||M||_F otherwise; computed on the first call and stored."""
+        if self._lipschitz_bound is None:
+            self._lipschitz_bound = (float(np.linalg.norm(self._M)) if self.structure is None
+                                     else self.structure.frobenius_norm())
+        return self._lipschitz_bound
+
+    def column_sampling(self):
+        """The oracle's :class:`SamplingDistribution` over the columns of M, or
+        the rows and then the columns of A for a game; built on the first call
+        and stored. It refers to no problem, so no cycle keeps A alive."""
+        if self._sampling is None:
+            A, axes = (self._M, (0,)) if self.structure is None else (self.structure.A, (1, 0))
+            self._sampling = SamplingDistribution(_squared_sums(A, axes))
+        return self._sampling
 
     def spectral_norm(self):
         """Spectral norm of the payoff matrix for games, of M otherwise;

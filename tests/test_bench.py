@@ -6,7 +6,8 @@ import pytest
 
 
 def test_every_case_has_a_child_and_rounds_to_summarize():
-    assert set(bench.CASES) == {"checkpoint", "spectral-norm", "epoch-memory", "e2e", "step"}
+    assert set(bench.CASES) == {"checkpoint", "spectral-norm", "epoch-memory", "setup", "e2e",
+                                "step"}
     for name, case in bench.CASES.items():
         assert case.child.__name__ == name.replace("-", "_") + "_child"
         assert case.rounds >= 2  # quartiles need two rounds
@@ -55,7 +56,9 @@ def test_step_routes_count_every_warm_projection(monkeypatch):
     import visolve as vs
 
     monkeypatch.setattr(bench, "STEPS", 50)
-    routes = bench._warm_routes(vs, bench._stepper(vs, vs.policeman_burglar(30, 2023), "eg"))
+    run, taken = bench._stepper(vs, vs.policeman_burglar(30, 2023), "eg")
+    routes = bench._warm_routes(vs, run)
+    assert taken == 50
     assert sum(routes[f"{route}_calls"] for route in bench.ROUTES) == 100
     assert all(f"{route}_us" in routes for route in bench.ROUTES if routes[f"{route}_calls"])
 
@@ -67,7 +70,8 @@ def test_step_routes_count_the_warm_projections_of_many_blocks(monkeypatch):
     import visolve as vs
 
     monkeypatch.setattr(bench, "STEPS", 50)
-    routes = bench._warm_routes(vs, bench._stepper(vs, vs.synthetic_segmentation(4, 4, 0), "pda"))
+    run, _ = bench._stepper(vs, vs.synthetic_segmentation(4, 4, 0), "pda")
+    routes = bench._warm_routes(vs, run)
     assert sum(routes[f"{route}_calls"] for route in bench.ROUTES) == 50
 
 
@@ -81,7 +85,31 @@ def test_column_projections_count_every_simplex_projection(monkeypatch):
     monkeypatch.setattr(bench, "STEPS", 20)
     game = vs.synthetic_segmentation(4, 2, 0)
     for algo, calls in (("pda", 20), ("svrg-eg", 40)):
-        step = bench._stepper(vs, game, algo)
-        timed = bench._column_projections(vs, step)
+        run, _ = bench._stepper(vs, game, algo)
+        timed = bench._column_projections(vs, run)
         assert timed["column_calls"] == calls and timed["column_us"] > 0.0
-        assert sum(bench._warm_routes(vs, step)[f"{r}_calls"] for r in bench.ROUTES) == 0
+        assert sum(bench._warm_routes(vs, run)[f"{r}_calls"] for r in bench.ROUTES) == 0
+
+
+def test_step_runs_dl_svrg_eg_by_whole_epochs(monkeypatch):
+    """On pb30, K = 15: 50 steps are 3 whole epochs, 45 inner steps of two
+    warm projections each, and every epoch moves the snapshot."""
+    import numpy as np
+    import visolve as vs
+
+    monkeypatch.setattr(bench, "STEPS", 50)
+    refreshes = []
+    snapshot = vs.DoubleLoopSvrgEG._snapshot
+
+    def counted(self, w):
+        refreshes.append(np.array(w))
+        snapshot(self, w)
+
+    monkeypatch.setattr(vs.DoubleLoopSvrgEG, "_snapshot", counted)
+    run, taken = bench._stepper(vs, vs.policeman_burglar(30, 2023), "dl-svrg-eg")
+    assert taken == 45
+    refreshes.clear()
+    routes = bench._warm_routes(vs, run)
+    assert sum(routes[f"{route}_calls"] for route in bench.ROUTES) == 2 * taken
+    assert len(refreshes) == 3
+    assert not any(np.array_equal(a, b) for a, b in zip(refreshes, refreshes[1:]))

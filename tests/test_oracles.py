@@ -1,15 +1,19 @@
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import visolve as vs
+from visolve import harness, problems
 from visolve.oracles import (MatrixGameOracle, SnapshotCache, default_components,
                              pair_second_moment, stochastic_operator, vr_conditional_variance)
 from visolve.rng import StableRng
 
-from conftest import plain_affine_vis, random_game
+from conftest import fixed_matrix, plain_affine_vis, random_game
 
 
 def with_plain_vis(game):
@@ -259,6 +263,97 @@ def test_draw_matches_searchsorted(problem):
     for block, (cdf, u) in enumerate(zip(s.cdf, uniforms)):
         expect = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
         assert np.array_equal(drawn[:, block], expect)
+
+
+def byte_gate_instances():
+    """Every instance of the fixed matrix, fresh, by name."""
+    return {"pb30": vs.policeman_burglar(30, 1), "pb8": vs.policeman_burglar(8, 1),
+            "seg4x4h2": vs.synthetic_segmentation(4, 2, 0),
+            "seg4x4h3": vs.synthetic_segmentation(4, 3, 0),
+            "uni5x7": vs.uniform_random(5, 7, 0), "linear5x7": fixed_matrix.linear_game_instance(vs),
+            "ws": vs.ws_example()[0], **plain_affine_vis()}
+
+
+def squared_matrix_sums(A, axes):
+    """The reference the chunked sums must match: A * A formed whole."""
+    sq = A.multiply(A) if sp.issparse(A) else A * A
+    return [np.asarray(sq.sum(axis=axis)).ravel() for axis in axes]
+
+
+def assert_same_bytes(got, expect):
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("name", list(byte_gate_instances()))
+def test_sampling_tables_keep_the_bits_of_the_squared_matrix(name):
+    problem = byte_gate_instances()[name]
+    A, axes = (problem.M, (0,)) if problem.structure is None else (problem.structure.A, (1, 0))
+    expect = squared_matrix_sums(A, axes)
+    assert_same_bytes(problems._squared_sums(A, axes), expect)
+    total = expect[0].sum()
+    assert_same_bytes(problem.column_sampling().p, [sq / total for sq in expect])
+
+
+@pytest.mark.parametrize("shape", [(1000, 1000), (130, 70), (1, 200), (200, 1)])
+def test_chunked_sums_of_sides_that_are_not_multiples_of_the_chunk(shape):
+    A = StableRng(3).normal(shape[0] * shape[1]).reshape(shape)
+    for axes in ((1, 0), (0,), (1,)):
+        assert_same_bytes(problems._squared_sums(A, axes), squared_matrix_sums(A, axes))
+    assert_same_bytes(problems._squared_sums(np.asfortranarray(A), (1, 0)),
+                      squared_matrix_sums(np.asfortranarray(A), (1, 0)))
+
+
+def test_sampling_tables_never_square_the_whole_payoff():
+    """At pb1000, A * A alone is 8 MB; the tables, and a variance-reduced
+    solver with them, stay below 1.5 MB of traced allocations."""
+    for build in (lambda game: game.column_sampling(),
+                  lambda game: vs.make_solver(game, "svrg-eg", seed=0)):
+        game = vs.policeman_burglar(1000, 2023)
+        tracemalloc.start()
+        try:
+            build(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+
+def test_tables_and_norm_are_built_once_per_problem(monkeypatch):
+    calls = {"tables": 0, "norm": 0}
+
+    def counted(key, build):
+        def call(*args):
+            calls[key] += 1
+            return build(*args)
+        return call
+
+    monkeypatch.setattr(problems, "_squared_sums", counted("tables", problems._squared_sums))
+    monkeypatch.setattr(problems.BilinearStructure, "frobenius_norm",
+                        counted("norm", problems.BilinearStructure.frobenius_norm))
+    game = vs.policeman_burglar(30, 1)
+    for algo in vs.solvers.VARIANCE_REDUCED:
+        vs.make_solver(game, algo, seed=0)
+    cfg = harness.RunConfig(instance="pb", algorithms=["svrg-eg"], seeds=[0, 1], budget=120)
+    assert len(harness.run_seeds(game, "svrg-eg", cfg)) == 2
+    assert calls == {"tables": 1, "norm": 1}
+
+
+def test_a_problem_with_solvers_dies_with_its_last_reference():
+    """The stored tables hold no reference back to the problem, so no cycle
+    keeps it, and its payoff, alive until the cyclic collector runs."""
+    gc.disable()
+    try:
+        game = vs.policeman_burglar(30, 1)
+        for algo in vs.solvers.VARIANCE_REDUCED:
+            vs.make_solver(game, algo, seed=0)
+        assert game.column_sampling() is not None
+        ref = weakref.ref(game)
+        del game
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("algo", vs.ALGORITHMS)

@@ -51,6 +51,13 @@ The cases:
   A separate process writes the file once, because a process inherits the
   peak resident set of the one that starts it and generating the game in
   the child would set its peak before the run.
+* `setup` (10 rounds): what perfbench's `setup_s` times on pb1000-vr, the
+  load of the benchmark's pursuit game from a file (written as for
+  `epoch-memory`) and `make_solver` of `svrg-eg` and `dl-svrg-eg` on it,
+  as `setup_ms`, the median of 21 after one untimed; then, on one more
+  loaded game, the tracemalloc peak of each `make_solver` in that order
+  (`svrg-eg_peak_mb`, `dl-svrg-eg_peak_mb`), so the second shows what the
+  first leaves it to build.
 * `e2e` (3 rounds): the checkout's own `perfbench/run.py --workload all
   --seed 0 --seconds 30`, keeping per workload its six end-to-end metrics
   and, per algorithm it runs, the traced wall `us_per_eval` (per charged
@@ -60,8 +67,11 @@ The cases:
   criterion is recorded, not fatal). A round took about 5 minutes on 2 cores.
 * `step` (10 rounds): on the pursuit games of 30, 100 and 1000 houses
   (instance seed 2023), after 200 warm-up steps, the fastest of 3 runs of
-  2000 steps, as `step_us` per step, of `svrg-eg`, of a `dl-svrg-eg` inner
-  (anchored) step and of `eg`; then 2000 more steps with every projection
+  2000 steps, as `step_us` per step, of `svrg-eg`, `dl-svrg-eg` and `eg`;
+  `dl-svrg-eg` runs whole epochs of K = N/2 inner steps, the snapshot's
+  refresh included (warm-up and timed runs of 200 // K and 2000 // K
+  epochs, at least one each), and its figures are per inner step; then
+  2000 more steps with every projection
   that takes a guess timed and sorted by route: a hit of the guess, a hit
   after retries, or the sort (`hit_calls`, `retry_calls`, `sort_calls`, and
   the median `hit_us`, `retry_us`, `sort_us` of a route that ran). A
@@ -89,6 +99,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tracemalloc
 from typing import Callable
 
 from fixed_matrix import environment as _gate_environment
@@ -230,10 +241,17 @@ def _peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def epoch_memory_child(src, r, workdir):
+def _pb1000_file(src, workdir):
+    """The benchmark's pursuit game as an instance file, written once per
+    bench run by a separate process (see `epoch-memory`)."""
     path = os.path.join(workdir, "pb1000.vif")
     if not os.path.exists(path):
         subprocess.run([sys.executable, "-c", SAVE, src, path], check=True)
+    return path
+
+
+def epoch_memory_child(src, r, workdir):
+    path = _pb1000_file(src, workdir)
     vs = _visolve(src)
     game = vs.load_instance(path)
     N = vs.default_components(game)
@@ -241,6 +259,34 @@ def epoch_memory_child(src, r, workdir):
     t0 = time.perf_counter()
     vs.run(game, "dl-svrg-eg", 4 * N, r % 2, N // 2)
     return {"run_s": time.perf_counter() - t0, "peak_rss_mb": _peak_mb(), "setup_rss_mb": setup}
+
+
+# setup --------------------------------------------------------------------
+
+SETUPS = 21
+VR_ALGORITHMS = ("svrg-eg", "dl-svrg-eg")
+
+
+def setup_child(src, r, workdir):
+    path = _pb1000_file(src, workdir)
+    vs = _visolve(src)
+
+    def setup():
+        game = vs.load_instance(path)
+        for algo in VR_ALGORITHMS:
+            vs.make_solver(game, algo, seed=0)
+
+    setup()  # imports and first-call caches
+    out = {"setup_ms": 1e3 * statistics.median(timeit.repeat(setup, number=1, repeat=SETUPS))}
+    game = vs.load_instance(path)
+    for algo in VR_ALGORITHMS:
+        tracemalloc.start()
+        try:
+            vs.make_solver(game, algo, seed=0)
+            out[f"{algo}_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    return out
 
 
 # e2e ----------------------------------------------------------------------
@@ -287,16 +333,24 @@ ROUTES = ("hit", "retry", "sort")
 
 
 def _stepper(vs, problem, algo):
-    """A solver on the problem, past 200 warm-up steps, and its step: a
-    whole step, or one inner anchored step for `dl-svrg-eg`."""
+    """A solver on the problem, past about 200 warm-up steps, as
+    ``(run, taken)``: ``run()`` takes about STEPS more steps, ``taken`` of
+    them. A `dl-svrg-eg` step is a whole epoch of K = N/2 inner steps, the
+    snapshot's refresh included, counts as K steps and runs at least once. Its inner step alone, repeated, would
+    keep its snapshot where the run started, where the warm projections
+    retry far more often than in a run."""
     solver = vs.make_solver(problem, algo, seed=0)
-    step = solver._anchored_step if algo == "dl-svrg-eg" else solver.step
-    for _ in range(200):
-        step()
-    return step
+    inner = solver.params.K if algo == "dl-svrg-eg" else 1
+
+    def steps(count):
+        for _ in range(max(1, count // inner)):
+            solver.step()
+
+    steps(200)
+    return (lambda: steps(STEPS)), max(1, STEPS // inner) * inner
 
 
-def _warm_routes(vs, step):
+def _warm_routes(vs, run):
     """Run the steps with every projection that takes a guess timed, and
     sorted by the route it took: a hit of the guess, a hit after retries
     (the guess then holds another support) or the sort. A checkout whose
@@ -325,8 +379,7 @@ def _warm_routes(vs, step):
 
     sets._support_projection, sets.FeasibleSet.project = sorted_route, timed
     try:
-        for _ in range(STEPS):
-            step()
+        run()
     finally:
         sets._support_projection, sets.FeasibleSet.project = support_projection, project
     out = {}
@@ -337,7 +390,7 @@ def _warm_routes(vs, step):
     return out
 
 
-def _column_projections(vs, step):
+def _column_projections(vs, run):
     """Run the steps with every projection onto a product of simplexes
     timed, as `SimplexProduct._project` makes it, whether the set is
     projected alone or as a part of a product; on the labeling game every
@@ -354,8 +407,7 @@ def _column_projections(vs, step):
 
     cls._project = timed
     try:
-        for _ in range(STEPS):
-            step()
+        run()
     finally:
         cls._project = project
     return {"column_calls": len(durations), "column_us": 1e6 * statistics.median(durations)}
@@ -371,10 +423,10 @@ def step_child(src, r, workdir):
     seg32h4 = vs.synthetic_segmentation(32, 4, 0)
     cases += [("seg32h4", seg32h4, algo, _warm_routes) for algo in SEG_ALGORITHMS]
     for name, problem, algo, projections in cases:
-        step = _stepper(vs, problem, algo)
-        best = min(timeit.repeat(step, number=STEPS, repeat=STEP_REPEATS))
-        out.setdefault(name, {})[algo] = {"step_us": 1e6 * best / STEPS,
-                                          **projections(vs, step)}
+        run, taken = _stepper(vs, problem, algo)
+        best = min(timeit.repeat(run, number=1, repeat=STEP_REPEATS))
+        out.setdefault(name, {})[algo] = {"step_us": 1e6 * best / taken,
+                                          **projections(vs, run)}
     return out
 
 
@@ -394,6 +446,9 @@ CASES = {
     "spectral-norm": Case(spectral_norm_child, 6, frozenset({"ms"})),
     "epoch-memory": Case(epoch_memory_child, 12,
                          frozenset({"peak_rss_mb", "setup_rss_mb", "run_s"})),
+    "setup": Case(setup_child, 10, frozenset({"setup_ms", *(f"{algo}_peak_mb"
+                                                             for algo in VR_ALGORITHMS)}),
+                  {"setups": SETUPS}),
     "e2e": Case(e2e_child, 3, frozenset({*END_TO_END, *PER_ALGORITHM, "wall_s"}),
                 {"perfbench": " ".join(PERFBENCH), "criteria": list(CRITERIA)}),
     "step": Case(step_child, 10, frozenset({"step_us", "column_us",
