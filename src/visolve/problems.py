@@ -9,6 +9,7 @@ formed without materializing M, and q = (bx, -by).
 
 from __future__ import annotations
 
+import array
 import bisect
 import logging
 import math
@@ -91,17 +92,20 @@ class SamplingDistribution:
             raise ValueError("all-zero operator has no sampling distribution")
         self.total = float(total)
         self.p = [sq / total for sq in block_sq]
-        self.cdf = [np.cumsum(p) for p in self.p]
-        for cdf in self.cdf:
+        # each CDF is kept once, as an array.array of doubles: bisect on it
+        # finds what searchsorted(side="right") finds, without the cost of
+        # scalar numpy calls per draw, and ``cdf`` views the same memory
+        self._cdfs = []
+        for p in self.p:
+            cdf = np.cumsum(p)
             cdf[-1] = 1.0
-        # bisect on Python lists finds what searchsorted(side="right") finds,
-        # without the cost of scalar numpy calls per draw
-        self._cdf_lists = [(cdf.tolist(), cdf.size - 1) for cdf in self.cdf]
+            self._cdfs.append((array.array("d", cdf.tobytes()), cdf.size - 1))
+        self.cdf = [np.frombuffer(cdf) for cdf, _ in self._cdfs]
 
     def draw(self, rng):
         """One column index per block; the blocks consume their uniforms in order."""
         return [min(bisect.bisect_right(cdf, rng.uniform()), last)
-                for cdf, last in self._cdf_lists]
+                for cdf, last in self._cdfs]
 
 
 def _squared_sums(A, axes):

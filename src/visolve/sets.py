@@ -11,15 +11,31 @@ is the one description of simplex blocks that solvers read.
 A product of simplexes, a `SimplexProduct` or a `Product` of simplexes,
 builds one `_BlockLayout` from its block sizes. The layout picks the route
 once and serves its three uses: the projection, the block maxima of
-`support_max` and the support guess. Equal blocks of at most 3 entries take
-a compare-exchange network on the h columns of a (k, h) matrix; all others
-take `simplex_project`, the sort rule on its rows, unequal blocks padded to
-the longest. Both kernels form the threshold on v minus its block maximum,
-which the network's first output and the sort's first column hold.
-Projection onto a simplex is shift-invariant, and after the shift the sums
-that form the threshold lose nothing against the 1 they subtract, so the
-result lies on the simplex at every finite magnitude. The two kernels run
-the same operations per block, so they give the same bits.
+`support_max` and the support guess. Equal blocks of 2 entries take a
+closed form on the two columns of a (k, 2) matrix, equal blocks of 1 or 3
+entries a compare-exchange network on the h columns of a (k, h) matrix; all
+others take `simplex_project`, the sort rule on its rows, unequal blocks
+padded to the longest. The network and the sort form the threshold on v
+minus its block maximum, which the network's first output and the sort's
+first column hold. Projection onto a simplex is shift-invariant, and after
+the shift the sums that form the threshold lose nothing against the 1 they
+subtract, so the result lies on the simplex at every finite magnitude. The
+network repeats the sort's operations per block, so they give the same
+bits.
+
+The closed form runs other operations than the sort and gives its bits.
+With d = b0 - b1, a = |d| and s = (a + 1) * 0.5, the sort's shifted
+smaller entry is w = -a, and its threshold is -1 or q = (w - 1) / 2 = -s,
+exactly, as negation and halving are exact. Its test w - q > 0 is s > a,
+which holds exactly when a < 1: s misses (a + 1) / 2 by at most 2^-54,
+while (a + 1) / 2 - a = (1 - a) / 2 is at least 2^-54, the two meeting
+only at a = 1 - 2^-53, where a + 1 rounds up to 2; and for 1 <= a <= inf
+rounding keeps s <= a. So for a < 1 the sort gives the larger entry
+s = min(s, 1) and the smaller s - a = fmax(s - a, 0); for a >= 1 it gives
+1 and 0, and so do min(s, 1) and fmax(s - a, 0), as s >= 1 and s - a <= 0,
+or NaN at a = inf, which fmax drops. b0 is the larger entry when d >= 0,
+ties and signed zeros included, where both entries get s = 0.5. Neither
+form ever returns -0.0.
 
 The row kernel also takes a warm start: a `SupportGuess`, the caller's
 record of the support of the last point the projection returned to it. It
@@ -40,7 +56,7 @@ import numpy as np
 
 from .rng import StableRng
 
-# Longest block the column kernel takes; all other blocks go to simplex_project.
+# Longest block the column kernels take; all other blocks go to simplex_project.
 _COLUMN_KERNEL_MAX_BLOCK = 3
 # Attempts of a warm projection before the sort: the guess, then the supports
 # that the failed attempts found.
@@ -184,7 +200,8 @@ def simplex_project(rows, guess=None):
 
 def _project_columns(blocks):
     """simplex_project of the rows of a (k, h) matrix, computed on its h
-    columns of length k, which is cheaper when h is small and k is large.
+    columns of length k, which is cheaper when h is small and k is large;
+    the layout takes it for h = 1 and h = 3.
 
     A compare-exchange network sorts every row in descending order, so its
     first output is the row maximum; the shifted running sums and the
@@ -210,22 +227,43 @@ def _project_columns(blocks):
     return x
 
 
+def _project_pairs(blocks):
+    """simplex_project of the rows of a (k, 2) matrix in closed form, with
+    its bits (see the module docstring): the larger entry of each row gets
+    min(s, 1) and the other fmax(s - a, 0), where a = |b0 - b1| and
+    s = (a + 1) * 0.5. A difference that overflows is inf, where s - a is
+    NaN, so it runs under the errstate of simplex_project."""
+    b0, b1 = blocks.T
+    x = np.empty(blocks.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = b0 - b1
+        a = np.abs(d)
+        s = (a + 1.0) * 0.5
+        larger, smaller = np.minimum(s, 1.0), np.fmax(s - a, 0.0)
+        first = d >= 0.0
+        x[:, 0] = np.where(first, larger, smaller)
+        x[:, 1] = np.where(first, smaller, larger)
+    return x
+
+
 class _BlockLayout:
     """The route of one product of simplexes, picked once from its block
     sizes, and its three uses. Equal blocks of at most
-    _COLUMN_KERNEL_MAX_BLOCK entries, one block included, take the column
-    kernel (:func:`_project_columns`), which takes no guess, and the maxima
-    of h strided columns. All other blocks are the rows of one (k, h)
-    matrix, h the longest block, for simplex_project with a guess and for
-    np.maximum.reduceat. Equal blocks reshape without a copy; unequal ones
-    fill the entries ``real`` marks and pad the rest of each row with -inf,
-    and a guess's support with False, so the padding lies outside every
-    support, projects to 0 and is dropped."""
+    _COLUMN_KERNEL_MAX_BLOCK entries, one block included, take a column
+    kernel, which takes no guess, and the maxima of h strided columns: the
+    closed form (:func:`_project_pairs`) for blocks of 2, the network
+    (:func:`_project_columns`) for blocks of 1 and 3. All other blocks are
+    the rows of one (k, h) matrix, h the longest block, for simplex_project
+    with a guess and for np.maximum.reduceat. Equal blocks reshape without a
+    copy; unequal ones fill the entries ``real`` marks and pad the rest of
+    each row with -inf, and a guess's support with False, so the padding
+    lies outside every support, projects to 0 and is dropped."""
 
     def __init__(self, blocks):
         self.shape = (len(blocks), max(blocks))
         equal = len(set(blocks)) == 1
         self.columns = equal and self.shape[1] <= _COLUMN_KERNEL_MAX_BLOCK
+        self._kernel = _project_pairs if self.shape[1] == 2 else _project_columns
         self.real = None if equal else np.arange(self.shape[1]) < np.array(blocks)[:, None]
         self.starts = np.cumsum((0, *blocks[:-1]))
 
@@ -240,7 +278,7 @@ class _BlockLayout:
     def project(self, v, guess):
         """The projection of v; a guess is read and updated on the rows only."""
         if self.columns:
-            return _project_columns(self.rows(v, None)).ravel()
+            return self._kernel(self.rows(v, None)).ravel()
         x = simplex_project(self.rows(v, -np.inf), guess)
         return x.ravel() if self.real is None else x[self.real]
 
@@ -277,12 +315,14 @@ class FeasibleSet:
         product of simplexes, one block included, searches for the
         projection's threshold from the guessed support and skips the sort
         when an attempt certifies it (:func:`_support_projection`), unless
-        its layout takes the column kernel (:class:`_BlockLayout`); it then
+        its layout takes a column kernel (:class:`_BlockLayout`); it then
         leaves the support of the point it returns in the guess, so a caller
         that hands the same guess to every call guesses the support of the
-        last point returned. Every other set ignores the guess. It changes
-        only the speed, never the result beyond roundoff: a guess that no
-        attempt certifies gives the bits of a call without one.
+        last point returned. A product with other parts takes a tuple of
+        its parts' guesses and hands each part its own. Every other set
+        ignores the guess. It changes only the speed, never the result
+        beyond roundoff: a guess that no attempt certifies gives the bits
+        of a call without one.
         """
         v = _check_vector(self.dim, v)
         return self._project(v, guess)
@@ -290,7 +330,8 @@ class FeasibleSet:
     def support_guess(self, x):
         """A :class:`SupportGuess` of the positive entries of the point x,
         for :meth:`project`, or None when the set's projection takes no
-        guess."""
+        guess (a :class:`Product` with other parts returns its parts'
+        guesses)."""
         if self._layout is None:
             return None
         return self._layout.guess(np.asarray(x, dtype=np.float64))
@@ -515,20 +556,38 @@ class Product(FeasibleSet):
             raise ValueError("empty product")
         self.parts = parts
         self.dim = sum(p.dim for p in parts)
-        self._offsets = np.concatenate([[0], np.cumsum([p.dim for p in parts])])
+        ends = list(itertools.accumulate(p.dim for p in parts))
+        self._slices = [slice(a, b) for a, b in zip([0, *ends], ends)]
         blocks = [p.simplex_blocks for p in parts]
         if None not in blocks:
             self.simplex_blocks = sum(blocks, ())
             self._layout = _BlockLayout(self.simplex_blocks)
 
     def split(self, v):
-        return [v[self._offsets[i]:self._offsets[i + 1]] for i in range(len(self.parts))]
+        return [v[part] for part in self._slices]
 
     def _project(self, v, guess=None):
+        """A product of simplexes projects through its layout. Any other
+        product writes each part's projection into one output, each part
+        with its own guess from the tuple that :meth:`support_guess` made;
+        the outer project has checked shape and finiteness for every part."""
         if self._layout is not None:
             return self._layout.project(v, guess)
-        # the outer project has checked shape and finiteness for every part
-        return np.concatenate([p._project(b) for p, b in zip(self.parts, self.split(v))])
+        out = np.empty(self.dim)
+        guesses = (None,) * len(self.parts) if guess is None else guess
+        for p, b, x, g in zip(self.parts, self.split(v), self.split(out), guesses):
+            x[...] = p._project(b, g)
+        return out
+
+    def support_guess(self, x):
+        """A product of simplexes guesses through its layout. Any other
+        product guesses part by part: a tuple of each part's guess, or None
+        when no part takes one."""
+        if self._layout is not None:
+            return super().support_guess(x)
+        guesses = tuple(p.support_guess(b) for p, b in
+                        zip(self.parts, self.split(np.asarray(x, dtype=np.float64))))
+        return None if all(g is None for g in guesses) else guesses
 
     def _contains(self, v, tol):
         return all(p._contains(b, tol) for p, b in zip(self.parts, self.split(v)))

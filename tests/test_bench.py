@@ -7,11 +7,52 @@ import pytest
 
 def test_every_case_has_a_child_and_rounds_to_summarize():
     assert set(bench.CASES) == {"checkpoint", "spectral-norm", "epoch-memory", "setup", "e2e",
-                                "step"}
+                                "step", "loc"}
     for name, case in bench.CASES.items():
         assert case.child.__name__ == name.replace("-", "_") + "_child"
-        assert case.rounds >= 2  # quartiles need two rounds
-        assert case.timed
+        assert case.rounds >= 1
+        assert case.rounds >= 2 or not case.timed  # quartiles need two rounds
+    assert not bench.CASES["loc"].timed and all(case.timed for name, case in
+                                                bench.CASES.items() if name != "loc")
+
+
+FIXTURE = b'''"""A module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+# a comment line
+
+
+class Thing:
+    """A class docstring."""
+
+    x = """a string that is no docstring,
+over two lines"""
+
+    def f(self, a,
+          b):
+        """A function docstring."""
+        return (a +
+                b)
+
+    def g(self): return "doc of none"
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    """The fixture's code lines: the import, the class line, the two lines of
+    the string assigned to x, the two lines of f's signature, the two of its
+    return, and g."""
+    assert bench.code_lines(FIXTURE) == 9
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_bytes(FIXTURE)
+    (tmp_path / "pkg" / "empty.py").write_bytes(b'"""Only a docstring."""\n')
+    (tmp_path / "pkg" / "notes.txt").write_bytes(b"x = 1\n")
+    assert bench.loc_child(str(tmp_path), 0, None) == {
+        "modules": {"pkg/empty.py": 0, "pkg/mod.py": 9}, "code_lines": 9}
+    report = bench.report({"a": [{"code_lines": 9}], "b": [{"code_lines": 7}]}, frozenset())
+    assert report == {"checkouts": {"a": {"code_lines": 9}, "b": {"code_lines": 7}}}
 
 
 def test_report_of_synthetic_rounds():

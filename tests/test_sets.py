@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import visolve as vs
 from visolve.rng import StableRng
 from visolve.sets import (_COLUMN_KERNEL_MAX_BLOCK, Box, HalfspaceBox, Product, Simplex,
-                          SimplexProduct, _BlockLayout, _support_projection, from_descriptor,
-                          simplex_project)
+                          SimplexProduct, _BlockLayout, _project_pairs, _support_projection,
+                          from_descriptor, simplex_project)
 
 
 def simplex_projection_oracle(v):
@@ -310,6 +311,70 @@ def test_equal_blocks_exact(h):
                 got = feasible.project(v)
                 assert np.array_equal(got, expected)
                 assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+_NEAR_ONE = (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))
+# pairs whose difference is exactly one of _NEAR_ONE, at the edge of the
+# closed form's test a < 1, in both orders
+_SPREADS_NEAR_ONE = [pair for c in _NEAR_ONE
+                     for pair in ((c, 0.0), (0.0, c), (0.5 * c, -0.5 * c), (-0.0, -c))]
+_FINITE = st.floats(-1.7e308, 1.7e308)
+_pairs = st.one_of(
+    st.tuples(_FINITE, _FINITE),
+    st.builds(lambda m, r, e: (m * 10.0 ** e, r * m * 10.0 ** e),     # one magnitude,
+              st.floats(-1.7, 1.7), st.floats(-1.0, 1.0), st.integers(-300, 307)),  # to 1.7e308
+    _FINITE.map(lambda x: (x, x)),                           # ties
+    st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]),
+    st.sampled_from(_SPREADS_NEAR_ONE),
+    st.sampled_from([(1.7e308, -1.7e308), (-1.7e308, 1.7e308)]))   # a spread past the range
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pairs, min_size=1, max_size=64))
+def test_pair_blocks_take_the_closed_form_with_the_bits_of_the_sort(pairs):
+    """Equal blocks of 2 entries project by the closed form to the bytes,
+    sign bits included, of simplex_project, never to -0.0, and without a
+    warning, at every finite magnitude, for ties, signed zeros, spreads
+    within an ulp of 1 and spreads past the float range."""
+    v = np.array(pairs, dtype=np.float64).ravel()
+    feasible = SimplexProduct([2] * len(pairs))
+    assert feasible._layout._kernel is _project_pairs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = feasible.project(v)
+        expected = simplex_project(v.reshape(-1, 2)).ravel()
+    assert got.tobytes() == expected.tobytes()
+    assert not np.signbit(got).any()
+
+
+def test_pair_blocks_reach_every_spread_near_one():
+    """The spreads the property draws differ by exactly the values it names,
+    and the spread past the range projects to a vertex."""
+    spreads = {abs(a - b) for a, b in _SPREADS_NEAR_ONE}
+    assert spreads == set(_NEAR_ONE)
+    assert Simplex(2).project([1.7e308, -1.7e308]).tolist() == [1.0, 0.0]
+    assert Simplex(2).project([-1.7e308, 1.7e308]).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("regions", [2, 3, 4])
+def test_a_product_with_other_parts_projects_part_by_part(regions):
+    """The labeling game's set, label blocks beside a box, has no block
+    layout: it returns the bits of its parts' projections concatenated,
+    without a guess and with the guesses it makes, which it hands each part
+    as the part's own."""
+    feasible = vs.synthetic_segmentation(4, regions, 0).set
+    assert feasible._layout is None
+    rng = StableRng(regions)
+    for _ in range(20):
+        v = 4.0 * rng.uniform(feasible.dim) - 2.0
+        parts = [p.project(b) for p, b in zip(feasible.parts, feasible.split(v))]
+        assert feasible.project(v).tobytes() == np.concatenate(parts).tobytes()
+        x = feasible.project(4.0 * rng.uniform(feasible.dim) - 2.0)
+        guess = feasible.support_guess(x)
+        assert (guess is None) == (regions <= _COLUMN_KERNEL_MAX_BLOCK)
+        own = [p.support_guess(b) for p, b in zip(feasible.parts, feasible.split(x))]
+        parts = [p.project(b, g) for p, b, g in zip(feasible.parts, feasible.split(v), own)]
+        assert feasible.project(v, guess).tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_simplex_blocks_description():

@@ -724,3 +724,28 @@ def test_support_records_change_only_roundoff(problem):
         for name in kept.columns:
             gap = np.abs(np.asarray(kept.column(name)) - np.asarray(sorted_.column(name)))
             assert gap.max() <= tol, (algo, name)
+
+
+def test_svrg_eg_guesses_the_label_blocks_of_a_labeling_game_with_4_regions(monkeypatch):
+    """The labeling game's set, blocks of 4 labels beside a box, guesses
+    part by part, so svrg-eg certifies warm supports on its label blocks,
+    and its iterates stay within roundoff of a run whose every projection
+    sorts."""
+    game = vs.synthetic_segmentation(4, 4, 0)
+    warm, cold = (make_solver(game, "svrg-eg", seed=0) for _ in range(2))
+    assert warm._guess is not None
+    cold._guess = None
+    support_projection = vs.sets._support_projection
+    hits = []
+
+    def counted(rows, guess):
+        x = support_projection(rows, guess)
+        hits.append(x is not None)
+        return x
+
+    monkeypatch.setattr(vs.sets, "_support_projection", counted)
+    for _ in range(300):
+        warm.step()
+        cold.step()
+        assert np.allclose(warm.z, cold.z, rtol=0.0, atol=1e-12)
+    assert len(hits) == 600 and sum(hits) > 300

@@ -20,7 +20,8 @@ kept once when the rounds agree and as a list of rounds when they do not.
 With two checkouts, `wins_of_second` counts per timed figure the rounds in
 which the second reads better than the first: higher for `run_ok_ratio`,
 lower for every other figure; a figure that the second checkout lacks in
-some round gets no count.
+some round gets no count, and a case without timed figures (`loc`) gets no
+`wins_of_second`.
 
 The cases:
 
@@ -84,12 +85,20 @@ The cases:
   same `step_us` of `svrg-eg` and `pda` and the routes of their projections
   that take a guess: `pda` projects its labels with one, so its hits
   certify 1024 blocks at a time, and `svrg-eg` projects the product of
-  those blocks and a box, which takes none. A round took about 35 s.
+  those blocks and a box, which hands the blocks a guess of their own and
+  the box none. A round took about 35 s.
+* `loc` (1 round): the code lines of every module under SRC_DIR, by path
+  (`modules`), and their sum (`code_lines`). A code line is a line that a
+  token other than a comment spans, outside every docstring, so comments,
+  blank lines and docstrings are left out; a string that is not a
+  docstring counts on every line it spans.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import io
 import json
 import os
 import resource
@@ -99,6 +108,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tokenize
 import tracemalloc
 from typing import Callable
 
@@ -430,6 +440,42 @@ def step_child(src, r, workdir):
     return out
 
 
+# loc ----------------------------------------------------------------------
+
+NOT_CODE = frozenset({tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                      tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER})
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(source):
+    """The code lines of a Python source (bytes): the lines that its tokens
+    span, leaving out comments, blank lines and the string that opens a
+    module, class or function body, its docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, SCOPES) and node.body and isinstance(node.body[0], ast.Expr):
+            doc = node.body[0].value
+            if isinstance(doc, ast.Constant) and isinstance(doc.value, str):
+                docstrings.add((doc.lineno, doc.col_offset))
+    lines = set()
+    for token in tokenize.tokenize(io.BytesIO(source).readline):
+        if token.type not in NOT_CODE and token.start not in docstrings:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
+def loc_child(src, r, workdir):
+    modules = {}
+    for folder, dirs, files in os.walk(src):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, "rb") as f:
+                    modules[os.path.relpath(path, src)] = code_lines(f.read())
+    return {"modules": modules, "code_lines": sum(modules.values())}
+
+
 # the driver and the report ------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -454,6 +500,7 @@ CASES = {
     "step": Case(step_child, 10, frozenset({"step_us", "column_us",
                                            *(f"{route}_us" for route in ROUTES)}),
                  {"steps": STEPS, "repeats": STEP_REPEATS}),
+    "loc": Case(loc_child, 1, frozenset()),
 }
 
 
@@ -500,9 +547,10 @@ def wins(pairs, timed):
 
 
 def report(runs, timed):
-    """Each checkout's summary and, with two checkouts, the wins of the second."""
+    """Each checkout's summary and, with two checkouts and timed figures,
+    the wins of the second."""
     out = {"checkouts": {label: summarize(rounds, timed) for label, rounds in runs.items()}}
-    if len(runs) == 2:
+    if len(runs) == 2 and timed:
         out["wins_of_second"] = wins(list(zip(*runs.values())), timed)
     return out
 
