@@ -12,16 +12,13 @@ A product of simplexes, a `SimplexProduct` or a `Product` of simplexes,
 builds one `_BlockLayout` from its block sizes. The layout picks the route
 once and serves its three uses: the projection, the block maxima of
 `support_max` and the support guess. Equal blocks of 2 entries take a
-closed form on the two columns of a (k, 2) matrix, equal blocks of 1 or 3
-entries a compare-exchange network on the h columns of a (k, h) matrix; all
-others take `simplex_project`, the sort rule on its rows, unequal blocks
-padded to the longest. The network and the sort form the threshold on v
-minus its block maximum, which the network's first output and the sort's
-first column hold. Projection onto a simplex is shift-invariant, and after
-the shift the sums that form the threshold lose nothing against the 1 they
-subtract, so the result lies on the simplex at every finite magnitude. The
-network repeats the sort's operations per block, so they give the same
-bits.
+closed form on the two columns of a (k, 2) matrix; all others, equal
+blocks of 1 or 3 entries included, take `simplex_project`, the sort rule
+on its rows, unequal blocks padded to the longest. The sort forms the
+threshold on v minus its block maximum, its first column. Projection onto
+a simplex is shift-invariant, and after the shift the sums that form the
+threshold lose nothing against the 1 they subtract, so the result lies on
+the simplex at every finite magnitude.
 
 The closed form runs other operations than the sort and gives its bits.
 With d = b0 - b1, a = |d| and s = (a + 1) * 0.5, the sort's shifted
@@ -37,8 +34,8 @@ or NaN at a = inf, which fmax drops. b0 is the larger entry when d >= 0,
 ties and signed zeros included, where both entries get s = 0.5. Neither
 form ever returns -0.0.
 
-The row kernel also takes a warm start: a `SupportGuess`, the caller's
-record of the support of the last point the projection returned to it. It
+The sort also takes a warm start: a `SupportGuess`, the caller's record
+of the support of the last point the projection returned to it. It
 searches for the threshold from that support by Michelot's fixed-point
 rule, without the shift. It accepts a support only when the threshold it
 gives certifies it in every block (the positive set of v - theta is that
@@ -56,8 +53,6 @@ import numpy as np
 
 from .rng import StableRng
 
-# Longest block the column kernels take; all other blocks go to simplex_project.
-_COLUMN_KERNEL_MAX_BLOCK = 3
 # Attempts of a warm projection before the sort: the guess, then the supports
 # that the failed attempts found.
 _WARM_ATTEMPTS = 3
@@ -198,35 +193,6 @@ def simplex_project(rows, guess=None):
     return x
 
 
-def _project_columns(blocks):
-    """simplex_project of the rows of a (k, h) matrix, computed on its h
-    columns of length k, which is cheaper when h is small and k is large;
-    the layout takes it for h = 1 and h = 3.
-
-    A compare-exchange network sorts every row in descending order, so its
-    first output is the row maximum; the shifted running sums and the
-    threshold test then repeat simplex_project's operations in its order,
-    so the bits are the same. Its first entry always passes the test, with
-    threshold -1. The result is written column by column too, as a
-    broadcast over rows of h entries costs more.
-    """
-    u = list(blocks.T)
-    x = np.empty(blocks.shape)
-    with np.errstate(over="ignore", invalid="ignore"):     # as in simplex_project
-        for i in range(1, len(u)):
-            for j in range(i, 0, -1):
-                u[j - 1], u[j] = np.maximum(u[j - 1], u[j]), np.minimum(u[j - 1], u[j])
-        top, theta = u[0], -1.0
-        w = [u_j - top for u_j in u[1:]]
-        # the last j that passes wins; css_j / (j + 1) from the running sums
-        for j, (w_j, css) in enumerate(zip(w, itertools.accumulate(w)), 1):
-            q = (css - 1.0) / (j + 1)
-            theta = np.where(w_j - q > 0, q, theta)
-        for x_j, b_j in zip(x.T, blocks.T):
-            np.maximum(b_j - top - theta, 0.0, out=x_j)
-    return x
-
-
 def _project_pairs(blocks):
     """simplex_project of the rows of a (k, 2) matrix in closed form, with
     its bits (see the module docstring): the larger entry of each row gets
@@ -248,23 +214,23 @@ def _project_pairs(blocks):
 
 class _BlockLayout:
     """The route of one product of simplexes, picked once from its block
-    sizes, and its three uses. Equal blocks of at most
-    _COLUMN_KERNEL_MAX_BLOCK entries, one block included, take a column
-    kernel, which takes no guess, and the maxima of h strided columns: the
-    closed form (:func:`_project_pairs`) for blocks of 2, the network
-    (:func:`_project_columns`) for blocks of 1 and 3. All other blocks are
-    the rows of one (k, h) matrix, h the longest block, for simplex_project
-    with a guess and for np.maximum.reduceat. Equal blocks reshape without a
-    copy; unequal ones fill the entries ``real`` marks and pad the rest of
-    each row with -inf, and a guess's support with False, so the padding
-    lies outside every support, projects to 0 and is dropped."""
+    sizes, and its three uses. Equal blocks of 2 entries take the closed
+    form (:func:`_project_pairs`), which takes no guess. All other blocks
+    are the rows of one (k, h) matrix, h the longest block, for
+    simplex_project with a guess. Equal blocks reshape without a copy;
+    unequal ones fill the entries ``real`` marks and pad the rest of each
+    row with -inf, and a guess's support with False, so the padding lies
+    outside every support, projects to 0 and is dropped. The block maxima
+    come from h strided columns when the blocks are equal and there are at
+    least as many blocks as entries per block, and from np.maximum.reduceat
+    otherwise."""
 
     def __init__(self, blocks):
-        self.shape = (len(blocks), max(blocks))
+        self.shape = k, h = len(blocks), max(blocks)
         equal = len(set(blocks)) == 1
-        self.columns = equal and self.shape[1] <= _COLUMN_KERNEL_MAX_BLOCK
-        self._kernel = _project_pairs if self.shape[1] == 2 else _project_columns
-        self.real = None if equal else np.arange(self.shape[1]) < np.array(blocks)[:, None]
+        self.pairs = equal and h == 2
+        self.strided = equal and k >= h
+        self.real = None if equal else np.arange(h) < np.array(blocks)[:, None]
         self.starts = np.cumsum((0, *blocks[:-1]))
 
     def rows(self, v, fill):
@@ -277,16 +243,16 @@ class _BlockLayout:
 
     def project(self, v, guess):
         """The projection of v; a guess is read and updated on the rows only."""
-        if self.columns:
-            return self._kernel(self.rows(v, None)).ravel()
+        if self.pairs:
+            return _project_pairs(self.rows(v, None)).ravel()
         x = simplex_project(self.rows(v, -np.inf), guess)
         return x.ravel() if self.real is None else x[self.real]
 
     def maxima(self, c):
-        """Block maxima of c. The columns are taken from left to right, as
-        np.maximum.reduceat takes them, so the bits are the same; far faster
-        for many short blocks."""
-        if not self.columns:
+        """Block maxima of c. The strided columns are taken from left to
+        right, as np.maximum.reduceat takes them, so the bits are the same;
+        far faster for many short blocks, far slower for few long ones."""
+        if not self.strided:
             return np.maximum.reduceat(c, self.starts)
         h = self.shape[1]
         out = c[0::h]
@@ -296,8 +262,8 @@ class _BlockLayout:
 
     def guess(self, x):
         """The SupportGuess of the positive entries of x, or None on the
-        column kernel."""
-        return None if self.columns else SupportGuess(self.rows(x, 0.0) > 0.0)
+        closed form."""
+        return None if self.pairs else SupportGuess(self.rows(x, 0.0) > 0.0)
 
 
 class FeasibleSet:
@@ -315,12 +281,12 @@ class FeasibleSet:
         product of simplexes, one block included, searches for the
         projection's threshold from the guessed support and skips the sort
         when an attempt certifies it (:func:`_support_projection`), unless
-        its layout takes a column kernel (:class:`_BlockLayout`); it then
-        leaves the support of the point it returns in the guess, so a caller
-        that hands the same guess to every call guesses the support of the
-        last point returned. A product with other parts takes a tuple of
-        its parts' guesses and hands each part its own. Every other set
-        ignores the guess. It changes only the speed, never the result
+        its blocks all have 2 entries and take the closed form
+        (:class:`_BlockLayout`); it then leaves the support of the point it
+        returns in the guess, so a caller that hands the same guess to every
+        call guesses the support of the last point returned. A product with
+        other parts takes a tuple of its parts' guesses and hands each part
+        its own. Every other set ignores the guess. It changes only the speed, never the result
         beyond roundoff: a guess that no attempt certifies gives the bits
         of a call without one.
         """
@@ -330,8 +296,8 @@ class FeasibleSet:
     def support_guess(self, x):
         """A :class:`SupportGuess` of the positive entries of the point x,
         for :meth:`project`, or None when the set's projection takes no
-        guess (a :class:`Product` with other parts returns its parts'
-        guesses)."""
+        guess: a set that is not a product of simplexes, or equal blocks of
+        2 (a :class:`Product` with other parts returns its parts' guesses)."""
         if self._layout is None:
             return None
         return self._layout.guess(np.asarray(x, dtype=np.float64))
@@ -580,9 +546,10 @@ class Product(FeasibleSet):
         return out
 
     def support_guess(self, x):
-        """A product of simplexes guesses through its layout. Any other
-        product guesses part by part: a tuple of each part's guess, or None
-        when no part takes one."""
+        """A product of simplexes guesses through its layout, which takes
+        no guess for equal blocks of 2. Any other product guesses part by
+        part: a tuple of each part's guess, or None when no part takes one,
+        as on the labeling game with 2 regions."""
         if self._layout is not None:
             return super().support_guess(x)
         guesses = tuple(p.support_guess(b) for p, b in

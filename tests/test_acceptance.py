@@ -2,7 +2,20 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
+
+Each criterion also prints the numbers it measured as one line,
+`criterion N: (...)`, the repr of a tuple of Python numbers, and that line
+must equal the one committed in `tools/acceptance_numbers.txt` before the
+verdict is asserted, so a change that moves a number fails even when the
+verdict holds, as the byte gate fails on a CSV. The file starts with the
+byte gate's environment header. A change that moves a number on purpose
+rewrites the file in the same commit:
+
+    (python3 -c 'import sys; sys.path.insert(0, "tools"); import fixed_matrix; print(*fixed_matrix.environment(), sep="\n")'
+     PYTHONPATH=src python3 -m pytest -q -s tests/test_acceptance.py | grep '^criterion ') > tools/acceptance_numbers.txt
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -14,11 +27,25 @@ from visolve.oracles import MatrixGameOracle, stochastic_operator, vr_conditiona
 from visolve.rng import StableRng
 from visolve.solvers import SvrgParams, make_solver
 
-from conftest import random_game
+from conftest import fixed_matrix, random_game
+
+NUMBERS = os.path.join(os.path.dirname(os.path.abspath(fixed_matrix.__file__)),
+                       "acceptance_numbers.txt")
 
 
-def _criterion(num, passed, detail):
-    print(f"\n[{'PASS' if passed else 'FAIL'}] criterion {num}: {detail}")
+def _criterion(num, passed, detail, numbers):
+    """Print the verdict and the numbers' line, compare that line with the
+    committed one, then assert the verdict."""
+    line = f"criterion {num}: {tuple(np.asarray(n).tolist() for n in numbers)!r}"
+    print(f"\n[{'PASS' if passed else 'FAIL'}] criterion {num}: {detail}\n{line}")
+    with open(NUMBERS) as f:
+        lines = f.read().splitlines()
+    committed = next((c for c in lines if c.startswith(f"criterion {num}: ")), None)
+    assert line == committed, "\n".join([
+        f"criterion {num}'s numbers differ from {NUMBERS}:",
+        f"  committed {committed}", f"  now       {line}",
+        "committed environment:", *(c for c in lines if c.startswith("#")),
+        "this environment:", *fixed_matrix.environment()])
     assert passed, f"criterion {num}: {detail}"
 
 
@@ -36,7 +63,8 @@ def test_criterion_01_oracle_unbiasedness():
                 mean += p_row[i] * p_col[j] * stochastic_operator(oracle, (i, j), z)
         F = problem.operator(z)
         worst = max(worst, np.linalg.norm(mean - F) / np.linalg.norm(F))
-    _criterion(1, worst <= 1e-10, f"exact-expectation relative error {worst:.2e} <= 1e-10")
+    _criterion(1, worst <= 1e-10, f"exact-expectation relative error {worst:.2e} <= 1e-10",
+               (worst,))
 
 
 def test_criterion_02_lipschitz_in_mean():
@@ -57,7 +85,8 @@ def test_criterion_02_lipschitz_in_mean():
                             - stochastic_operator(oracle, (i, j), z2))
                     second += p_row[i] * p_col[j] * float(diff @ diff)
             worst = max(worst, second / (bound * float(np.sum((z1 - z2) ** 2))))
-    _criterion(2, worst <= 1.0, f"second moment / (2 ||A||_F^2 dist^2) max {worst:.3f} <= 1")
+    _criterion(2, worst <= 1.0, f"second moment / (2 ||A||_F^2 dist^2) max {worst:.3f} <= 1",
+               (worst,))
 
 
 def _windowed_variance(problem, seed, mark):
@@ -80,7 +109,8 @@ def test_criterion_03_variance_reduction():
     late = np.mean([_windowed_variance(problem, s, 100 * 50) for s in range(5)])
     ratio = late / early
     _criterion(3, ratio <= 0.1,
-               f"estimator variance at charge 100N / 5N = {ratio:.4f} <= 0.1 (seeds 0-4)")
+               f"estimator variance at charge 100N / 5N = {ratio:.4f} <= 0.1 (seeds 0-4)",
+               (ratio,))
 
 
 def test_criterion_04_linear_last_iterate_scaled_step():
@@ -109,7 +139,8 @@ def test_criterion_04_linear_last_iterate_scaled_step():
     mean_r2 = float(np.mean(fits))
     ok = hit_count >= 8 and mean_r2 >= 0.9
     _criterion(4, ok, f"gap<=1e-7 within 2e4 N on {hit_count}/10 seeds (need >= 8); "
-                      f"tail log-linear fit mean R^2 = {mean_r2:.3f} (need >= 0.9)")
+                      f"tail log-linear fit mean R^2 = {mean_r2:.3f} (need >= 0.9)",
+               (hit_count, mean_r2))
 
 
 def test_criterion_05_lyapunov_geometric_decrease():
@@ -131,7 +162,8 @@ def test_criterion_05_lyapunov_geometric_decrease():
         finals.append(prev)
     ok = np.mean(ratios) < 1.0 and max(finals) <= 1e-10
     _criterion(5, ok, f"mean decrease ratio {np.mean(ratios):.3f} < 1; "
-                      f"worst final weighted distance {max(finals):.2e} <= 1e-10")
+                      f"worst final weighted distance {max(finals):.2e} <= 1e-10",
+               (np.mean(ratios), max(finals)))
 
 
 def test_criterion_06_sharpness_ratio_bounded_below():
@@ -142,7 +174,8 @@ def test_criterion_06_sharpness_ratio_bounded_below():
     low = min(ratios)
     _criterion(6, low >= 0.8 and len(ratios) > 9900,
                f"min sharpness ratio over {len(ratios)} samples = {low:.4f} >= 0.8 "
-               f"(interior value 5/(2 sqrt 2) = {5 / (2 * np.sqrt(2)):.4f})")
+               f"(interior value 5/(2 sqrt 2) = {5 / (2 * np.sqrt(2)):.4f})",
+               (low, len(ratios)))
 
 
 def test_criterion_07_increasing_averaging_rate():
@@ -159,7 +192,8 @@ def test_criterion_07_increasing_averaging_rate():
     ratios = {q: np.mean(at_4B[q]) / np.mean(at_B[q]) for q in columns}
     ok = all(r <= 0.6 for r in ratios.values())
     detail = ", ".join(f"q={q}: {r:.3f}" for q, r in ratios.items())
-    _criterion(7, ok, f"gap(4B)/gap(B) seed-averaged {detail} (all <= 0.6)")
+    _criterion(7, ok, f"gap(4B)/gap(B) seed-averaged {detail} (all <= 0.6)",
+               tuple(ratios.values()))
 
 
 def test_criterion_08_averaging_exactness():
@@ -174,7 +208,8 @@ def test_criterion_08_averaging_exactness():
         weights = np.array([float(k ** q) for k in range(K)])
         brute = (weights[:, None] * np.asarray(iterates)).sum(axis=0) / weights.sum()
         worst = max(worst, np.linalg.norm(acc.current() - brute) / np.linalg.norm(brute))
-    _criterion(8, worst <= 1e-12, f"accumulator vs brute force relative error {worst:.2e} <= 1e-12")
+    _criterion(8, worst <= 1e-12, f"accumulator vs brute force relative error {worst:.2e} <= 1e-12",
+               (worst,))
 
 
 def test_criterion_09_cost_accounting():
@@ -210,7 +245,8 @@ def test_criterion_09_cost_accounting():
 
     ok = eg_ok and loopless_ok and dl_ok
     _criterion(9, ok, f"eg charge 2N exact: {eg_ok}; loopless mean {mean:.4f} vs pN+2=4 "
-                      f"within 3SE={3 * se:.4f}: {loopless_ok}; epoch charge N+2K exact: {dl_ok}")
+                      f"within 3SE={3 * se:.4f}: {loopless_ok}; epoch charge N+2K exact: {dl_ok}",
+               (eg_ok, mean, se, dl_ok))
 
 
 def test_criterion_10_gap_oracle_equivalence():
@@ -226,7 +262,8 @@ def test_criterion_10_gap_oracle_equivalence():
         brute = (max(payoff(x, np.eye(4)[j]) for j in range(4))
                  - min(payoff(np.eye(4)[i], y) for i in range(4)))
         worst = max(worst, abs(duality_gap_at(problem, np.concatenate([x, y])) - brute))
-    _criterion(10, worst <= 1e-10, f"closed form vs vertex enumeration, max |diff| {worst:.2e}")
+    _criterion(10, worst <= 1e-10, f"closed form vs vertex enumeration, max |diff| {worst:.2e}",
+               (worst,))
 
 
 def test_criterion_11_error_bound_witness():
@@ -239,7 +276,7 @@ def test_criterion_11_error_bound_witness():
         if residual > 1e-14:
             worst = max(worst, known.distance(z) / residual)
     _criterion(11, np.isfinite(worst) and worst < 1e3,
-               f"max dist/residual over 1e4 samples = {worst:.3f} < 1e3")
+               f"max dist/residual over 1e4 samples = {worst:.3f} < 1e3", (worst,))
 
 
 def test_criterion_12_variance_reduction_beats_full_gradient():
@@ -251,18 +288,19 @@ def test_criterion_12_variance_reduction_beats_full_gradient():
     svrg_mean = float(np.mean(svrg_finals))
     _criterion(12, svrg_mean <= eg_final,
                f"final last-iterate gap: variance-reduced {svrg_mean:.3e} <= "
-               f"full-gradient {eg_final:.3e} (seed-averaged)")
+               f"full-gradient {eg_final:.3e} (seed-averaged)", (svrg_mean, eg_final))
 
 
 def test_criterion_13_segmentation_gap_decreases():
     problem = vs.synthetic_segmentation(8, 2, 0)
     N = vs.default_components(problem)
     ok = True
-    detail = []
+    detail, numbers = [], []
     for algo in ("pda", "svrg-eg"):
         trace = vs.run(problem, algo, budget_evals=60 * N, seed=0, eval_every=10 * N)
         strict = bool(np.all(np.diff(trace.gap_linear) < 0.0))
         ok &= strict and len(trace) >= 5
         detail.append(f"{algo}: {'strictly decreasing' if strict else 'NOT decreasing'} "
                       f"({trace.gap_linear[0]:.3g} -> {trace.gap_linear[-1]:.3g})")
-    _criterion(13, ok, "linear-average gap on the labeling game; " + "; ".join(detail))
+        numbers += [strict, len(trace), trace.gap_linear[0], trace.gap_linear[-1]]
+    _criterion(13, ok, "linear-average gap on the labeling game; " + "; ".join(detail), numbers)

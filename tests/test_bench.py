@@ -119,8 +119,8 @@ def test_step_routes_count_the_warm_projections_of_many_blocks(monkeypatch):
 def test_column_projections_count_every_simplex_projection(monkeypatch):
     """pda projects once per step onto the labeling game's simplex blocks,
     and svrg-eg twice, through the product of those blocks and a box; every
-    one of those projections takes the column kernel, and none takes a
-    warm route."""
+    one of those projections takes the closed form for blocks of 2, and
+    none takes a warm route."""
     import visolve as vs
 
     monkeypatch.setattr(bench, "STEPS", 20)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import visolve as vs
 from visolve.rng import StableRng
-from visolve.sets import (_COLUMN_KERNEL_MAX_BLOCK, Box, HalfspaceBox, Product, Simplex,
-                          SimplexProduct, _BlockLayout, _project_pairs, _support_projection,
-                          from_descriptor, simplex_project)
+from visolve.sets import (Box, HalfspaceBox, Product, Simplex, SimplexProduct, _BlockLayout,
+                          _support_projection, from_descriptor, simplex_project)
 
 
 def simplex_projection_oracle(v):
@@ -52,8 +51,8 @@ def variants():
         pytest.param(boxes["negative-normal-entry"], id="HalfspaceBox-negative-normal-entry"),
         pytest.param(boxes["zero-normal-entry"], id="HalfspaceBox-zero-normal-entry"),
         Product([Simplex(3), Box(-0.5, 0.5, dim=2)]),
-        # short equal blocks, one block included, take the column kernel;
-        # all other blocks take simplex_project as the rows of one matrix,
+        # equal blocks of 2, one block included, take the closed form; all
+        # other blocks take simplex_project as the rows of one matrix,
         # unequal ones padded to the longest
         pytest.param(Simplex(2), id="Simplex-2"),
         pytest.param(Simplex(3), id="Simplex-3"),
@@ -76,7 +75,7 @@ def test_simplex_corner_example():
 
 
 def test_simplex_matches_kkt_oracle():
-    """Both kernels: the column kernel up to 3 entries, simplex_project beyond."""
+    """Both routes: the closed form at 2 entries, simplex_project beyond."""
     rng = StableRng(11)
     for d in (2, 3, 4, 5):
         for _ in range(200):
@@ -128,9 +127,13 @@ def test_box_clamp_example():
 
 def takes_guess(feasible):
     """Whether the set's projection reads a guess: every product of
-    simplexes outside the column kernel does."""
+    simplexes outside the closed form for equal blocks of 2 does, and so
+    does a product with such a part."""
     blocks = feasible.simplex_blocks
-    takes = blocks is not None and not _BlockLayout(blocks).columns
+    if blocks is not None:
+        takes = not _BlockLayout(blocks).pairs
+    else:
+        takes = any(takes_guess(p) for p in getattr(feasible, "parts", ()))
     assert (feasible.support_guess(feasible.center()) is not None) == takes
     return takes
 
@@ -262,13 +265,15 @@ def test_simplex_blocks_exact(dims):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 2048), st.integers(0, 2 ** 16), st.floats(0.0, 1.0))
+@given(st.integers(1, 8), st.integers(1, 8) | st.integers(1, 2048), st.integers(0, 2 ** 16),
+       st.floats(0.0, 1.0))
 def test_column_maxima_route_matches_reduceat(h, k, seed, ties):
-    """Equal blocks of at most 3 entries take their maxima from h strided
-    columns: the bits of np.maximum.reduceat, and so of support_max by
-    reduceat. A share ``ties`` of the entries is drawn from 0.0, -0.0, 1 and
-    -1, so blocks hold ties and signed zeros; the others span 1e-300 to
-    1e300 in size, of both signs."""
+    """k equal blocks of h entries take their maxima from h strided columns
+    when k >= h, and from np.maximum.reduceat otherwise; both routes give
+    the bits of reduceat, and so does support_max. A share ``ties`` of the
+    entries is drawn from 0.0, -0.0, 1 and -1, so blocks hold ties and
+    signed zeros; the others span 1e-300 to 1e300 in size, of both signs."""
+    assert _BlockLayout([h] * k).strided == (k >= h)
     rng = StableRng(seed)
     c = (2.0 * rng.uniform(h * k) - 1.0) * 10.0 ** (600.0 * rng.uniform(h * k) - 300.0)
     tied = rng.uniform(h * k) < ties
@@ -293,11 +298,11 @@ def test_center_is_the_per_block_uniform_point(dims):
     assert np.array_equal(SimplexProduct(dims).center(), expected)
 
 
-@pytest.mark.parametrize("h", range(2, _COLUMN_KERNEL_MAX_BLOCK + 2))
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
 def test_equal_blocks_exact(h):
-    """Blocks up to the column kernel's limit and one entry beyond it project
-    to the bits of simplex_project, with ties, signed zeros, tiny and huge
-    magnitudes."""
+    """Equal blocks of 1 to 4 entries, on the closed form at 2 and on the
+    rows otherwise, project to the bits of simplex_project, with ties,
+    signed zeros, tiny and huge magnitudes."""
     rng = StableRng(23)
     for k in (1, 2, 17, 1024):
         feasible = SimplexProduct([h] * k)
@@ -338,7 +343,7 @@ def test_pair_blocks_take_the_closed_form_with_the_bits_of_the_sort(pairs):
     within an ulp of 1 and spreads past the float range."""
     v = np.array(pairs, dtype=np.float64).ravel()
     feasible = SimplexProduct([2] * len(pairs))
-    assert feasible._layout._kernel is _project_pairs
+    assert feasible._layout.pairs and feasible.support_guess(feasible.center()) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = feasible.project(v)
@@ -361,7 +366,8 @@ def test_a_product_with_other_parts_projects_part_by_part(regions):
     """The labeling game's set, label blocks beside a box, has no block
     layout: it returns the bits of its parts' projections concatenated,
     without a guess and with the guesses it makes, which it hands each part
-    as the part's own."""
+    as the part's own. Only the blocks of 2 of the 2-region game take no
+    guess."""
     feasible = vs.synthetic_segmentation(4, regions, 0).set
     assert feasible._layout is None
     rng = StableRng(regions)
@@ -371,7 +377,7 @@ def test_a_product_with_other_parts_projects_part_by_part(regions):
         assert feasible.project(v).tobytes() == np.concatenate(parts).tobytes()
         x = feasible.project(4.0 * rng.uniform(feasible.dim) - 2.0)
         guess = feasible.support_guess(x)
-        assert (guess is None) == (regions <= _COLUMN_KERNEL_MAX_BLOCK)
+        assert (guess is None) == (regions == 2)
         own = [p.support_guess(b) for p, b in zip(feasible.parts, feasible.split(x))]
         parts = [p.project(b, g) for p, b, g in zip(feasible.parts, feasible.split(v), own)]
         assert feasible.project(v, guess).tobytes() == np.concatenate(parts).tobytes()
@@ -416,7 +422,7 @@ def test_box_rejects_inverted_bounds():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8))
 def test_simplex_projection_properties(values):
-    """Both kernels: the column kernel up to 3 entries, simplex_project beyond."""
+    """Both routes: the closed form at 2 entries, simplex_project beyond."""
     v = np.array(values)
     feasible = Simplex(v.size)
     out = feasible.project(v)
@@ -434,8 +440,8 @@ def unit_weights(w):
 @st.composite
 def warm_cases(draw):
     """(dims, v, near): 1-3 blocks of 1-50 entries each, drawn apart and
-    often of 1 entry, or 2-3 equal blocks, in any layout outside the column
-    kernel, so unequal blocks project as padded rows of one matrix; entries
+    often of 1 entry, or 2-3 equal blocks, in any layout outside the closed
+    form, so unequal blocks project as padded rows of one matrix; entries
     of one scale from 1e-300 to 1e300, with ties, signed zeros and zeros,
     or of any finite size up to 1e300; near a point whose support is the
     guess: right (the projection of v), stale (of a perturbed v), wrong (a
@@ -443,7 +449,7 @@ def warm_cases(draw):
     positive) or empty (the zero point)."""
     dims = draw((st.lists(st.integers(1, 50) | st.just(1), min_size=1, max_size=3)
                  | st.builds(lambda h, k: [h] * k, st.integers(1, 50), st.integers(2, 3)))
-                .filter(lambda dims: not _BlockLayout(dims).columns))
+                .filter(lambda dims: not _BlockLayout(dims).pairs))
     cuts = np.cumsum(dims)[:-1]
     scale = draw(st.sampled_from([1.0, 10.0 ** draw(st.integers(-300, 300))]))
     pool = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))  # ties
@@ -508,7 +514,7 @@ def test_padded_rows_raise_and_warn_nothing(dims):
     feasible, with ties at each block's maximum, 1-entry blocks and
     magnitudes from 1e-300 to 1e300. So do cold projections of blocks whose
     spread passes the float range, whose shift by the block maximum
-    overflows, on the sort and, for Simplex(2), on the column kernel."""
+    overflows, on the sort and, for Simplex(2), on the closed form."""
     feasible = SimplexProduct(dims)
     cuts = np.cumsum(dims)[:-1]
     rng = StableRng(41)
@@ -608,15 +614,16 @@ def exact_projection(block):
 def route_cases(draw):
     """(route, dims, v): blocks of one route with entries of one scale from
     1e-300 to 1e300, with ties at and below the maximum, and signed zeros.
-    "column" takes equal blocks of at most 3 entries; "sort", "hit" and
-    "retry" take other layouts, cold, with a guess of the exact support and
-    with a guess of every entry."""
-    route = draw(st.sampled_from(["column", "sort", "hit", "retry"]))
-    if route == "column":
-        dims = [draw(st.integers(1, _COLUMN_KERNEL_MAX_BLOCK))] * draw(st.integers(1, 4))
+    "pairs" takes equal blocks of 2 entries; "sort", "hit" and "retry" take
+    every other layout, equal blocks of 1 and 3 included, cold, with a guess
+    of the exact support and with a guess of every entry."""
+    route = draw(st.sampled_from(["pairs", "sort", "hit", "retry"]))
+    if route == "pairs":
+        dims = [2] * draw(st.integers(1, 4))
     else:
-        dims = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)
-                    .filter(lambda dims: not _BlockLayout(dims).columns))
+        dims = draw((st.lists(st.integers(1, 8), min_size=1, max_size=4)
+                     | st.builds(lambda h, k: [h] * k, st.sampled_from([1, 3]), st.integers(1, 4)))
+                    .filter(lambda dims: not _BlockLayout(dims).pairs))
     scale = 10.0 ** draw(st.integers(-300, 300))
     pool = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
     entry = st.floats(-3.0, 3.0) | st.sampled_from(pool) | st.just(0.0)
@@ -644,7 +651,7 @@ def test_every_route_projects_within_roundoff_of_the_exact_threshold(case):
     x = feasible.project(v, guess and guess())
     eps = np.finfo(float).eps
     assert np.all(x >= 0.0) and feasible.contains(x, tol=1e-9)
-    bounds = [4 * h * eps * (1.0 if route in ("column", "sort") else abs(float(theta)) + 1.0)
+    bounds = [4 * h * eps * (1.0 if route in ("pairs", "sort") else abs(float(theta)) + 1.0)
               for h, (_, theta) in zip(dims, exact)]
     for h, bound, row, xb, (xr, theta) in zip(dims, bounds, np.split(v, cuts),
                                                np.split(x, cuts), exact):

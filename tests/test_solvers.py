@@ -679,14 +679,14 @@ def test_double_loop_averages_weight_every_half_step_iterate(monkeypatch, proble
 @st.composite
 def guessed_games(draw):
     """A dense game with both linear terms whose two strategy sets each
-    project on the row kernel, which takes a guess: 1-3 simplex blocks of
-    1-6 entries, not all equal and at most 3 long; the payoff is scaled by
-    1 or 1000."""
+    project as rows, which take a guess: 1-3 simplex blocks of 1-6 entries,
+    in any layout but equal blocks of 2, which take the closed form; the
+    payoff is scaled by 1 or 1000."""
     rng = StableRng(draw(st.integers(0, 2 ** 16)))
     scale = draw(st.sampled_from([1.0, 1e3]))
-    row_kernel = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
-        lambda blocks: not _BlockLayout(blocks).columns)
-    primal, dual = draw(row_kernel), draw(row_kernel)
+    rows = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+        lambda blocks: not _BlockLayout(blocks).pairs)
+    primal, dual = draw(rows), draw(rows)
     n, m = sum(primal), sum(dual)
     A = scale * (rng.uniform(n * m).reshape(n, m) - 0.5)
     return vs.AffineVI.bilinear(A, rng.uniform(n) - 0.5, rng.uniform(m) - 0.5,
@@ -726,15 +726,16 @@ def test_support_records_change_only_roundoff(problem):
             assert gap.max() <= tol, (algo, name)
 
 
-def test_svrg_eg_guesses_the_label_blocks_of_a_labeling_game_with_4_regions(monkeypatch):
-    """The labeling game's set, blocks of 4 labels beside a box, guesses
-    part by part, so svrg-eg certifies warm supports on its label blocks,
-    and its iterates stay within roundoff of a run whose every projection
-    sorts."""
-    game = vs.synthetic_segmentation(4, 4, 0)
-    warm, cold = (make_solver(game, "svrg-eg", seed=0) for _ in range(2))
-    assert warm._guess is not None
-    cold._guess = None
+def warm_hits_beside_a_sorting_run(monkeypatch, game, algo, steps=300):
+    """Step a solver of algo on game beside one whose support records are
+    all None, so that each of its projections sorts, and check that their
+    iterates stay within 1e-12 of each other; per projection of the first
+    that took a guess, whether the guess hit."""
+    warm, cold = (make_solver(game, algo, seed=0) for _ in range(2))
+    records = [name for name in vars(cold) if name.endswith("_guess")]
+    assert any(getattr(warm, name) is not None for name in records)
+    for name in records:
+        setattr(cold, name, None)
     support_projection = vs.sets._support_projection
     hits = []
 
@@ -744,8 +745,28 @@ def test_svrg_eg_guesses_the_label_blocks_of_a_labeling_game_with_4_regions(monk
         return x
 
     monkeypatch.setattr(vs.sets, "_support_projection", counted)
-    for _ in range(300):
+    for _ in range(steps):
         warm.step()
         cold.step()
         assert np.allclose(warm.z, cold.z, rtol=0.0, atol=1e-12)
+    return hits
+
+
+def test_svrg_eg_guesses_the_label_blocks_of_a_labeling_game_with_4_regions(monkeypatch):
+    """The labeling game's set, blocks of 4 labels beside a box, guesses
+    part by part, so svrg-eg certifies warm supports on its label blocks,
+    and its iterates stay within roundoff of a run whose every projection
+    sorts."""
+    hits = warm_hits_beside_a_sorting_run(monkeypatch, vs.synthetic_segmentation(4, 4, 0),
+                                          "svrg-eg")
     assert len(hits) == 600 and sum(hits) > 300
+
+
+@pytest.mark.parametrize("algo, per_step", [("svrg-eg", 2), ("pda", 1)])
+def test_blocks_of_3_labels_take_warm_hits(monkeypatch, algo, per_step):
+    """The 3-region labeling game's blocks of 3 labels project as rows with
+    a guess: svrg-eg through its product with the box, pda alone. Both
+    certify warm supports, and their iterates stay within roundoff of a run
+    whose every projection sorts."""
+    hits = warm_hits_beside_a_sorting_run(monkeypatch, vs.synthetic_segmentation(4, 3, 0), algo)
+    assert len(hits) == 300 * per_step and sum(hits) > 150 * per_step

@@ -78,15 +78,17 @@ The cases:
   the median `hit_us`, `retry_us`, `sort_us` of a route that ran). A
   checkout whose guess is a point has no retries. Then on the 32 x 32
   labeling game with 2 regions (seed 0), whose 1024 simplex blocks of 2
-  entries take the column kernel, the same `step_us` of `svrg-eg` and
-  `pda`, and 2000 more steps with every projection onto those blocks timed
-  (`column_calls` and the median `column_us`). Last, on the same game with
-  4 regions, whose 1024 blocks of 4 entries are the rows of one matrix, the
-  same `step_us` of `svrg-eg` and `pda` and the routes of their projections
-  that take a guess: `pda` projects its labels with one, so its hits
-  certify 1024 blocks at a time, and `svrg-eg` projects the product of
+  entries take the closed form on the two columns of a (1024, 2) matrix,
+  the same `step_us` of `svrg-eg` and `pda`, and 2000 more steps with every
+  projection onto those blocks timed (`column_calls` and the median
+  `column_us`). Last, on the same game with 3 regions (`seg32h3`) and with
+  4 (`seg32h4`), whose 1024 blocks of 3 or 4 entries are the rows of one
+  matrix, the same `step_us` of `svrg-eg` and `pda` and the routes of their
+  projections that take a guess: `pda` projects its labels with one, so its
+  hits certify 1024 blocks at a time, and `svrg-eg` projects the product of
   those blocks and a box, which hands the blocks a guess of their own and
-  the box none. A round took about 35 s.
+  the box none. A checkout whose blocks of 3 take no guess counts no
+  routes there. A round took about 35 s.
 * `loc` (1 round): the code lines of every module under SRC_DIR, by path
   (`modules`), and their sum (`code_lines`). A code line is a line that a
   token other than a comment spans, outside every docstring, so comments,
@@ -403,8 +405,8 @@ def _warm_routes(vs, run):
 def _column_projections(vs, run):
     """Run the steps with every projection onto a product of simplexes
     timed, as `SimplexProduct._project` makes it, whether the set is
-    projected alone or as a part of a product; on the labeling game every
-    such projection takes the column kernel."""
+    projected alone or as a part of a product; on the labeling game with 2
+    regions every such projection takes the closed form for blocks of 2."""
     cls = vs.sets.SimplexProduct
     project = cls._project
     durations = []
@@ -430,8 +432,9 @@ def step_child(src, r, workdir):
              for n in STEP_SIZES for algo in STEP_ALGORITHMS]
     seg32 = vs.synthetic_segmentation(32, 2, 0)
     cases += [("seg32", seg32, algo, _column_projections) for algo in SEG_ALGORITHMS]
-    seg32h4 = vs.synthetic_segmentation(32, 4, 0)
-    cases += [("seg32h4", seg32h4, algo, _warm_routes) for algo in SEG_ALGORITHMS]
+    for regions in (3, 4):
+        game = vs.synthetic_segmentation(32, regions, 0)
+        cases += [(f"seg32h{regions}", game, algo, _warm_routes) for algo in SEG_ALGORITHMS]
     for name, problem, algo, projections in cases:
         run, taken = _stepper(vs, problem, algo)
         best = min(timeit.repeat(run, number=1, repeat=STEP_REPEATS))
