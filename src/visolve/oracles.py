@@ -40,10 +40,11 @@ class MatrixGameOracle:
     """Column-sampled oracle of F(z) = Mz + q, for games and plain affine VIs.
 
     Each block is a row ``(at, rows, column, signed_p)``: its columns are the
-    coordinates ``at + k``, column k of M is ``sign * column(k)`` placed in
-    ``F[rows]``, and ``signed_p`` is ``sign * p``. Dividing by the signed
-    probability applies the sign exactly. The readers ``column`` are bound
-    here, for a dense or a sparse payoff, so a sample reads its column
+    coordinates ``at + k``, column k of M is ``sign * values`` at the
+    positions ``column(k)`` reads (``positions, values``), which lie in the
+    slice ``rows`` of F, and ``signed_p`` is ``sign * p``. Dividing by the
+    signed probability applies the sign exactly. The readers ``column`` are
+    bound here, for a dense or a sparse payoff, so a sample reads its column
     without asking which. The probabilities are the problem's
     ``column_sampling()``; an oracle builds no tables of its own.
     """
@@ -54,10 +55,11 @@ class MatrixGameOracle:
         s = problem.structure
         if s is None:
             M = problem.M
-            blocks = [(0, slice(0, problem.dim), lambda k: (slice(None), M[:, k]), 1.0)]
+            rows = slice(0, problem.dim)
+            blocks = [(0, rows, lambda k: (rows, M[:, k]), 1.0)]
         else:
             n, m = s.primal_dim, s.dual_dim
-            blocks = [(0, slice(n, n + m), row_reader(s.A), -1.0),
+            blocks = [(0, slice(n, n + m), row_reader(s.A, n), -1.0),
                       (n, slice(0, n), row_reader(s.AT), 1.0)]
         self._blocks = [(at, rows, column, sign * p)
                         for (at, rows, column, sign), p in zip(blocks, self.sampling.p)]
@@ -66,16 +68,33 @@ class MatrixGameOracle:
         return self.sampling.draw(rng)
 
     def vr_estimate(self, cache, sample, z_half):
-        """F(w) + sum over blocks of ((z_half_k - w_k) / p_k) M_.k, on one sample.
-
-        At z_half = w it returns F(w) exactly, for every sample.
+        """F(w) + sum over blocks of ((z_half_k - w_k) / p_k) M_.k, on one sample,
+        as the entries where it may differ from the cached F(w): per block a
+        triple ``(rows, positions, values)``, where the estimate holds
+        ``values`` = ``Fw[positions] + c * column`` at the positions of the
+        sampled column's stored entries (the slice ``rows`` itself for a
+        dense column), which lie in ``rows``. Its other entries are those of
+        F(w); :func:`dense_estimate` writes the whole vector. At z_half = w
+        it is F(w) exactly, for every sample.
         """
-        out = cache.Fw.copy()
-        w = cache.w
+        Fw, w = cache.Fw, cache.w
+        entries = []
         for k, (at, rows, column, signed_p) in zip(sample, self._blocks):
-            idx, vals = column(k)
-            out[rows][idx] += ((z_half[at + k] - w[at + k]) / signed_p[k]) * vals
-        return out
+            positions, vals = column(k)
+            c = (z_half.item(at + k) - w.item(at + k)) / signed_p.item(k)
+            values = c * vals
+            values += Fw[positions]     # Fw[positions] + c * vals: addition commutes
+            entries.append((rows, positions, values))
+        return entries
+
+
+def dense_estimate(cache, entries):
+    """The whole vector of a :meth:`MatrixGameOracle.vr_estimate`: F(w) with
+    its entries written in."""
+    out = cache.Fw.copy()
+    for _, positions, values in entries:
+        out[positions] = values
+    return out
 
 
 def stochastic_operator(oracle, sample, z):
@@ -87,7 +106,8 @@ def stochastic_operator(oracle, sample, z):
         raise ValueError("drew a zero-probability column")
     problem = oracle.problem
     origin = SnapshotCache(w=np.zeros(problem.dim), Fw=problem.q)
-    return oracle.vr_estimate(origin, sample, np.asarray(z, dtype=np.float64))
+    z = np.asarray(z, dtype=np.float64)
+    return dense_estimate(origin, oracle.vr_estimate(origin, sample, z))
 
 
 def pair_second_moment(oracle, z1, z2):

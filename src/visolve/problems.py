@@ -61,15 +61,19 @@ class BilinearStructure:
         return float(np.linalg.norm(self.A))
 
 
-def row_reader(M):
-    """The reader ``k -> (index, values)`` of row k of a dense or CSR matrix,
-    so that ``v[index] += c * values`` adds c M_k to v: the whole dense row,
-    or the stored entries of the CSR row, read in place. Whether M is sparse
-    is looked up here, once, not per row; a column of a game's payoff A is a
-    row of its ``AT``."""
+def row_reader(M, at=0):
+    """The reader ``k -> (positions, values)`` of row k of a dense or CSR
+    matrix, placed at offset ``at`` of a vector v, so that
+    ``v[positions] += c * values`` adds c M_k to ``v[at:at + M.shape[1]]``:
+    the slice of the whole dense row, or the stored entries of the CSR row,
+    read in place with their column indices shifted once, here. Whether M is
+    sparse is looked up here, once, not per row; a column of a game's payoff
+    A is a row of its ``AT``."""
     if not sp.issparse(M):
-        return lambda k: (slice(None), M[k])
-    indptr, indices, data = M.indptr, M.indices, M.data
+        rows = slice(at, at + M.shape[1])
+        return lambda k: (rows, M[k])
+    indptr, data = M.indptr, M.data
+    indices = M.indices + at if at else M.indices
 
     def row(k):
         lo, hi = indptr[k], indptr[k + 1]

@@ -43,11 +43,27 @@ support) and the roundoff of that unshifted threshold keeps every block sum
 within the feasibility tolerance; it sorts when three attempts fail, and
 then leaves the support of its result in the record. The record belongs to
 the caller, so the sets stay immutable.
+
+A set whose projection takes no guess and acts on each entry, or on each
+block of 2, alone ``reprojects_locally``: a `Box`, a product of simplexes
+of blocks of 2 (the closed form), and a `Product` of such parts, the
+labeling game's set with 2 regions. When a caller holds the projection of
+a vector and changes a few of its entries, `FeasibleSet.reproject`
+projects again only the blocks that hold a changed entry, in place: no
+other entry of the projection reads a changed one. It runs the full
+projection's operations on Python floats, IEEE doubles rounded as numpy
+rounds them, so it gives the full projection's bits, with numpy's tie rule:
+np.maximum and np.minimum return their second operand when the two compare
+equal (numpy 2.4.6), so the clamp of -0.0 to [0, 1] is 0.0 and that of 0.0
+to [-1, -0.0] is -0.0, and the kernel tests u > lo and u < hi strictly.
+Every other set projects the whole vector. Each part of a `Product` gets
+its slice of one output, which a box and the closed form write in place.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -66,13 +82,17 @@ class NonFiniteInput(ValueError):
     """A vector handed to :meth:`FeasibleSet.project` holds inf or NaN."""
 
 
+def _finite(v):
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("non-finite input vector")
+    return v
+
+
 def _check_vector(set_dim, v):
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (set_dim,):
         raise ValueError(f"dimension mismatch: expected ({set_dim},), got {v.shape}")
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("non-finite input vector")
-    return v
+    return _finite(v)
 
 
 class SupportGuess:
@@ -193,14 +213,14 @@ def simplex_project(rows, guess=None):
     return x
 
 
-def _project_pairs(blocks):
+def _project_pairs(blocks, x):
     """simplex_project of the rows of a (k, 2) matrix in closed form, with
-    its bits (see the module docstring): the larger entry of each row gets
-    min(s, 1) and the other fmax(s - a, 0), where a = |b0 - b1| and
-    s = (a + 1) * 0.5. A difference that overflows is inf, where s - a is
-    NaN, so it runs under the errstate of simplex_project."""
+    its bits (see the module docstring), written into the (k, 2) rows x:
+    the larger entry of each row gets min(s, 1) and the other
+    fmax(s - a, 0), where a = |b0 - b1| and s = (a + 1) * 0.5. A difference
+    that overflows is inf, where s - a is NaN, so it runs under the
+    errstate of simplex_project."""
     b0, b1 = blocks.T
-    x = np.empty(blocks.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         d = b0 - b1
         a = np.abs(d)
@@ -241,12 +261,30 @@ class _BlockLayout:
         rows[self.real] = v
         return rows
 
-    def project(self, v, guess):
-        """The projection of v; a guess is read and updated on the rows only."""
+    def project(self, v, guess, out=None):
+        """The projection of v, which the closed form writes into out when
+        one is given; a guess is read and updated on the rows only."""
         if self.pairs:
-            return _project_pairs(self.rows(v, None)).ravel()
+            x = np.empty(v.shape) if out is None else out
+            _project_pairs(v.reshape(self.shape), x.reshape(self.shape))
+            return x
         x = simplex_project(self.rows(v, -np.inf), guess)
         return x.ravel() if self.real is None else x[self.real]
+
+    def reproject_at(self, v, x, positions):
+        """Project into x again, by the closed form on Python floats, each
+        block of 2 that holds one of the positions (see
+        :meth:`FeasibleSet.reproject`)."""
+        for i in {p - p % 2 for p in positions}:
+            b0, b1 = v.item(i), v.item(i + 1)
+            if not (math.isfinite(b0) and math.isfinite(b1)):
+                raise NonFiniteInput("non-finite input vector")
+            d = b0 - b1
+            a = abs(d)
+            s = (a + 1.0) * 0.5
+            larger = s if s < 1.0 else 1.0
+            smaller = s - a if s - a > 0.0 else 0.0     # NaN at a = inf gives 0.0
+            x[i], x[i + 1] = (larger, smaller) if d >= 0.0 else (smaller, larger)
 
     def maxima(self, c):
         """Block maxima of c. The strided columns are taken from left to
@@ -272,6 +310,7 @@ class FeasibleSet:
     dim: int
     simplex_blocks = None  # block sizes when the set is a product of simplexes
     _layout = None         # the _BlockLayout of those blocks
+    reprojects_locally = False
 
     def project(self, v, guess=None):
         """Euclidean projection of v onto the set.
@@ -292,6 +331,30 @@ class FeasibleSet:
         """
         v = _check_vector(self.dim, v)
         return self._project(v, guess)
+
+    def reproject(self, v, x, rows, positions):
+        """Make x, the projection of a vector that equals v outside
+        v[positions], the projection of v, in place, on a set that
+        ``reprojects_locally``. ``rows`` is a slice of the set's coordinates
+        that holds the positions. An index array of positions names the
+        changed entries: only the blocks that hold one are projected again,
+        and only those entries are checked for finiteness (the module
+        docstring says why the bits are those of :meth:`project`). A slice,
+        a dense column, changes every entry, and the whole set is projected
+        again."""
+        if not self.reprojects_locally:
+            raise TypeError(f"{self!r} does not reproject locally")
+        self._reproject(v, x, rows, None if isinstance(positions, slice) else positions.tolist())
+
+    def _reproject(self, v, x, rows, positions):
+        """reproject with the positions as a list of ints, or None for all."""
+        if positions is None:
+            self._project(_finite(v), None, x)
+        else:
+            self._reproject_at(v, x, positions)
+
+    def _reproject_at(self, v, x, positions):
+        self._layout.reproject_at(v, x, positions)
 
     def support_guess(self, x):
         """A :class:`SupportGuess` of the positive entries of the point x,
@@ -342,9 +405,10 @@ class SimplexProduct(FeasibleSet):
         self.dim = sum(dims)
         self._offsets = np.concatenate([[0], np.cumsum(self._dims)])
         self._layout = _BlockLayout(dims)
+        self.reprojects_locally = self._layout.pairs
 
-    def _project(self, v, guess=None):
-        return self._layout.project(v, guess)
+    def _project(self, v, guess=None, out=None):
+        return self._layout.project(v, guess, out)
 
     def _contains(self, v, tol):
         if np.any(v < -tol):
@@ -402,8 +466,22 @@ class Box(FeasibleSet):
         self.lo, self.hi = lo, hi
         self.dim = lo.size
 
-    def _project(self, v, guess=None):
-        return np.minimum(np.maximum(v, self.lo), self.hi)
+    reprojects_locally = True
+
+    def _project(self, v, guess=None, out=None):
+        x = np.maximum(v, self.lo, out=out)
+        return np.minimum(x, self.hi, out=x)
+
+    def _reproject_at(self, v, x, positions):
+        """Clamp each position again on Python floats, with the tie rule of
+        np.maximum and np.minimum, which return their second operand."""
+        lo, hi = self.lo, self.hi
+        for i in positions:
+            u, low, high = v.item(i), lo.item(i), hi.item(i)
+            if not math.isfinite(u):
+                raise NonFiniteInput("non-finite input vector")
+            u = u if u > low else low
+            x[i] = u if u < high else high
 
     def _contains(self, v, tol):
         return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
@@ -469,7 +547,7 @@ class HalfspaceBox(FeasibleSet):
         self._t_ends = (t_lo, t_hi)
         self.project(0.5 * (self.lo + self.hi))  # raises when the set is empty
 
-    def _project(self, v, guess=None):
+    def _project(self, v, guess=None, out=None):
         x = np.clip(v, self.lo, self.hi)
         if self.a @ x <= self.b:
             return x
@@ -528,22 +606,44 @@ class Product(FeasibleSet):
         if None not in blocks:
             self.simplex_blocks = sum(blocks, ())
             self._layout = _BlockLayout(self.simplex_blocks)
+        self.reprojects_locally = all(p.reprojects_locally for p in parts)
 
     def split(self, v):
         return [v[part] for part in self._slices]
 
-    def _project(self, v, guess=None):
+    def _project(self, v, guess=None, out=None):
         """A product of simplexes projects through its layout. Any other
-        product writes each part's projection into one output, each part
-        with its own guess from the tuple that :meth:`support_guess` made;
-        the outer project has checked shape and finiteness for every part."""
+        product hands each part its slice of one output, which a box and the
+        closed form for blocks of 2 write in place and every other part's
+        projection is copied into, and each part its own guess from the
+        tuple that :meth:`support_guess` made; the outer project has checked
+        shape and finiteness for every part."""
         if self._layout is not None:
-            return self._layout.project(v, guess)
-        out = np.empty(self.dim)
+            return self._layout.project(v, guess, out)
+        out = np.empty(self.dim) if out is None else out
         guesses = (None,) * len(self.parts) if guess is None else guess
-        for p, b, x, g in zip(self.parts, self.split(v), self.split(out), guesses):
-            x[...] = p._project(b, g)
+        for p, b, o, g in zip(self.parts, self.split(v), self.split(out), guesses):
+            x = p._project(b, g, o)
+            if x is not o:
+                o[...] = x
         return out
+
+    def _reproject(self, v, x, rows, positions):
+        """A product of simplexes re-projects through its layout. Any other
+        product hands the change to the part whose slice holds ``rows``, in
+        that part's coordinates; when ``rows`` spans several parts, each part
+        it meets is projected again whole."""
+        if self._layout is not None:
+            return super()._reproject(v, x, rows, positions)
+        start, stop, _ = rows.indices(self.dim)
+        for p, part in zip(self.parts, self._slices):
+            a = part.start
+            if a <= start and stop <= part.stop and positions is not None:
+                return p._reproject(v[part], x[part], slice(start - a, stop - a),
+                                    [i - a for i in positions])
+        for p, part in zip(self.parts, self._slices):
+            if part.start < stop and start < part.stop:
+                p._reproject(v[part], x[part], slice(None), None)
 
     def support_guess(self, x):
         """A product of simplexes guesses through its layout, which takes

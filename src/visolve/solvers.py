@@ -15,7 +15,7 @@ import numpy as np
 
 from .averaging import AveragingAccumulator
 from .metrics import AVERAGE_COLUMNS, GapTrace, duality_gap_at, natural_residual, dist_theta
-from .oracles import MatrixGameOracle, SnapshotCache, default_components
+from .oracles import MatrixGameOracle, SnapshotCache, default_components, dense_estimate
 from .rng import StableRng
 from .sets import NonFiniteInput
 
@@ -200,15 +200,42 @@ class _AnchoredExtragradient(_SolverBase):
         self._w_step = self.tau * self.cache.Fw
 
     def _anchored_step(self):
-        """One anchored extragradient step; returns the half-step iterate."""
+        """One anchored extragradient step; returns the half-step iterate.
+
+        The full step's input zbar - tau * fhat differs from the half
+        step's, v = zbar - tau * F(w), only at the entries of the estimate
+        that differ from F(w) (:meth:`MatrixGameOracle.vr_estimate`). On a
+        set that ``reprojects_locally`` the step writes those entries into v
+        by the same expression, so every entry of v holds the bits of
+        zbar - tau * fhat, and projects again only the blocks that hold one
+        of them, from the half-step iterate. Any other set projects the whole
+        input."""
         zbar = self.params.alpha * self.z
         zbar += self._w_part
-        z_half = self._proj(zbar - self._w_step, self._guess)
+        v = zbar - self._w_step
+        z_half = self._proj(v, self._guess)
         sample = self.oracle.draw(self.rng)
-        fhat = self.oracle.vr_estimate(self.cache, sample, z_half)
-        self.z = self._proj(zbar - self.tau * fhat, self._guess)
+        entries = self.oracle.vr_estimate(self.cache, sample, z_half)
+        if self.problem.set.reprojects_locally:
+            for _, positions, fhat in entries:
+                v[positions] = zbar[positions] - self.tau * fhat
+            self.z = self._reproject(v, z_half, entries)
+        else:
+            self.z = self._proj(zbar - self.tau * dense_estimate(self.cache, entries), self._guess)
         self.iteration += 1
         return z_half
+
+    def _reproject(self, v, base, entries):
+        """_proj of v, from base, the projection of a vector that equals v
+        outside the entries: a copy of base with the blocks that hold them
+        projected again (:meth:`FeasibleSet.reproject`)."""
+        x = base.copy()
+        try:
+            for rows, positions, _ in entries:
+                self.problem.set.reproject(v, x, rows, positions)
+        except NonFiniteInput:
+            raise NumericalDivergence(self.name, self.iteration, self.seed) from None
+        return x
 
 
 class LooplessSvrgEG(_AnchoredExtragradient):

@@ -118,17 +118,19 @@ def test_step_routes_count_the_warm_projections_of_many_blocks(monkeypatch):
 
 def test_column_projections_count_every_simplex_projection(monkeypatch):
     """pda projects once per step onto the labeling game's simplex blocks,
-    and svrg-eg twice, through the product of those blocks and a box; every
-    one of those projections takes the closed form for blocks of 2, and
-    none takes a warm route."""
+    and so does svrg-eg, through the product of those blocks and a box, for
+    its half step; every one of those projections takes the closed form for
+    blocks of 2, and none takes a warm route. svrg-eg's full step
+    re-projects locally, once per oracle block, two per step."""
     import visolve as vs
 
     monkeypatch.setattr(bench, "STEPS", 20)
     game = vs.synthetic_segmentation(4, 2, 0)
-    for algo, calls in (("pda", 20), ("svrg-eg", 40)):
+    for algo, calls, local in (("pda", 20, 0), ("svrg-eg", 20, 40)):
         run, _ = bench._stepper(vs, game, algo)
         timed = bench._column_projections(vs, run)
         assert timed["column_calls"] == calls and timed["column_us"] > 0.0
+        assert timed["reproject_calls"] == local and ("reproject_us" in timed) == (local > 0)
         assert sum(bench._warm_routes(vs, run)[f"{r}_calls"] for r in bench.ROUTES) == 0
 
 

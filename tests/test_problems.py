@@ -239,7 +239,7 @@ def test_stored_transpose_is_exact(data, sparse):
             assert np.array_equal(idx, csc.indices[lo:hi])
             assert np.array_equal(vals, csc.data[lo:hi])
         else:
-            assert idx == slice(None) and np.array_equal(vals, s.A[:, j])
+            assert idx == slice(0, n) and np.array_equal(vals, s.A[:, j])
 
 
 def test_monotonicity_check_rejects_bad_operator():

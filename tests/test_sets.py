@@ -663,3 +663,84 @@ def test_every_route_projects_within_roundoff_of_the_exact_threshold(case):
         assert np.all(row[~positive] <= level + bound + np.spacing(abs(level)))
     again = feasible.project(x, guess and guess())
     assert np.all(np.abs(again - x) <= max(dims) * max(bounds))
+
+
+# Box bounds: ties at signed zeros, tiny and huge bounds.
+_BOUNDS = [(-0.5, 0.5), (0.0, 1.0), (-1.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0),
+           (-1e300, 1e300), (1e-300, 2e-300)]
+_ENTRIES = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.9, 9.9), st.integers(-300, 299)),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-300, 2e-300, 1e300, -1e300,
+                     1.7e308, -1.7e308]))        # bounds, and pair spreads past the range
+
+
+@st.composite
+def reprojection_cases(draw):
+    """(set, rows, u, v, positions): a set that reprojects locally, a slice
+    rows of it as an oracle block fills one (a part of a product, or the
+    whole set), a vector u and v, which differs from u at most at the
+    positions in rows: an index array, or rows itself for a dense column."""
+    k = draw(st.integers(1, 6))
+    lo, hi = draw(st.sampled_from(_BOUNDS))
+    bounds = draw(st.lists(st.sampled_from(_BOUNDS), min_size=k, max_size=k))
+    feasible = draw(st.sampled_from([
+        Box(lo, hi, dim=k),
+        Box(np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds])),
+        SimplexProduct([2] * k),
+        Product([SimplexProduct([2] * k), Box(lo, hi, dim=k + 1)]),
+        Product([SimplexProduct([2, 2]), SimplexProduct([2] * k)]),
+        vs.synthetic_segmentation(2, 2, 0).set]))
+    assert feasible.reprojects_locally
+    parts = getattr(feasible, "parts", [feasible])
+    ends = list(itertools.accumulate(p.dim for p in parts))
+    starts = [0, *ends[:-1]]
+    rows = draw(st.sampled_from([slice(0, feasible.dim)]
+                                + [slice(a, b) for a, b in zip(starts, ends)]))
+    u = np.array(draw(st.lists(_ENTRIES, min_size=feasible.dim, max_size=feasible.dim)))
+    if draw(st.booleans()):
+        positions = rows
+        changed = list(range(rows.start, rows.stop))
+    else:
+        changed = draw(st.lists(st.integers(rows.start, rows.stop - 1), min_size=1,
+                                max_size=6, unique=True))
+        positions = np.array(changed)
+    v = u.copy()
+    v[changed] = draw(st.lists(_ENTRIES, min_size=len(changed), max_size=len(changed)))
+    return feasible, rows, u, v, positions
+
+
+@settings(max_examples=400, deadline=None)
+@given(reprojection_cases())
+def test_local_reprojection_has_the_bits_of_the_full_projection(case):
+    """Re-projecting from the projection of u only the blocks that hold a
+    changed entry gives the bytes of projecting v whole: on boxes with
+    scalar and vector bounds, ties at signed-zero bounds included, on blocks
+    of 2, on their products with a box and with each other, and on the
+    labeling game's set, from 1e-300 to 1e300 and with pair spreads that
+    overflow to inf; the base is left as it was."""
+    feasible, rows, u, v, positions = case
+    base = feasible.project(u)
+    kept = base.tobytes()
+    x = base.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        feasible.reproject(v, x, rows, positions)
+    assert x.tobytes() == feasible.project(v).tobytes()
+    assert base.tobytes() == kept
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_local_reprojection_rejects_a_non_finite_changed_entry(bad):
+    """A changed entry that is not finite raises NonFiniteInput, as the
+    full projection does, on each kind of part and for a dense column."""
+    feasible = vs.synthetic_segmentation(2, 2, 0).set
+    base = feasible.project(feasible.center())
+    n = feasible.parts[0].dim
+    for rows, at in ((slice(0, n), 3), (slice(n, feasible.dim), n + 5)):
+        for positions in (np.array([at]), rows):
+            v = feasible.center()
+            v[at] = bad
+            with pytest.raises(vs.sets.NonFiniteInput):
+                feasible.reproject(v, base.copy(), rows, positions)
+    with pytest.raises(TypeError, match="locally"):
+        SimplexProduct([3, 3]).reproject(np.zeros(6), np.zeros(6), slice(0, 6), np.array([0]))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import visolve as vs
 from visolve import solvers
 from visolve.metrics import AVERAGE_COLUMNS, dist_theta
+from visolve.oracles import dense_estimate
 from visolve.rng import StableRng
 from visolve.sets import _BlockLayout
 from visolve.solvers import NumericalDivergence, SvrgParams, make_solver
@@ -770,3 +771,57 @@ def test_blocks_of_3_labels_take_warm_hits(monkeypatch, algo, per_step):
     whose every projection sorts."""
     hits = warm_hits_beside_a_sorting_run(monkeypatch, vs.synthetic_segmentation(4, 3, 0), algo)
     assert len(hits) == 300 * per_step and sum(hits) > 150 * per_step
+
+
+def labeling_games(tmp_path):
+    """The 8 x 8 labeling game with 2 regions, and the 4 x 4 one loaded from
+    its instance file, which stores the payoff as CSR arrays."""
+    path = tmp_path / "seg4.vif"
+    vs.save_instance(path, vs.synthetic_segmentation(4, 2, 0))
+    return {"seg8": vs.synthetic_segmentation(8, 2, 0), "seg4-file": vs.load_instance(path)}
+
+
+@pytest.mark.parametrize("algo", ["svrg-eg", "dl-svrg-eg"])
+@pytest.mark.parametrize("name", ["seg8", "seg4-file"])
+def test_anchored_steps_reproject_locally_with_the_bits_of_the_full_step(tmp_path, name, algo):
+    """On the 2-region labeling game, whose blocks of 2 and box reproject
+    locally, each of 300 anchored steps projects once in full, for its half
+    step, and its iterate is the full projection, to the byte, of
+    zbar - tau * fhat with fhat the whole vector of its estimate; the half-
+    step iterate is the projection of the half step's input, and shares no
+    memory with that input, which the step overwrites, or with the iterate."""
+    problem = labeling_games(tmp_path)[name]
+    assert sp.issparse(problem.structure.A) and problem.set.reprojects_locally
+    solver = make_solver(problem, algo, seed=0)
+    anchored, proj, estimate = solver._anchored_step, solver._proj, solver.oracle.vr_estimate
+    seen = {}
+
+    def recorded_proj(v, guess, feasible=None):
+        seen.setdefault("inputs", []).append(v)
+        return proj(v, guess, feasible)
+
+    def recorded_estimate(*args):
+        seen["entries"] = estimate(*args)
+        return seen["entries"]
+
+    def checked():
+        seen.clear()
+        z, cache, w_part, w_step = solver.z, solver.cache, solver._w_part, solver._w_step
+        z_half = anchored()
+        zbar = solver.params.alpha * z
+        zbar += w_part
+        assert z_half.tobytes() == problem.set.project(zbar - w_step).tobytes()
+        fhat = dense_estimate(cache, seen["entries"])
+        expected = problem.set.project(zbar - solver.tau * fhat)
+        assert solver.z.tobytes() == expected.tobytes()
+        (v,) = seen["inputs"]
+        assert not any(np.shares_memory(a, b) for a, b in
+                       ((z_half, v), (solver.z, v), (solver.z, z_half)))
+        steps.append(z_half)
+        return z_half
+
+    steps = []
+    solver._anchored_step, solver._proj, solver.oracle.vr_estimate = (checked, recorded_proj,
+                                                                      recorded_estimate)
+    while len(steps) < 300:
+        solver.step()

@@ -67,7 +67,7 @@ The cases:
   `wall_s` and `exit_code` (criterion 4 is a known failure, so a failing
   criterion is recorded, not fatal). A round took about 5 minutes on 2 cores.
 * `step` (10 rounds): on the pursuit games of 30, 100 and 1000 houses
-  (instance seed 2023), after 200 warm-up steps, the fastest of 3 runs of
+  (instance seed 2023), after 200 warm-up steps, the fastest of 7 runs of
   2000 steps, as `step_us` per step, of `svrg-eg`, `dl-svrg-eg` and `eg`;
   `dl-svrg-eg` runs whole epochs of K = N/2 inner steps, the snapshot's
   refresh included (warm-up and timed runs of 200 // K and 2000 // K
@@ -81,14 +81,18 @@ The cases:
   entries take the closed form on the two columns of a (1024, 2) matrix,
   the same `step_us` of `svrg-eg` and `pda`, and 2000 more steps with every
   projection onto those blocks timed (`column_calls` and the median
-  `column_us`). Last, on the same game with 3 regions (`seg32h3`) and with
-  4 (`seg32h4`), whose 1024 blocks of 3 or 4 entries are the rows of one
-  matrix, the same `step_us` of `svrg-eg` and `pda` and the routes of their
-  projections that take a guess: `pda` projects its labels with one, so its
-  hits certify 1024 blocks at a time, and `svrg-eg` projects the product of
+  `column_us`), and every local re-projection of a checkout that has one
+  (`reproject_calls` and the median `reproject_us`): a `svrg-eg` step
+  projects its half step in full and re-projects, per sampled column, only
+  the blocks of 2 and the box entries that the column changed. Last, on
+  the same game with 3 regions (`seg32h3`) and with 4 (`seg32h4`), whose
+  1024 blocks of 3 or 4 entries are the rows of one matrix, the same
+  `step_us` of `svrg-eg` and `pda` and the routes of their projections
+  that take a guess: `pda` projects its labels with one, so its hits
+  certify 1024 blocks at a time, and `svrg-eg` projects the product of
   those blocks and a box, which hands the blocks a guess of their own and
   the box none. A checkout whose blocks of 3 take no guess counts no
-  routes there. A round took about 35 s.
+  routes there. A round took about 60 s.
 * `loc` (1 round): the code lines of every module under SRC_DIR, by path
   (`modules`), and their sum (`code_lines`). A code line is a line that a
   token other than a comment spans, outside every docstring, so comments,
@@ -340,7 +344,7 @@ STEP_SIZES = (30, 100, 1000)
 STEP_ALGORITHMS = ("svrg-eg", "dl-svrg-eg", "eg")
 SEG_ALGORITHMS = ("svrg-eg", "pda")
 STEPS = 2000       # timed steps of each solver
-STEP_REPEATS = 3
+STEP_REPEATS = 7   # the fastest of them is a round's figure
 ROUTES = ("hit", "retry", "sort")
 
 
@@ -406,23 +410,37 @@ def _column_projections(vs, run):
     """Run the steps with every projection onto a product of simplexes
     timed, as `SimplexProduct._project` makes it, whether the set is
     projected alone or as a part of a product; on the labeling game with 2
-    regions every such projection takes the closed form for blocks of 2."""
-    cls = vs.sets.SimplexProduct
-    project = cls._project
-    durations = []
+    regions every such projection takes the closed form for blocks of 2.
+    Time too every local re-projection, `FeasibleSet.reproject`, of a
+    checkout that has one: `svrg-eg` makes one per oracle block of a step,
+    on the blocks and the box entries that the sampled columns changed."""
+    timings = {"column": (vs.sets.SimplexProduct, "_project")}
+    if hasattr(vs.sets.FeasibleSet, "reproject"):
+        timings["reproject"] = (vs.sets.FeasibleSet, "reproject")
+    durations = {name: [] for name in timings}
 
-    def timed(self, v, guess=None):
-        t0 = time.perf_counter()
-        x = project(self, v, guess)
-        durations.append(time.perf_counter() - t0)
-        return x
+    def timer(name, method):
+        def timed(*args):
+            t0 = time.perf_counter()
+            x = method(*args)
+            durations[name].append(time.perf_counter() - t0)
+            return x
+        return timed
 
-    cls._project = timed
+    kept = {name: getattr(cls, attr) for name, (cls, attr) in timings.items()}
+    for name, (cls, attr) in timings.items():
+        setattr(cls, attr, timer(name, kept[name]))
     try:
         run()
     finally:
-        cls._project = project
-    return {"column_calls": len(durations), "column_us": 1e6 * statistics.median(durations)}
+        for name, (cls, attr) in timings.items():
+            setattr(cls, attr, kept[name])
+    out = {}
+    for name, times in durations.items():
+        out[f"{name}_calls"] = len(times)
+        if times:
+            out[f"{name}_us"] = 1e6 * statistics.median(times)
+    return out
 
 
 def step_child(src, r, workdir):
@@ -500,7 +518,7 @@ CASES = {
                   {"setups": SETUPS}),
     "e2e": Case(e2e_child, 3, frozenset({*END_TO_END, *PER_ALGORITHM, "wall_s"}),
                 {"perfbench": " ".join(PERFBENCH), "criteria": list(CRITERIA)}),
-    "step": Case(step_child, 10, frozenset({"step_us", "column_us",
+    "step": Case(step_child, 10, frozenset({"step_us", "column_us", "reproject_us",
                                            *(f"{route}_us" for route in ROUTES)}),
                  {"steps": STEPS, "repeats": STEP_REPEATS}),
     "loc": Case(loc_child, 1, frozenset()),
