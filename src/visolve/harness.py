@@ -177,29 +177,13 @@ def run_seeds(problem, algorithm, cfg, known=None):
     if algorithm not in solvers.DETERMINISTIC:
         return {seed: outcome(seed) for seed in cfg.seeds}
     first = outcome(cfg.seeds[0])
-    return {seed: _with_seed(first, seed) for seed in cfg.seeds}
-
-
-def _with_seed(outcome, seed):
-    """A seed's copy of a deterministic run's trace or divergence."""
-    if isinstance(outcome, GapTrace):
-        return dataclasses.replace(outcome, meta={**outcome.meta, "seed": seed})
-    err = solvers.NumericalDivergence(outcome.algorithm, outcome.iteration, seed)
-    err.trace = None if outcome.trace is None else _with_seed(outcome.trace, seed)
-    return err
-
-
-def _diverged(algorithm, outcomes, left_out):
-    """The trace of every seed that completed, and the lines that name every
-    seed that diverged and say that ``left_out`` is left out for the
-    algorithm, when one did."""
-    traces = {seed: o for seed, o in outcomes.items() if isinstance(o, GapTrace)}
-    failed = [seed for seed in outcomes if seed not in traces]
-    if not failed:
-        return traces, []
-    return traces, [*(str(outcomes[seed]) for seed in failed),
-                    f"no {left_out} for {algorithm}: seed{'s' * (len(failed) > 1)} "
-                    f"{', '.join(map(str, failed))} diverged"]
+    trace = first if isinstance(first, GapTrace) else first.trace
+    copy = lambda seed: (None if trace is None
+                         else dataclasses.replace(trace, meta={**trace.meta, "seed": seed}))
+    if trace is first:
+        return {seed: copy(seed) for seed in cfg.seeds}
+    return {seed: solvers.NumericalDivergence(algorithm, first.iteration, seed, copy(seed))
+            for seed in cfg.seeds}
 
 
 def _seed_mean_std(stack):
@@ -224,6 +208,31 @@ def aggregate(traces):
     return out
 
 
+def _sweep(cfg, command, algorithm_files, sweep_files=lambda label: []):
+    """The loop of `run` and `compare`: build the instance and validate the
+    config for ``command``, then run every algorithm's seeds
+    (:func:`run_seeds`). ``algorithm_files(label, algorithm, outcomes,
+    complete)``, where ``complete`` says that no seed diverged, and then
+    ``sweep_files(label)`` write files and return their paths, which the
+    sweep returns. Once they are written, :class:`DivergedRuns` names every
+    seed that diverged and says what its algorithm was left without."""
+    problem, known, label = build_instance(cfg.instance, **cfg.instance_params)
+    cfg.validate(problem, command)
+    left_out = "aggregate" if command == "run" else "columns"
+    written, diverged = [], []
+    for algo in cfg.algorithms:
+        outcomes = run_seeds(problem, algo, cfg, known if command == "run" else None)
+        if failed := [seed for seed, o in outcomes.items() if not isinstance(o, GapTrace)]:
+            diverged += [*(str(outcomes[seed]) for seed in failed),
+                         f"no {left_out} for {algo}: seed{'s' * (len(failed) > 1)} "
+                         f"{', '.join(map(str, failed))} diverged"]
+        written += algorithm_files(label, algo, outcomes, not failed)
+    written += sweep_files(label)
+    if diverged:
+        raise DivergedRuns(diverged, written)
+    return written
+
+
 def run_command(cfg):
     """The `run` entry: per-seed CSVs plus an aggregate CSV per algorithm.
 
@@ -232,28 +241,21 @@ def run_command(cfg):
     GapTrace's checks, and its algorithm gets no aggregate; once every run
     is written, :class:`DivergedRuns` names them.
     """
-    problem, known, label = build_instance(cfg.instance, **cfg.instance_params)
-    cfg.validate(problem, "run")
-    os.makedirs(cfg.out, exist_ok=True)
-    written, diverged = [], []
-    for algo in cfg.algorithms:
-        outcomes = run_seeds(problem, algo, cfg, known)
+    def files(label, algo, outcomes, complete):
+        os.makedirs(cfg.out, exist_ok=True)
+        written = []
         for seed, outcome in outcomes.items():
             trace = outcome if isinstance(outcome, GapTrace) else outcome.trace
             if trace is not None:
                 partial = "" if trace is outcome else "_partial"
-                path = os.path.join(cfg.out, f"{label}_{algo}_seed{seed}{partial}.csv")
-                trace.to_csv(path)
-                written.append(path)
-        traces, lines = _diverged(algo, outcomes, "aggregate")
-        diverged += lines
-        if not lines:
-            agg_path = os.path.join(cfg.out, f"{label}_{algo}_aggregate.csv")
-            write_table(agg_path, aggregate(traces.values()))
-            written.append(agg_path)
-    if diverged:
-        raise DivergedRuns(diverged, written)
-    return written
+                written.append(os.path.join(cfg.out, f"{label}_{algo}_seed{seed}{partial}.csv"))
+                trace.to_csv(written[-1])
+        if complete:
+            written.append(os.path.join(cfg.out, f"{label}_{algo}_aggregate.csv"))
+            write_table(written[-1], aggregate(outcomes.values()))
+        return written
+
+    return _sweep(cfg, "run", files)
 
 
 def compare_command(cfg):
@@ -267,30 +269,29 @@ def compare_command(cfg):
     diverges gets no columns; the others are written, and then
     :class:`DivergedRuns` names the runs that diverged.
     """
-    problem, _, label = build_instance(cfg.instance, **cfg.instance_params)
-    cfg.validate(problem)
-    eval_every = cfg.resolved_eval_every()
-    grid = np.minimum(np.arange(eval_every, cfg.budget + eval_every, eval_every), cfg.budget)
-    table = {"evals": grid.astype(np.float64)}
-    modes = ["gap_last"] + [AVERAGE_COLUMNS[q] for q in cfg.q_exponents]
-    diverged = []
-    for algo in cfg.algorithms:
-        traces, lines = _diverged(algo, run_seeds(problem, algo, cfg), "columns")
-        diverged += lines
-        if lines:
-            continue
-        traces = list(traces.values())
-        nearest = [np.abs(t.evals[None, :] - grid[:, None]).argmin(axis=1) for t in traces]
-        for mode in modes:
-            per_seed = [np.asarray(t.column(mode))[idx] for t, idx in zip(traces, nearest)]
-            table[f"{algo}_{mode.replace('gap_', '')}"] = _seed_mean_std(np.stack(per_seed))[0]
-    out_path = (cfg.out if cfg.out.endswith(".csv")
-                else os.path.join(cfg.out, f"{label}_compare.csv"))
-    written = []
-    if len(table) > 1:
+    def grid():
+        step = cfg.resolved_eval_every()
+        return np.minimum(np.arange(step, cfg.budget + step, step), cfg.budget)
+
+    columns = {}
+
+    def gather(label, algo, outcomes, complete):
+        if complete:
+            traces, at = list(outcomes.values()), grid()[:, None]
+            nearest = [np.abs(t.evals[None, :] - at).argmin(axis=1) for t in traces]
+            for mode in ["gap_last"] + [AVERAGE_COLUMNS[q] for q in cfg.q_exponents]:
+                per_seed = np.stack([np.asarray(t.column(mode))[idx]
+                                     for t, idx in zip(traces, nearest)])
+                columns[f"{algo}_{mode.replace('gap_', '')}"] = _seed_mean_std(per_seed)[0]
+        return []
+
+    def write(label):
+        if not columns:
+            return []
+        out_path = (cfg.out if cfg.out.endswith(".csv")
+                    else os.path.join(cfg.out, f"{label}_compare.csv"))
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        write_table(out_path, table)
-        written.append(out_path)
-    if diverged:
-        raise DivergedRuns(diverged, written)
-    return written
+        write_table(out_path, {"evals": grid().astype(np.float64), **columns})
+        return [out_path]
+
+    return _sweep(cfg, "compare", gather, write)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SamplingDistribution, row_reader  # noqa: F401 (re-exported)
+from .problems import SamplingDistribution, row_reader  # noqa: F401 (perfbench times it here)
 
 
 @dataclass
@@ -39,14 +39,14 @@ class SnapshotCache:
 class MatrixGameOracle:
     """Column-sampled oracle of F(z) = Mz + q, for games and plain affine VIs.
 
-    Each block is a row ``(at, rows, column, signed_p)``: its columns are the
+    Each block is a row ``(at, column, signed_p)``: its columns are the
     coordinates ``at + k``, column k of M is ``sign * values`` at the
-    positions ``column(k)`` reads (``positions, values``), which lie in the
-    slice ``rows`` of F, and ``signed_p`` is ``sign * p``. Dividing by the
-    signed probability applies the sign exactly. The readers ``column`` are
-    bound here, for a dense or a sparse payoff, so a sample reads its column
-    without asking which. The probabilities are the problem's
-    ``column_sampling()``; an oracle builds no tables of its own.
+    positions of F that ``column(k)`` reads (``positions, values``), and
+    ``signed_p`` is ``sign * p``. Dividing by the signed probability applies
+    the sign exactly. The readers ``column`` are bound here, for a dense or
+    a sparse payoff, so a sample reads its column without asking which. The
+    probabilities are the problem's ``column_sampling()``; an oracle builds
+    no tables of its own.
     """
 
     def __init__(self, problem):
@@ -54,15 +54,13 @@ class MatrixGameOracle:
         self.sampling = problem.column_sampling()
         s = problem.structure
         if s is None:
-            M = problem.M
-            rows = slice(0, problem.dim)
-            blocks = [(0, rows, lambda k: (rows, M[:, k]), 1.0)]
+            M, every = problem.M, slice(0, problem.dim)
+            blocks = [(0, lambda k: (every, M[:, k]), 1.0)]
         else:
-            n, m = s.primal_dim, s.dual_dim
-            blocks = [(0, slice(n, n + m), row_reader(s.A, n), -1.0),
-                      (n, slice(0, n), row_reader(s.AT), 1.0)]
-        self._blocks = [(at, rows, column, sign * p)
-                        for (at, rows, column, sign), p in zip(blocks, self.sampling.p)]
+            n = s.primal_dim
+            blocks = [(0, row_reader(s.A, n), -1.0), (n, row_reader(s.AT), 1.0)]
+        self._blocks = [(at, column, sign * p)
+                        for (at, column, sign), p in zip(blocks, self.sampling.p)]
 
     def draw(self, rng):
         return self.sampling.draw(rng)
@@ -70,29 +68,30 @@ class MatrixGameOracle:
     def vr_estimate(self, cache, sample, z_half):
         """F(w) + sum over blocks of ((z_half_k - w_k) / p_k) M_.k, on one sample,
         as the entries where it may differ from the cached F(w): per block a
-        triple ``(rows, positions, values)``, where the estimate holds
-        ``values`` = ``Fw[positions] + c * column`` at the positions of the
-        sampled column's stored entries (the slice ``rows`` itself for a
-        dense column), which lie in ``rows``. Its other entries are those of
-        F(w); :func:`dense_estimate` writes the whole vector. At z_half = w
-        it is F(w) exactly, for every sample.
+        pair ``(positions, values)``, where the estimate holds ``values`` =
+        ``Fw[positions] + c * column`` at the positions of the sampled
+        column's stored entries, an index array, or a slice for a dense
+        column. Its other entries are those of F(w); :func:`dense_estimate`
+        writes the whole vector, and the positions are what
+        :meth:`FeasibleSet.reproject` takes, all blocks in one call. At
+        z_half = w it is F(w) exactly, for every sample.
         """
         Fw, w = cache.Fw, cache.w
         entries = []
-        for k, (at, rows, column, signed_p) in zip(sample, self._blocks):
+        for k, (at, column, signed_p) in zip(sample, self._blocks):
             positions, vals = column(k)
             c = (z_half.item(at + k) - w.item(at + k)) / signed_p.item(k)
             values = c * vals
             values += Fw[positions]     # Fw[positions] + c * vals: addition commutes
-            entries.append((rows, positions, values))
+            entries.append((positions, values))
         return entries
 
 
 def dense_estimate(cache, entries):
     """The whole vector of a :meth:`MatrixGameOracle.vr_estimate`: F(w) with
-    its entries written in."""
+    the values of its (positions, values) pairs written in."""
     out = cache.Fw.copy()
-    for _, positions, values in entries:
+    for positions, values in entries:
         out[positions] = values
     return out
 

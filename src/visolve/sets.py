@@ -45,19 +45,23 @@ then leaves the support of its result in the record. The record belongs to
 the caller, so the sets stay immutable.
 
 A set whose projection takes no guess and acts on each entry, or on each
-block of 2, alone ``reprojects_locally``: a `Box`, a product of simplexes
-of blocks of 2 (the closed form), and a `Product` of such parts, the
-labeling game's set with 2 regions. When a caller holds the projection of
-a vector and changes a few of its entries, `FeasibleSet.reproject`
-projects again only the blocks that hold a changed entry, in place: no
+block of 2, alone has a kernel that projects again only the blocks that
+hold given positions, and so ``reprojects_locally``: a `Box`, a product of
+simplexes of blocks of 2 (the closed form), and a `Product` whose parts all
+have one, the labeling game's set with 2 regions. When a caller holds the
+projection of a vector and changes a few of its entries,
+`FeasibleSet.reproject` takes their positions, those of every (positions,
+values) pair of an estimate in one call, and the kernel projects again
+only the blocks that hold a changed entry, in a copy of the projection: no
 other entry of the projection reads a changed one. It runs the full
 projection's operations on Python floats, IEEE doubles rounded as numpy
-rounds them, so it gives the full projection's bits, with numpy's tie rule:
-np.maximum and np.minimum return their second operand when the two compare
-equal (numpy 2.4.6), so the clamp of -0.0 to [0, 1] is 0.0 and that of 0.0
-to [-1, -0.0] is -0.0, and the kernel tests u > lo and u < hi strictly.
-Every other set projects the whole vector. Each part of a `Product` gets
-its slice of one output, which a box and the closed form write in place.
+rounds them, so it gives the full projection's bits, with numpy's tie
+rule: np.maximum and np.minimum return their second operand when the two
+compare equal (numpy 2.4.6), so the clamp of -0.0 to [0, 1] is 0.0 and
+that of 0.0 to [-1, -0.0] is -0.0, and the kernel tests u > lo and u < hi
+strictly. A slice of positions, a dense column, and every set without a
+kernel project the whole vector. Each part of a `Product` gets its slice
+of one output, which a box and the closed form write in place.
 """
 
 from __future__ import annotations
@@ -271,21 +275,6 @@ class _BlockLayout:
         x = simplex_project(self.rows(v, -np.inf), guess)
         return x.ravel() if self.real is None else x[self.real]
 
-    def reproject_at(self, v, x, positions):
-        """Project into x again, by the closed form on Python floats, each
-        block of 2 that holds one of the positions (see
-        :meth:`FeasibleSet.reproject`)."""
-        for i in {p - p % 2 for p in positions}:
-            b0, b1 = v.item(i), v.item(i + 1)
-            if not (math.isfinite(b0) and math.isfinite(b1)):
-                raise NonFiniteInput("non-finite input vector")
-            d = b0 - b1
-            a = abs(d)
-            s = (a + 1.0) * 0.5
-            larger = s if s < 1.0 else 1.0
-            smaller = s - a if s - a > 0.0 else 0.0     # NaN at a = inf gives 0.0
-            x[i], x[i + 1] = (larger, smaller) if d >= 0.0 else (smaller, larger)
-
     def maxima(self, c):
         """Block maxima of c. The strided columns are taken from left to
         right, as np.maximum.reduceat takes them, so the bits are the same;
@@ -310,7 +299,7 @@ class FeasibleSet:
     dim: int
     simplex_blocks = None  # block sizes when the set is a product of simplexes
     _layout = None         # the _BlockLayout of those blocks
-    reprojects_locally = False
+    _reproject_at = None   # the kernel (v, x, positions) of reproject, where there is one
 
     def project(self, v, guess=None):
         """Euclidean projection of v onto the set.
@@ -332,29 +321,29 @@ class FeasibleSet:
         v = _check_vector(self.dim, v)
         return self._project(v, guess)
 
-    def reproject(self, v, x, rows, positions):
-        """Make x, the projection of a vector that equals v outside
-        v[positions], the projection of v, in place, on a set that
-        ``reprojects_locally``. ``rows`` is a slice of the set's coordinates
-        that holds the positions. An index array of positions names the
-        changed entries: only the blocks that hold one are projected again,
-        and only those entries are checked for finiteness (the module
-        docstring says why the bits are those of :meth:`project`). A slice,
-        a dense column, changes every entry, and the whole set is projected
-        again."""
-        if not self.reprojects_locally:
-            raise TypeError(f"{self!r} does not reproject locally")
-        self._reproject(v, x, rows, None if isinstance(positions, slice) else positions.tolist())
+    @property
+    def reprojects_locally(self):
+        """Whether :meth:`reproject` has a kernel here that projects again
+        only the blocks that hold a changed entry."""
+        return self._reproject_at is not None
 
-    def _reproject(self, v, x, rows, positions):
-        """reproject with the positions as a list of ints, or None for all."""
-        if positions is None:
-            self._project(_finite(v), None, x)
-        else:
-            self._reproject_at(v, x, positions)
-
-    def _reproject_at(self, v, x, positions):
-        self._layout.reproject_at(v, x, positions)
+    def reproject(self, v, base, changed, guess=None):
+        """The projection of v, where base is the projection of a vector
+        that equals v outside the positions ``changed``: one entry per run
+        of changed entries, an ascending index array or a slice, as the
+        positions of the (positions, values) pairs of an estimate. On a set
+        that ``reprojects_locally`` and index arrays only, it is a copy of base
+        whose blocks that hold a changed position are projected again, and
+        only those entries are checked for finiteness (the module docstring
+        says why the bits are those of :meth:`project`). A slice, a dense
+        column, changes every entry, and then, as on every other set, it is
+        ``project(v, guess)``. base is left as it was."""
+        if self._reproject_at is None or slice in map(type, changed):
+            return self.project(v, guess)
+        x = base.copy()
+        for positions in changed:
+            self._reproject_at(v, x, positions.tolist())
+        return x
 
     def support_guess(self, x):
         """A :class:`SupportGuess` of the positive entries of the point x,
@@ -405,10 +394,26 @@ class SimplexProduct(FeasibleSet):
         self.dim = sum(dims)
         self._offsets = np.concatenate([[0], np.cumsum(self._dims)])
         self._layout = _BlockLayout(dims)
-        self.reprojects_locally = self._layout.pairs
+        if not self._layout.pairs:
+            self._reproject_at = None   # only equal blocks of 2 have a kernel
 
     def _project(self, v, guess=None, out=None):
         return self._layout.project(v, guess, out)
+
+    def _reproject_at(self, v, x, positions):
+        """The kernel of equal blocks of 2: project into x again, by the
+        closed form on Python floats, each block of 2 that holds one of the
+        positions (see :meth:`FeasibleSet.reproject`)."""
+        for i in {p - p % 2 for p in positions}:
+            b0, b1 = v.item(i), v.item(i + 1)
+            if not (math.isfinite(b0) and math.isfinite(b1)):
+                raise NonFiniteInput("non-finite input vector")
+            d = b0 - b1
+            a = abs(d)
+            s = (a + 1.0) * 0.5
+            larger = s if s < 1.0 else 1.0
+            smaller = s - a if s - a > 0.0 else 0.0     # NaN at a = inf gives 0.0
+            x[i], x[i + 1] = (larger, smaller) if d >= 0.0 else (smaller, larger)
 
     def _contains(self, v, tol):
         if np.any(v < -tol):
@@ -465,8 +470,6 @@ class Box(FeasibleSet):
             raise ValueError("box requires lo <= hi componentwise")
         self.lo, self.hi = lo, hi
         self.dim = lo.size
-
-    reprojects_locally = True
 
     def _project(self, v, guess=None, out=None):
         x = np.maximum(v, self.lo, out=out)
@@ -606,7 +609,8 @@ class Product(FeasibleSet):
         if None not in blocks:
             self.simplex_blocks = sum(blocks, ())
             self._layout = _BlockLayout(self.simplex_blocks)
-        self.reprojects_locally = all(p.reprojects_locally for p in parts)
+        if not all(p.reprojects_locally for p in parts):
+            self._reproject_at = None   # a kernel needs one in every part
 
     def split(self, v):
         return [v[part] for part in self._slices]
@@ -628,22 +632,15 @@ class Product(FeasibleSet):
                 o[...] = x
         return out
 
-    def _reproject(self, v, x, rows, positions):
-        """A product of simplexes re-projects through its layout. Any other
-        product hands the change to the part whose slice holds ``rows``, in
-        that part's coordinates; when ``rows`` spans several parts, each part
-        it meets is projected again whole."""
-        if self._layout is not None:
-            return super()._reproject(v, x, rows, positions)
-        start, stop, _ = rows.indices(self.dim)
+    def _reproject_at(self, v, x, positions):
+        """The kernel of a product whose parts all have one: each part that
+        the least and the greatest position span gets the positions that lie
+        in it, in its own coordinates, and its slices of v and x."""
+        least, greatest = positions[0], positions[-1]
         for p, part in zip(self.parts, self._slices):
-            a = part.start
-            if a <= start and stop <= part.stop and positions is not None:
-                return p._reproject(v[part], x[part], slice(start - a, stop - a),
-                                    [i - a for i in positions])
-        for p, part in zip(self.parts, self._slices):
-            if part.start < stop and start < part.stop:
-                p._reproject(v[part], x[part], slice(None), None)
+            a, b = part.start, part.stop
+            if a <= greatest and least < b:
+                p._reproject_at(v[part], x[part], [i - a for i in positions if a <= i < b])
 
     def support_guess(self, x):
         """A product of simplexes guesses through its layout, which takes

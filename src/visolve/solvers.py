@@ -7,6 +7,7 @@ cumulative cost in sampled-evaluation units.
 from __future__ import annotations
 
 import contextlib
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,13 +32,13 @@ class NumericalDivergence(RuntimeError):
     through :func:`run`, its ``trace`` is the GapTrace of the rows recorded
     before it, or None when they fail GapTrace's checks."""
 
-    def __init__(self, algorithm, iteration, seed):
+    def __init__(self, algorithm, iteration, seed, trace=None):
         super().__init__(f"non-finite value in {algorithm} at iteration {iteration} "
                          f"of seed {seed}")
         self.algorithm = algorithm
         self.iteration = iteration
         self.seed = seed
-        self.trace = None
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -203,13 +204,19 @@ class _AnchoredExtragradient(_SolverBase):
         """One anchored extragradient step; returns the half-step iterate.
 
         The full step's input zbar - tau * fhat differs from the half
-        step's, v = zbar - tau * F(w), only at the entries of the estimate
-        that differ from F(w) (:meth:`MatrixGameOracle.vr_estimate`). On a
-        set that ``reprojects_locally`` the step writes those entries into v
-        by the same expression, so every entry of v holds the bits of
-        zbar - tau * fhat, and projects again only the blocks that hold one
-        of them, from the half-step iterate. Any other set projects the whole
-        input."""
+        step's, v = zbar - tau * F(w), only at the positions of the
+        estimate's (positions, values) pairs
+        (:meth:`MatrixGameOracle.vr_estimate`). On a set that
+        ``reprojects_locally`` the step writes those entries into v by the
+        same expression, so every entry of v holds the bits of
+        zbar - tau * fhat, and hands every pair's positions to one
+        :meth:`FeasibleSet.reproject` from the half-step iterate. Any other
+        set projects the whole input, formed from :func:`dense_estimate`,
+        which is the faster on a dense column: writing it into v entry by
+        entry and projecting took 14.6 against 12.5 us per step at pb30 and
+        23.4 against 21.7 us at pb1000 (the second half of the step, median
+        of 5 runs of the fastest of 7 x 20000 calls, 2 cores, numpy 2.4.6).
+        """
         zbar = self.params.alpha * self.z
         zbar += self._w_part
         v = zbar - self._w_step
@@ -217,25 +224,16 @@ class _AnchoredExtragradient(_SolverBase):
         sample = self.oracle.draw(self.rng)
         entries = self.oracle.vr_estimate(self.cache, sample, z_half)
         if self.problem.set.reprojects_locally:
-            for _, positions, fhat in entries:
+            for positions, fhat in entries:
                 v[positions] = zbar[positions] - self.tau * fhat
-            self.z = self._reproject(v, z_half, entries)
+            try:
+                self.z = self.problem.set.reproject(v, z_half, [p for p, _ in entries])
+            except NonFiniteInput:
+                raise NumericalDivergence(self.name, self.iteration, self.seed) from None
         else:
             self.z = self._proj(zbar - self.tau * dense_estimate(self.cache, entries), self._guess)
         self.iteration += 1
         return z_half
-
-    def _reproject(self, v, base, entries):
-        """_proj of v, from base, the projection of a vector that equals v
-        outside the entries: a copy of base with the blocks that hold them
-        projected again (:meth:`FeasibleSet.reproject`)."""
-        x = base.copy()
-        try:
-            for rows, positions, _ in entries:
-                self.problem.set.reproject(v, x, rows, positions)
-        except NonFiniteInput:
-            raise NumericalDivergence(self.name, self.iteration, self.seed) from None
-        return x
 
 
 class LooplessSvrgEG(_AnchoredExtragradient):
@@ -576,7 +574,9 @@ def checkpoints(solver, budget_evals, eval_every, known=None):
     Where the steps return F, each average is measured with the same
     average of the returned values (F is affine, so it equals F at the
     average up to roundoff), and the last iterate with the F the solver
-    holds there; otherwise each measure evaluates F at its point.
+    holds there; otherwise each measure evaluates F at its point. A row
+    with an infinite value, such as the measure of an average of finite F
+    whose running sum overflowed, raises NumericalDivergence in its place.
     """
     problem = solver.problem
     if problem.structure is not None:
@@ -599,6 +599,8 @@ def checkpoints(solver, budget_evals, eval_every, known=None):
             row.append(row[1] if avg is None else measure(avg, F_avg.current()))
         if known is not None:
             row.append(dist_theta(known, solver.z, solver.w_point, solver.theta))
+        if any(map(math.isinf, row)):
+            raise NumericalDivergence(solver.name, solver.iteration, solver.seed)
         yield row
         if solver.evals >= budget_evals:
             return

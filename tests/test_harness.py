@@ -672,3 +672,76 @@ def test_cli_unknown_algorithm_named_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("unknown algorithm 'sgd'") == 1
     assert "algorithm list repeats sgd" in err
+
+
+def test_build_instance_of_a_directory_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.vif").mkdir()
+    with pytest.raises(ConfigError, match="cannot read instance file d.vif: Is a directory"):
+        harness.build_instance("d.vif")
+
+
+def test_validation_rejects_an_empty_algorithm_list(pb8):
+    with pytest.raises(ConfigError, match="no algorithms selected"):
+        RunConfig(instance="pb", algorithms=[], seeds=[0], budget=100).validate(pb8)
+
+
+def test_cli_run_without_algorithms_exit_code(tmp_path, capsys):
+    assert cli.main(["run", "--gen", "pb", "--budget", "10", "--out", str(tmp_path)]) == 2
+    assert "no algorithms: pass --algo tag[,tag...]" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_overflowing_average_keeps_partial_files(tmp_path, capsys):
+    """The game [[1, -1], [-1, 1]] with bx = (1.7e308, 1.7e308): every F is
+    finite, but the running sum of F in the uniform average overflows at
+    iteration 2 of rm+ and of eg, where the measure of that average is
+    -inf. That row is a divergence: each seed keeps the rows before it in a
+    partial file (eg one, rm+ none), and the run names every diverged seed
+    and exits 3."""
+    path = tmp_path / "big.vif"
+    vs.save_instance(path, vs.AffineVI.bilinear([[1, -1], [-1, 1]], bx=[1.7e308, 1.7e308]))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code = cli.main(["run", "--instance", str(path), "--algo", "rm+,eg", "--seeds", "0-1",
+                         "--budget", "40", "--eval-every", "4", "--out", str(out)])
+    assert code == 3
+    printed, err = capsys.readouterr()
+    names = [f"big_{algo}_seed{seed}_partial.csv" for algo in ("rm+", "eg") for seed in (0, 1)]
+    assert printed.split() == [str(out / name) for name in names]
+    assert sorted(os.listdir(out)) == sorted(names)
+    header = "evals,gap_last,gap_uniform,gap_linear,gap_quadratic\n"
+    for algo, rows in (("rm+", ""), ("eg", "4,0,0,0,0\n")):
+        for seed in (0, 1):
+            assert f"non-finite value in {algo} at iteration 2 of seed {seed}" in err
+            assert (out / f"big_{algo}_seed{seed}_partial.csv").read_text() == header + rows
+        assert f"no aggregate for {algo}: seeds 0, 1 diverged" in err
+
+
+def test_deterministic_divergence_gives_each_seed_its_own_record():
+    """rm+ and eg on the overflowing game run once, for the first seed, and
+    diverge at iteration 2; every seed gets its own NumericalDivergence and
+    its own copy of the partial trace, with its seed in the ``meta``, the
+    empty trace of rm+ included."""
+    game = vs.AffineVI.bilinear([[1, -1], [-1, 1]], bx=[1.7e308, 1.7e308])
+    cfg = RunConfig(instance="big", algorithms=["rm+", "eg"], seeds=[3, 0, 5], budget=40,
+                    eval_every=4)
+    for algo, rows in (("rm+", 0), ("eg", 1)):
+        with np.errstate(over="ignore"):
+            outcomes = harness.run_seeds(game, algo, cfg)
+        assert list(outcomes) == cfg.seeds
+        for seed, err in outcomes.items():
+            assert isinstance(err, solvers.NumericalDivergence)
+            assert str(err) == f"non-finite value in {algo} at iteration 2 of seed {seed}"
+            assert len(err.trace) == rows and err.trace.meta["seed"] == seed
+        assert len({id(err.trace) for err in outcomes.values()}) == 3
+
+
+def test_cli_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text("# a sweep of eg\n\nalgo=eg\n  # budget=1\nbudget=160\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_file), "--instance", "matching-pennies",
+                     "--eval-every", "16", "--out", str(out)]) == 0
+    trace = GapTrace.from_csv(next(out / f for f in os.listdir(out) if "seed" in f))
+    assert trace.evals[-1] == 160

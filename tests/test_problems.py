@@ -411,11 +411,13 @@ def _set_index(position, value):
     ("pb", lambda raw: raw[:-3], "5 bytes after 34 values"),
     ("pb", lambda raw: raw + bytes(8), "value count 36 matches neither layout"),
     ("pb", lambda raw: raw.replace(b"vif2", b"vif9", 1), "header"),
+    ("pb", lambda raw: b"vif2 5 5 simplex:10" + raw[raw.index(b"\n"):],
+     "bilinear layout needs a primal\\*dual set descriptor"),
     ("seg", lambda raw: raw[:-8 * 30], "csr payload of 16 entries for n=8, m=16 has 65 values, not 35"),
     ("seg", _set_index(9, 16), "indices must be < 16"),
     ("seg", _set_index(2, 1), "indptr must be a non-decreasing sequence"),
     ("seg", _set_index(8, 15), "indptr ends at 15, not at the 16 stored entries"),
-], ids=["cut-3-bytes", "extra-8-bytes", "unknown-magic", "csr-cut-payload",
+], ids=["cut-3-bytes", "extra-8-bytes", "unknown-magic", "game-under-one-set", "csr-cut-payload",
         "csr-index-out-of-range", "csr-decreasing-indptr", "csr-indptr-end"])
 def test_load_rejects_damaged_vif2(tmp_path, instance, damage, match):
     path = tmp_path / f"{instance}.vif"

@@ -222,6 +222,9 @@ def test_support_max_simplex_and_box():
     prod = SimplexProduct([2, 3])
     c = rng.uniform(5) - 0.5
     assert np.isclose(prod.support_max(c), np.max(c[:2]) + np.max(c[2:]))
+    mixed = Product([simplex, box])
+    c = rng.uniform(6) - 0.5
+    assert mixed.support_max(c) == simplex.support_max(c[:4]) + box.support_max(c[4:])
 
 
 @pytest.mark.parametrize("dims", [[4, 4, 4], [3, 2, 4], [7], [3, 5], [30, 31], [2, 9, 2],
@@ -394,6 +397,7 @@ def test_simplex_blocks_description():
 @pytest.mark.parametrize("feasible", variants(), ids=lambda s: type(s).__name__)
 def test_descriptor_roundtrip(feasible):
     assert from_descriptor(feasible.descriptor()) == feasible
+    assert repr(feasible) == f"{type(feasible).__name__}({feasible.descriptor()})"
 
 
 def test_descriptor_vector_box():
@@ -410,8 +414,12 @@ def test_project_rejects_bad_input():
 
 
 def test_empty_halfspacebox_rejected():
+    """A line that cuts the box's corner region away, and x_0 <= -1, whose
+    line x_0 = -1 runs parallel to a side of the box and misses it."""
     with pytest.raises(ValueError, match="empty|intersect"):
         HalfspaceBox(0.0, 1.0, np.array([1.0, 1.0]), -1.0)
+    with pytest.raises(ValueError, match="empty feasible set"):
+        HalfspaceBox(0.0, 1.0, [1.0, 0.0], -1.0)
 
 
 def test_box_rejects_inverted_bounds():
@@ -676,10 +684,13 @@ _ENTRIES = st.one_of(
 
 @st.composite
 def reprojection_cases(draw):
-    """(set, rows, u, v, positions): a set that reprojects locally, a slice
-    rows of it as an oracle block fills one (a part of a product, or the
-    whole set), a vector u and v, which differs from u at most at the
-    positions in rows: an index array, or rows itself for a dense column."""
+    """(set, u, v, changed): a set, a vector u, and v, which differs from u
+    at most at the positions that ``changed`` lists: one or two runs, each
+    in a slice of the set that an oracle block fills (a part of a product,
+    or the whole set), as an ascending index array, as a CSR column's
+    positions are, or as that slice itself for a dense column. The set
+    reprojects locally, or it is one of two sets without a kernel: simplex
+    blocks of 3, and a product of a simplex and a box."""
     k = draw(st.integers(1, 6))
     lo, hi = draw(st.sampled_from(_BOUNDS))
     bounds = draw(st.lists(st.sampled_from(_BOUNDS), min_size=k, max_size=k))
@@ -689,50 +700,66 @@ def reprojection_cases(draw):
         SimplexProduct([2] * k),
         Product([SimplexProduct([2] * k), Box(lo, hi, dim=k + 1)]),
         Product([SimplexProduct([2, 2]), SimplexProduct([2] * k)]),
-        vs.synthetic_segmentation(2, 2, 0).set]))
-    assert feasible.reprojects_locally
+        vs.synthetic_segmentation(2, 2, 0).set,
+        SimplexProduct([3] * k),
+        Product([Simplex(k + 1), Box(lo, hi, dim=k)])]))
     parts = getattr(feasible, "parts", [feasible])
     ends = list(itertools.accumulate(p.dim for p in parts))
-    starts = [0, *ends[:-1]]
-    rows = draw(st.sampled_from([slice(0, feasible.dim)]
-                                + [slice(a, b) for a, b in zip(starts, ends)]))
+    blocks = [slice(0, feasible.dim)] + [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
     u = np.array(draw(st.lists(_ENTRIES, min_size=feasible.dim, max_size=feasible.dim)))
-    if draw(st.booleans()):
-        positions = rows
-        changed = list(range(rows.start, rows.stop))
-    else:
-        changed = draw(st.lists(st.integers(rows.start, rows.stop - 1), min_size=1,
-                                max_size=6, unique=True))
-        positions = np.array(changed)
-    v = u.copy()
-    v[changed] = draw(st.lists(_ENTRIES, min_size=len(changed), max_size=len(changed)))
-    return feasible, rows, u, v, positions
+    v, changed = u.copy(), []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = draw(st.sampled_from(blocks))
+        if draw(st.booleans()):
+            changed.append(rows)
+            at = list(range(rows.start, rows.stop))
+        else:
+            at = sorted(draw(st.lists(st.integers(rows.start, rows.stop - 1), min_size=1,
+                                      max_size=6, unique=True)))
+            changed.append(np.array(at))
+        v[at] = draw(st.lists(_ENTRIES, min_size=len(at), max_size=len(at)))
+    return feasible, u, v, changed
 
 
 @settings(max_examples=400, deadline=None)
 @given(reprojection_cases())
 def test_local_reprojection_has_the_bits_of_the_full_projection(case):
-    """Re-projecting from the projection of u only the blocks that hold a
-    changed entry gives the bytes of projecting v whole: on boxes with
-    scalar and vector bounds, ties at signed-zero bounds included, on blocks
-    of 2, on their products with a box and with each other, and on the
-    labeling game's set, from 1e-300 to 1e300 and with pair spreads that
-    overflow to inf; the base is left as it was."""
-    feasible, rows, u, v, positions = case
+    """Re-projecting from the projection of u, in one call for every run of
+    changed entries, only the blocks that hold a changed entry gives the
+    bytes of projecting v whole: on boxes with scalar and vector bounds,
+    ties at signed-zero bounds included, on blocks of 2, on their products
+    with a box and with each other, and on the labeling game's set, from
+    1e-300 to 1e300 and with pair spreads that overflow to inf; a set
+    without a kernel projects v whole, to the same bytes; and the base is
+    left as it was, with no warning."""
+    feasible, u, v, changed = case
     base = feasible.project(u)
     kept = base.tobytes()
-    x = base.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        feasible.reproject(v, x, rows, positions)
+        x = feasible.reproject(v, base, changed)
     assert x.tobytes() == feasible.project(v).tobytes()
     assert base.tobytes() == kept
+
+
+def test_only_boxes_blocks_of_2_and_their_products_reproject_locally():
+    """A box, equal blocks of 2 and a product whose parts are all such sets
+    have a kernel; simplex blocks of any other size, a halfspace box, a
+    product with such a part and the labeling game with 3 regions do not."""
+    local = [Box(0.0, 1.0, dim=3), Simplex(2), SimplexProduct([2, 2, 2]),
+             Product([Simplex(2), Box(-1.0, 1.0, dim=2)]), vs.synthetic_segmentation(2, 2, 0).set]
+    whole = [Simplex(3), SimplexProduct([2, 3]), SimplexProduct([1, 1]),
+             halfspace_boxes()["ws"], Product([Simplex(2), Simplex(3)]),
+             vs.synthetic_segmentation(2, 3, 0).set]
+    assert all(s.reprojects_locally for s in local)
+    assert not any(s.reprojects_locally for s in whole)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_local_reprojection_rejects_a_non_finite_changed_entry(bad):
     """A changed entry that is not finite raises NonFiniteInput, as the
-    full projection does, on each kind of part and for a dense column."""
+    full projection does, on each kind of part and for a dense column, and
+    so does a set without a kernel, which projects v whole."""
     feasible = vs.synthetic_segmentation(2, 2, 0).set
     base = feasible.project(feasible.center())
     n = feasible.parts[0].dim
@@ -741,6 +768,8 @@ def test_local_reprojection_rejects_a_non_finite_changed_entry(bad):
             v = feasible.center()
             v[at] = bad
             with pytest.raises(vs.sets.NonFiniteInput):
-                feasible.reproject(v, base.copy(), rows, positions)
-    with pytest.raises(TypeError, match="locally"):
-        SimplexProduct([3, 3]).reproject(np.zeros(6), np.zeros(6), slice(0, 6), np.array([0]))
+                feasible.reproject(v, base, [positions])
+    v = np.zeros(6)
+    v[1] = bad
+    with pytest.raises(vs.sets.NonFiniteInput):
+        SimplexProduct([3, 3]).reproject(v, np.zeros(6), [np.array([1])])

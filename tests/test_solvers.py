@@ -786,19 +786,26 @@ def labeling_games(tmp_path):
 def test_anchored_steps_reproject_locally_with_the_bits_of_the_full_step(tmp_path, name, algo):
     """On the 2-region labeling game, whose blocks of 2 and box reproject
     locally, each of 300 anchored steps projects once in full, for its half
-    step, and its iterate is the full projection, to the byte, of
-    zbar - tau * fhat with fhat the whole vector of its estimate; the half-
-    step iterate is the projection of the half step's input, and shares no
-    memory with that input, which the step overwrites, or with the iterate."""
+    step, and re-projects once, from the half-step iterate, at the positions
+    of both of its estimate's (positions, values) pairs; its iterate is the
+    full projection, to the byte, of zbar - tau * fhat with fhat the whole
+    vector of its estimate; the half-step iterate is the projection of the
+    half step's input, and shares no memory with that input, which the step
+    overwrites, or with the iterate."""
     problem = labeling_games(tmp_path)[name]
     assert sp.issparse(problem.structure.A) and problem.set.reprojects_locally
     solver = make_solver(problem, algo, seed=0)
     anchored, proj, estimate = solver._anchored_step, solver._proj, solver.oracle.vr_estimate
+    reproject = problem.set.reproject
     seen = {}
 
     def recorded_proj(v, guess, feasible=None):
         seen.setdefault("inputs", []).append(v)
         return proj(v, guess, feasible)
+
+    def recorded_reproject(v, base, changed, guess=None):
+        seen.setdefault("local", []).append((base, changed))
+        return reproject(v, base, changed, guess)
 
     def recorded_estimate(*args):
         seen["entries"] = estimate(*args)
@@ -815,6 +822,9 @@ def test_anchored_steps_reproject_locally_with_the_bits_of_the_full_step(tmp_pat
         expected = problem.set.project(zbar - solver.tau * fhat)
         assert solver.z.tobytes() == expected.tobytes()
         (v,) = seen["inputs"]
+        ((base, changed),) = seen["local"]
+        assert base is z_half and len(changed) == 2
+        assert all(np.array_equal(p, q) for p, (q, _) in zip(changed, seen["entries"]))
         assert not any(np.shares_memory(a, b) for a, b in
                        ((z_half, v), (solver.z, v), (solver.z, z_half)))
         steps.append(z_half)
@@ -823,5 +833,27 @@ def test_anchored_steps_reproject_locally_with_the_bits_of_the_full_step(tmp_pat
     steps = []
     solver._anchored_step, solver._proj, solver.oracle.vr_estimate = (checked, recorded_proj,
                                                                       recorded_estimate)
+    problem.set.reproject = recorded_reproject
     while len(steps) < 300:
         solver.step()
+
+
+def test_a_non_finite_mirror_step_diverges_at_iteration_0(monkeypatch):
+    """oomd-entropy on the 3 x 3 uniform game at tau_scale 1e308: its first
+    multiplicative update is not finite, and the solver's finiteness check
+    raises NumericalDivergence at iteration 0."""
+    raised = []
+    finite = solvers._SolverBase._finite
+
+    def checked(self, v):
+        try:
+            return finite(self, v)
+        except NumericalDivergence:
+            raised.append(self.iteration)
+            raise
+
+    monkeypatch.setattr(solvers._SolverBase, "_finite", checked)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalDivergence, match="oomd-entropy at iteration 0 of seed 0"):
+        vs.run(vs.uniform_random(3, 3, 0), "oomd-entropy", 100, 0, 10, tau_scale=1e308)
+    assert raised == [0]

@@ -83,8 +83,10 @@ The cases:
   projection onto those blocks timed (`column_calls` and the median
   `column_us`), and every local re-projection of a checkout that has one
   (`reproject_calls` and the median `reproject_us`): a `svrg-eg` step
-  projects its half step in full and re-projects, per sampled column, only
-  the blocks of 2 and the box entries that the column changed. Last, on
+  projects its half step in full and re-projects only the blocks of 2 and
+  the box entries that the sampled columns changed, in one call for both
+  columns (two calls, one per column, in a checkout whose `reproject`
+  takes one column's rows and positions). Last, on
   the same game with 3 regions (`seg32h3`) and with 4 (`seg32h4`), whose
   1024 blocks of 3 or 4 entries are the rows of one matrix, the same
   `step_us` of `svrg-eg` and `pda` and the routes of their projections
@@ -412,17 +414,19 @@ def _column_projections(vs, run):
     projected alone or as a part of a product; on the labeling game with 2
     regions every such projection takes the closed form for blocks of 2.
     Time too every local re-projection, `FeasibleSet.reproject`, of a
-    checkout that has one: `svrg-eg` makes one per oracle block of a step,
-    on the blocks and the box entries that the sampled columns changed."""
+    checkout that has one, on the blocks and the box entries that the
+    sampled columns changed: `svrg-eg` makes one per step where `reproject`
+    takes the positions of every oracle block, and one per block, two per
+    step, where it takes one block's rows and positions."""
     timings = {"column": (vs.sets.SimplexProduct, "_project")}
     if hasattr(vs.sets.FeasibleSet, "reproject"):
         timings["reproject"] = (vs.sets.FeasibleSet, "reproject")
     durations = {name: [] for name in timings}
 
     def timer(name, method):
-        def timed(*args):
+        def timed(*args, **kwargs):
             t0 = time.perf_counter()
-            x = method(*args)
+            x = method(*args, **kwargs)
             durations[name].append(time.perf_counter() - t0)
             return x
         return timed
