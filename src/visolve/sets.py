@@ -327,19 +327,19 @@ class FeasibleSet:
         only the blocks that hold a changed entry."""
         return self._reproject_at is not None
 
-    def reproject(self, v, base, changed, guess=None):
+    def reproject(self, v, base, changed):
         """The projection of v, where base is the projection of a vector
         that equals v outside the positions ``changed``: one entry per run
-        of changed entries, an ascending index array or a slice, as the
+        of changed entries, an index array in any order or a slice, as the
         positions of the (positions, values) pairs of an estimate. On a set
         that ``reprojects_locally`` and index arrays only, it is a copy of base
         whose blocks that hold a changed position are projected again, and
         only those entries are checked for finiteness (the module docstring
         says why the bits are those of :meth:`project`). A slice, a dense
         column, changes every entry, and then, as on every other set, it is
-        ``project(v, guess)``. base is left as it was."""
+        ``project(v)``. base is left as it was."""
         if self._reproject_at is None or slice in map(type, changed):
-            return self.project(v, guess)
+            return self.project(v)
         x = base.copy()
         for positions in changed:
             self._reproject_at(v, x, positions.tolist())
@@ -634,13 +634,13 @@ class Product(FeasibleSet):
 
     def _reproject_at(self, v, x, positions):
         """The kernel of a product whose parts all have one: each part that
-        the least and the greatest position span gets the positions that lie
-        in it, in its own coordinates, and its slices of v and x."""
-        least, greatest = positions[0], positions[-1]
+        holds a position gets the positions that lie in it, in its own
+        coordinates, and its slices of v and x."""
         for p, part in zip(self.parts, self._slices):
             a, b = part.start, part.stop
-            if a <= greatest and least < b:
-                p._reproject_at(v[part], x[part], [i - a for i in positions if a <= i < b])
+            inside = [i - a for i in positions if a <= i < b]
+            if inside:
+                p._reproject_at(v[part], x[part], inside)
 
     def support_guess(self, x):
         """A product of simplexes guesses through its layout, which takes

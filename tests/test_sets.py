@@ -687,10 +687,11 @@ def reprojection_cases(draw):
     """(set, u, v, changed): a set, a vector u, and v, which differs from u
     at most at the positions that ``changed`` lists: one or two runs, each
     in a slice of the set that an oracle block fills (a part of a product,
-    or the whole set), as an ascending index array, as a CSR column's
-    positions are, or as that slice itself for a dense column. The set
-    reprojects locally, or it is one of two sets without a kernel: simplex
-    blocks of 3, and a product of a simplex and a box."""
+    or the whole set), as an index array in any order, since a CSR column
+    need not hold its positions sorted, or as that slice itself for a dense
+    column. The set reprojects locally, a product with a product part
+    included, or it is one of two sets without a kernel: simplex blocks of
+    3, and a product of a simplex and a box."""
     k = draw(st.integers(1, 6))
     lo, hi = draw(st.sampled_from(_BOUNDS))
     bounds = draw(st.lists(st.sampled_from(_BOUNDS), min_size=k, max_size=k))
@@ -700,6 +701,7 @@ def reprojection_cases(draw):
         SimplexProduct([2] * k),
         Product([SimplexProduct([2] * k), Box(lo, hi, dim=k + 1)]),
         Product([SimplexProduct([2, 2]), SimplexProduct([2] * k)]),
+        Product([SimplexProduct([2] * k), Product([Box(lo, hi, dim=2), SimplexProduct([2] * k)])]),
         vs.synthetic_segmentation(2, 2, 0).set,
         SimplexProduct([3] * k),
         Product([Simplex(k + 1), Box(lo, hi, dim=k)])]))
@@ -714,8 +716,8 @@ def reprojection_cases(draw):
             changed.append(rows)
             at = list(range(rows.start, rows.stop))
         else:
-            at = sorted(draw(st.lists(st.integers(rows.start, rows.stop - 1), min_size=1,
-                                      max_size=6, unique=True)))
+            at = draw(st.permutations(sorted(draw(st.lists(
+                st.integers(rows.start, rows.stop - 1), min_size=1, max_size=6, unique=True)))))
             changed.append(np.array(at))
         v[at] = draw(st.lists(_ENTRIES, min_size=len(at), max_size=len(at)))
     return feasible, u, v, changed
@@ -728,7 +730,8 @@ def test_local_reprojection_has_the_bits_of_the_full_projection(case):
     changed entries, only the blocks that hold a changed entry gives the
     bytes of projecting v whole: on boxes with scalar and vector bounds,
     ties at signed-zero bounds included, on blocks of 2, on their products
-    with a box and with each other, and on the labeling game's set, from
+    with a box and with each other, nested or not, with positions in any
+    order, and on the labeling game's set, from
     1e-300 to 1e300 and with pair spreads that overflow to inf; a set
     without a kernel projects v whole, to the same bytes; and the base is
     left as it was, with no warning."""

@@ -803,9 +803,9 @@ def test_anchored_steps_reproject_locally_with_the_bits_of_the_full_step(tmp_pat
         seen.setdefault("inputs", []).append(v)
         return proj(v, guess, feasible)
 
-    def recorded_reproject(v, base, changed, guess=None):
+    def recorded_reproject(v, base, changed):
         seen.setdefault("local", []).append((base, changed))
-        return reproject(v, base, changed, guess)
+        return reproject(v, base, changed)
 
     def recorded_estimate(*args):
         seen["entries"] = estimate(*args)
